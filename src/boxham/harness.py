@@ -569,7 +569,7 @@ def constancy_scan(
                     ConstancyRow(z=z, lam=lam, max_multiplicity=None, note="z inside spectrum; skipped")
                 )
                 continue
-            op = LatticeOperator(sites=part.sites, entries=h, partition=part)
+            op = LatticeOperator(entries=h, partition=part)
             try:
                 rr = restricted_resolvent(op, z, origin, origin)
             except SpectralProximityError as exc:

@@ -7,19 +7,29 @@ nearest-neighbour Laplacian with Dirichlet truncation, box projections, the
 Hamiltonian ``H = Laplacian + sum_n omega_n P_n + sum_i lambda_i P_{e_i}``,
 and the face products ``P_0 L P_n L P_0`` that later modules rely on.
 
+Sites are ordered lexicographically with coordinate 1 outermost, so every
+operator is assembled from per-axis factors by Kronecker products instead of
+site by site: the Laplacian is the Kronecker sum of path-graph adjacencies,
+a box mask is the Kronecker product of per-axis interval indicators, and the
+potential is the omega grid repeated l_i times along axis i.  The Laplacian is
+built once per partition and cached on it, read-only.
+
 All structural objects are integer matrices so identity checks are exact.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IncompleteSampleError, VolumeError
+from .tridiag import path_adjacency
 
-DEFAULT_SITE_CAP = 200_000
+# Largest site count whose dense float64 matrix fits in 1 GiB: n^2 * 8 <= 2^30.
+DEFAULT_SITE_CAP = int((2**30 // 8) ** 0.5)
 DEFAULT_RADIUS_CAP = 4
 
 
@@ -35,8 +45,6 @@ class BoxPartition:
     d: int
     lengths: tuple[int, ...]
     radius: int
-    sites: tuple[tuple[int, ...], ...] = field(repr=False)
-    site_index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
 
     @property
     def boxes(self) -> list[tuple[int, ...]]:
@@ -44,8 +52,29 @@ class BoxPartition:
         return [n for n in itertools.product(rng, repeat=self.d)]
 
     @property
+    def axis_sizes(self) -> list[int]:
+        """Sites along each axis: (2*radius + 1) * l_i."""
+        return [(2 * self.radius + 1) * l for l in self.lengths]
+
+    @property
+    def sites(self) -> tuple[tuple[int, ...], ...]:
+        """Every site, in lexicographic order (enumerated on each access)."""
+        axes = [range(-self.radius * l + 1, (self.radius + 1) * l + 1) for l in self.lengths]
+        return tuple(itertools.product(*axes))
+
+    @property
     def n_sites(self) -> int:
-        return len(self.sites)
+        count = 1
+        for size in self.axis_sizes:
+            count *= size
+        return count
+
+    @functools.cached_property
+    def laplacian(self) -> np.ndarray:
+        """The Laplacian entries, built on first use and shared read-only."""
+        lap = build_laplacian(self).entries
+        lap.setflags(write=False)
+        return lap
 
     def box_of(self, site: tuple[int, ...]) -> tuple[int, ...]:
         """Box index of a site: n_i = floor((x_i - 1) / l_i)."""
@@ -67,9 +96,8 @@ class DisorderSample:
 
 @dataclass(frozen=True)
 class LatticeOperator:
-    """A real symmetric matrix over the enumerated sites of a partition."""
+    """A real symmetric matrix over the lexicographically ordered sites of a partition."""
 
-    sites: tuple[tuple[int, ...], ...]
     entries: np.ndarray
     partition: BoxPartition = field(repr=False)
 
@@ -82,11 +110,12 @@ def build_partition(
     site_cap: int = DEFAULT_SITE_CAP,
     radius_cap: int = DEFAULT_RADIUS_CAP,
 ) -> BoxPartition:
-    """Materialize the boxes with all |n_i| <= radius and enumerate their sites.
+    """Materialize the boxes with all |n_i| <= radius.
 
     Raises VolumeError when the total site count Prod(l_i) * (2*radius+1)^d
-    exceeds ``site_cap`` (the error names the offending count), or when the
-    radius exceeds the desk-scale cap.
+    exceeds ``site_cap`` (the error names the offending count and the bytes one
+    dense float64 matrix on it would take), or when the radius exceeds the
+    desk-scale cap.
     """
     lengths = tuple(int(l) for l in lengths)
     if d < 1 or len(lengths) != d or any(l < 1 for l in lengths):
@@ -95,35 +124,53 @@ def build_partition(
         raise VolumeError(f"radius must be nonnegative, got {radius}")
     if radius > radius_cap:
         raise VolumeError(f"radius {radius} exceeds cap {radius_cap}")
-    count = 1
-    for l in lengths:
-        count *= l
-    count *= (2 * radius + 1) ** d
+    partition = BoxPartition(d=d, lengths=lengths, radius=radius)
+    count = partition.n_sites
     if count > site_cap:
-        raise VolumeError(f"volume of {count} sites exceeds cap {site_cap}")
+        raise VolumeError(
+            f"volume of {count} sites exceeds cap {site_cap}: one dense float64 "
+            f"matrix on it needs {8 * count**2} bytes"
+        )
+    return partition
 
-    lo = [-radius * l + 1 for l in lengths]
-    hi = [(radius + 1) * l for l in lengths]
-    axes = [range(a, b + 1) for a, b in zip(lo, hi)]
-    sites = tuple(itertools.product(*axes))  # lexicographic by construction
-    index = {s: i for i, s in enumerate(sites)}
-    return BoxPartition(d=d, lengths=lengths, radius=radius, sites=sites, site_index=index)
+
+def kronecker_sum(factors: list[np.ndarray]) -> np.ndarray:
+    """sum_i I x ... x F_i x ... x I, with factor 1 outermost (lexicographic order)."""
+    sizes = [f.shape[0] for f in factors]
+    total = np.zeros((int(np.prod(sizes)),) * 2, dtype=np.result_type(*factors))
+    for i, f in enumerate(factors):
+        left, right = int(np.prod(sizes[:i])), int(np.prod(sizes[i + 1 :]))
+        blocks = total.reshape(left, sizes[i], right, left, sizes[i], right)
+        # I_left x F x I_right is F on the entries with a == a' and c == c';
+        # einsum returns that diagonal as a writable view, so no n x n term
+        # is ever materialized.
+        np.einsum("apcaqc->apqc", blocks)[...] += f[:, :, None]
+    return total
+
+
+def _check_box(partition: BoxPartition, n: tuple[int, ...]) -> None:
+    if len(n) != partition.d or any(abs(ni) > partition.radius for ni in n):
+        raise VolumeError(f"box {n} outside radius {partition.radius}")
 
 
 def box_sites(partition: BoxPartition, n: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Sites of box n, sorted lexicographically."""
-    if len(n) != partition.d or any(abs(ni) > partition.radius for ni in n):
-        raise VolumeError(f"box {n} outside radius {partition.radius}")
+    _check_box(partition, n)
     axes = [range(ni * l + 1, (ni + 1) * l + 1) for ni, l in zip(n, partition.lengths)]
     return list(itertools.product(*axes))
 
 
 def box_mask(partition: BoxPartition, n: tuple[int, ...]) -> np.ndarray:
-    """Boolean site mask of box n (the diagonal of the projection P_n)."""
-    mask = np.zeros(partition.n_sites, dtype=bool)
-    for s in box_sites(partition, n):
-        mask[partition.site_index[s]] = True
-    return mask
+    """Boolean site mask of box n (the diagonal of the projection P_n).
+
+    The Kronecker product of the per-axis interval indicators, set as one block
+    of the site grid and flattened in lexicographic order.
+    """
+    _check_box(partition, n)
+    mask = np.zeros(partition.axis_sizes, dtype=bool)
+    start = [(ni + partition.radius) * l for ni, l in zip(n, partition.lengths)]
+    mask[tuple(slice(s, s + l) for s, l in zip(start, partition.lengths))] = True
+    return mask.ravel()
 
 
 def projection(partition: BoxPartition, n: tuple[int, ...]) -> np.ndarray:
@@ -134,20 +181,36 @@ def projection(partition: BoxPartition, n: tuple[int, ...]) -> np.ndarray:
 def build_laplacian(partition: BoxPartition) -> LatticeOperator:
     """Nearest-neighbour 0/1 adjacency with Dirichlet truncation.
 
-    Edges leaving the truncated volume are dropped; the matrix is integer and
-    exactly symmetric.
+    The Kronecker sum of the path adjacencies along each axis: edges leaving
+    the truncated volume are dropped, and the matrix is integer and exactly
+    symmetric.  Builds a fresh matrix on every call; ``partition.laplacian``
+    is the cached copy the other operators share.
     """
-    m = partition.n_sites
-    a = np.zeros((m, m), dtype=np.int64)
-    for s, i in partition.site_index.items():
-        for axis in range(partition.d):
-            nb = list(s)
-            nb[axis] += 1
-            j = partition.site_index.get(tuple(nb))
-            if j is not None:
-                a[i, j] = 1
-                a[j, i] = 1
-    return LatticeOperator(sites=partition.sites, entries=a, partition=partition)
+    factors = [path_adjacency(size) for size in partition.axis_sizes]
+    return LatticeOperator(entries=kronecker_sum(factors), partition=partition)
+
+
+def _box_potential(
+    partition: BoxPartition,
+    disorder: DisorderSample,
+    boosts: dict[int, float] | None = None,
+) -> np.ndarray:
+    """Per-site diagonal omega_{box(x)}, plus lambda_i on the unit box e_i."""
+    radius = partition.radius
+    grid = np.empty((2 * radius + 1,) * partition.d, dtype=np.float64)
+    for n in partition.boxes:
+        if n not in disorder.values:
+            raise IncompleteSampleError(f"disorder sample has no value for box {n}")
+        grid[tuple(ni + radius for ni in n)] = disorder.values[n]
+    for axis, l in enumerate(partition.lengths):
+        grid = np.repeat(grid, l, axis=axis)
+    diag = grid.ravel()
+    for direction, lam in (boosts or {}).items():
+        if not 1 <= direction <= partition.d:
+            raise VolumeError(f"boost direction {direction} outside 1..{partition.d}")
+        e = tuple(1 if k == direction - 1 else 0 for k in range(partition.d))
+        diag[box_mask(partition, e)] += lam
+    return diag
 
 
 def build_hamiltonian(
@@ -161,22 +224,9 @@ def build_hamiltonian(
     the unit box e_i.  The diagonal at site x is omega_{box(x)} plus the boost
     when box(x) is a boosted unit box.
     """
-    boosts = boosts or {}
-    lap = build_laplacian(partition)
-    h = lap.entries.astype(np.float64)
-    diag = np.zeros(partition.n_sites, dtype=np.float64)
-    for s, i in partition.site_index.items():
-        n = partition.box_of(s)
-        if n not in disorder.values:
-            raise IncompleteSampleError(f"disorder sample has no value for box {n}")
-        diag[i] = disorder.values[n]
-    for direction, lam in boosts.items():
-        if not 1 <= direction <= partition.d:
-            raise VolumeError(f"boost direction {direction} outside 1..{partition.d}")
-        e = tuple(1 if k == direction - 1 else 0 for k in range(partition.d))
-        diag[box_mask(partition, e)] += lam
-    h[np.diag_indices_from(h)] += diag
-    return LatticeOperator(sites=partition.sites, entries=h, partition=partition)
+    h = partition.laplacian.astype(np.float64)
+    h[np.diag_indices_from(h)] += _box_potential(partition, disorder, boosts)
+    return LatticeOperator(entries=h, partition=partition)
 
 
 def zero_disorder(partition: BoxPartition) -> DisorderSample:
@@ -204,17 +254,14 @@ def face_product(
     sign = 1 if direction > 0 else -1
     n = tuple(sign if k == axis else 0 for k in range(partition.d))
 
-    lap = build_laplacian(partition).entries
+    lap = partition.laplacian
     m0 = box_mask(partition, (0,) * partition.d)
     mn = box_mask(partition, n)
     product = lap[np.ix_(m0, mn)] @ lap[np.ix_(mn, m0)]
 
-    sites0 = box_sites(partition, (0,) * partition.d)
-    edge = partition.lengths[axis] if sign > 0 else 1
-    indicator = np.diag(
-        np.array([1 if s[axis] == edge else 0 for s in sites0], dtype=np.int64)
-    )
-    return product, indicator
+    face = np.zeros(partition.lengths, dtype=np.int64)
+    face[(slice(None),) * axis + (-1 if sign > 0 else 0,)] = 1
+    return product, np.diag(face.ravel())
 
 
 def neighbor_sum_identity(partition: BoxPartition) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +270,7 @@ def neighbor_sum_identity(partition: BoxPartition) -> tuple[np.ndarray, np.ndarr
     Returned as integer matrices restricted to box 0; equality is exact for
     radius >= 1 because the Laplacian only couples adjacent boxes.
     """
-    lap = build_laplacian(partition).entries
+    lap = partition.laplacian
     m0 = box_mask(partition, (0,) * partition.d)
     comp = ~m0
     lhs = lap[np.ix_(m0, comp)] @ lap[np.ix_(comp, m0)]

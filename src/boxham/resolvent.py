@@ -31,9 +31,11 @@ from .lattice import (
     BoxPartition,
     DisorderSample,
     LatticeOperator,
+    _box_potential,
     box_mask,
-    build_laplacian,
+    kronecker_sum,
 )
+from .tridiag import TridiagSpec, boundary_matrix
 
 SOLVER_TOL = 1e-10
 PROXIMITY_FLOOR = 1e-6
@@ -128,20 +130,26 @@ def restricted_resolvent(
     return RestrictedResolvent(p=tuple(p), q=tuple(q), z=float(z), block=x[mask_p, :])
 
 
-def decoupled_hamiltonian(
+def _origin_split(
     partition: BoxPartition,
-    disorder: DisorderSample,
+    disorder: DisorderSample | None = None,
     boosts: dict[int, float] | None = None,
-) -> np.ndarray:
-    """H~: the Hamiltonian with the origin box cut off from its complement."""
-    from .lattice import build_hamiltonian
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float blocks (Delta_00, B, H~_cc) of the operator split at the origin box.
 
-    h = build_hamiltonian(partition, disorder, boosts).entries.copy()
+    Delta_00 = P0 L P0 and B = P0 L (I-P0).  H~_cc is the complement block of
+    the decoupled Hamiltonian H~, equal to H[comp, comp]; without a disorder
+    sample it is the bare Laplacian block L[comp, comp].
+    """
     m0 = box_mask(partition, (0,) * partition.d)
     comp = ~m0
-    h[np.ix_(m0, comp)] = 0.0
-    h[np.ix_(comp, m0)] = 0.0
-    return h
+    lap = partition.laplacian
+    hcc = lap[np.ix_(comp, comp)].astype(np.float64)
+    if disorder is not None:
+        hcc[np.diag_indices_from(hcc)] += _box_potential(partition, disorder, boosts)[comp]
+    delta00 = lap[np.ix_(m0, m0)].astype(np.float64)
+    b = lap[np.ix_(m0, comp)].astype(np.float64)
+    return delta00, b, hcc
 
 
 def schur_reduced(
@@ -156,13 +164,8 @@ def schur_reduced(
     ``precision="extended"`` runs the complement solve with compensated
     refinement, for runs where the guardrail flags r^2-scale rounding.
     """
-    m0 = box_mask(partition, (0,) * partition.d)
-    comp = ~m0
-    lap = build_laplacian(partition).entries.astype(np.float64)
-    delta00 = lap[np.ix_(m0, m0)]
-    b = lap[np.ix_(m0, comp)]
-    ht = decoupled_hamiltonian(partition, disorder, boosts)
-    m = ht[np.ix_(comp, comp)] - r * np.eye(int(comp.sum()))
+    delta00, b, hcc = _origin_split(partition, disorder, boosts)
+    m = hcc - r * np.eye(len(hcc))
     if precision == "extended":
         from .compensated import refined_solve
 
@@ -196,12 +199,10 @@ def neumann_truncation(
             f"radius {partition.radius} < 2: the third-order term needs two shells"
         )
     boosts = boosts or {}
+    delta00, b, lcc = _origin_split(partition)
+    a_r = r**2 * delta00 + r * (b @ b.T)
     m0 = box_mask(partition, (0,) * partition.d)
-    comp = ~m0
-    lap = build_laplacian(partition).entries
-    delta00 = lap[np.ix_(m0, m0)]
-    b = lap[np.ix_(m0, comp)]
-    a_r = r**2 * delta00.astype(np.float64) + r * (b @ b.T).astype(np.float64)
+    lap = partition.laplacian
     for axis in range(partition.d):
         for sign in (+1, -1):
             n = tuple(sign if k == axis else 0 for k in range(partition.d))
@@ -211,8 +212,7 @@ def neumann_truncation(
             if sign > 0:
                 weight += boosts.get(axis + 1, 0.0)
             a_r += weight * face
-    third = (b @ lap[np.ix_(comp, comp)] @ b.T).astype(np.float64)
-    return a_r, third
+    return a_r, b @ lcc @ b.T
 
 
 def kronecker_truncation(lengths, omega_pairs, lams, r: float) -> np.ndarray:
@@ -223,22 +223,11 @@ def kronecker_truncation(lengths, omega_pairs, lams, r: float) -> np.ndarray:
     the boost lambda_i.  Coordinate 1 is the outermost factor, matching the
     lexicographic site order of box 0.
     """
-    factors = []
-    for l, (omega_minus, omega_plus), lam in zip(lengths, omega_pairs, lams):
-        d_mat = np.zeros((l, l))
-        for i in range(l - 1):
-            d_mat[i, i + 1] = d_mat[i + 1, i] = r**2
-        # accumulate: for l = 1 both boundary weights land on the same cell
-        d_mat[0, 0] += float(omega_minus) + r
-        d_mat[l - 1, l - 1] += float(omega_plus) + float(lam) + r
-        factors.append(d_mat)
-    total = np.zeros((int(np.prod(lengths)), int(np.prod(lengths))))
-    for i, f in enumerate(factors):
-        term = np.eye(1)
-        for j, l in enumerate(lengths):
-            term = np.kron(term, f if j == i else np.eye(l))
-        total += term
-    return total
+    factors = [
+        boundary_matrix(TridiagSpec(l=l, a=float(minus), b=float(plus) + float(lam), r=r))
+        for l, (minus, plus), lam in zip(lengths, omega_pairs, lams)
+    ]
+    return kronecker_sum(factors)
 
 
 def precision_guard(r: float, quantity: float, context: str = "") -> bool:
@@ -286,17 +275,13 @@ def truncation_remainder(
 
     from .compensated import dd_add, dd_matmul, dd_scale, refined_solve
 
-    m0 = box_mask(partition, (0,) * partition.d)
-    comp = ~m0
-    lap = build_laplacian(partition).entries.astype(np.float64)
-    b = lap[np.ix_(m0, comp)]
-    ht = decoupled_hamiltonian(partition, disorder, boosts)
-    m = ht[np.ix_(comp, comp)] - r * np.eye(int(comp.sum()))
+    delta00, b, hcc = _origin_split(partition, disorder, boosts)
+    m = hcc - r * np.eye(len(hcc))
     y_hi, y_lo = refined_solve(m, b.T)
     by_hi, by_lo = dd_matmul(b, np.zeros_like(b), y_hi, y_lo)
     acc_hi, acc_lo = dd_scale(by_hi, by_lo, -(r**2))
     # a_r + third with the r^2 Delta_00 block removed, exactly representable
-    lean = a_r + third - r**2 * lap[np.ix_(m0, m0)]
+    lean = a_r + third - r**2 * delta00
     acc_hi, acc_lo = dd_add(acc_hi, acc_lo, -lean, np.zeros_like(lean))
     return float(np.linalg.norm(acc_hi + acc_lo, 2))
 
@@ -314,12 +299,7 @@ def remainder_closed_form(
     out); every entry is O(1/r) from the start, so double precision resolves
     it at any r.  Used as an independent cross-check of the literal route.
     """
-    m0 = box_mask(partition, (0,) * partition.d)
-    comp = ~m0
-    lap = build_laplacian(partition).entries.astype(np.float64)
-    b = lap[np.ix_(m0, comp)]
-    ht = decoupled_hamiltonian(partition, disorder, boosts)
-    hcc = ht[np.ix_(comp, comp)]
-    m = hcc - r * np.eye(int(comp.sum()))
+    _, b, hcc = _origin_split(partition, disorder, boosts)
+    m = hcc - r * np.eye(len(hcc))
     x = _solve_refined(m, hcc @ b.T, r)
     return -(b @ hcc) @ x

@@ -37,6 +37,13 @@ def test_box_of_is_inverse_of_box_sites():
     for n in part.boxes:
         for s in box_sites(part, n):
             assert part.box_of(s) == n
+    # d = 3: the mask marks exactly the box's sites in the lexicographic order
+    part = build_partition(3, (2, 1, 3), radius=1)
+    index = {s: i for i, s in enumerate(part.sites)}
+    for n in part.boxes:
+        sites = box_sites(part, n)
+        assert all(part.box_of(s) == n for s in sites)
+        assert np.flatnonzero(box_mask(part, n)).tolist() == [index[s] for s in sites]
 
 
 def test_site_count_formula():
@@ -58,8 +65,19 @@ def test_volume_caps():
         build_partition(1, (2,), radius=9)
 
 
-def test_laplacian_is_symmetric_01_with_dirichlet_cutoff():
-    part = build_partition(2, (2, 2), radius=1)
+def test_volume_cap_matches_dense_matrix_memory():
+    # 91 125 sites: one dense float64 matrix on them would take 66 GB
+    with pytest.raises(VolumeError, match=f"{8 * 91_125**2} bytes"):
+        build_partition(3, (5, 5, 5), radius=4)
+
+
+@pytest.mark.parametrize(
+    "d, lengths, radius",
+    [(1, (3,), 1), (1, (1,), 2), (2, (2, 2), 1), (2, (1, 3), 1), (3, (2, 1, 3), 1)],
+    ids=["d1-l3-r1", "d1-l1-r2", "d2-l2x2-r1", "d2-l1x3-r1", "d3-l2x1x3-r1"],
+)
+def test_laplacian_is_symmetric_01_with_dirichlet_cutoff(d, lengths, radius):
+    part = build_partition(d, lengths, radius)
     lap = build_laplacian(part).entries
     assert lap.dtype == np.int64
     assert np.array_equal(lap, lap.T)
@@ -134,6 +152,17 @@ def test_hamiltonian_diagonal_carries_box_potential_and_boost():
         elif n == (0, 1):
             expect += 5.0
         assert h[i, i] == pytest.approx(expect, abs=0.0)
+
+
+def test_cached_laplacian_is_read_only():
+    part = build_partition(2, (2, 3), radius=1)
+    sample = zero_disorder(part)
+    before = build_hamiltonian(part, sample, {1: 0.5}).entries
+    with pytest.raises(ValueError):
+        part.laplacian[0, 1] = 7
+    assert part.laplacian is part.laplacian
+    assert np.array_equal(part.laplacian, build_laplacian(part).entries)
+    assert np.array_equal(build_hamiltonian(part, sample, {1: 0.5}).entries, before)
 
 
 def test_zero_disorder_covers_all_boxes():

@@ -14,7 +14,7 @@ from boxham.lattice import (
     zero_disorder,
 )
 from boxham.resolvent import (
-    decoupled_hamiltonian,
+    _origin_split,
     kronecker_truncation,
     neumann_truncation,
     precision_guard,
@@ -93,15 +93,17 @@ def test_rank_one_perturbation_identity():
 # ------------------------------------------------------- Schur reduction
 
 
-def test_decoupling_zeroes_exactly_the_cross_blocks():
-    part, sample, h = _small_system(seed=4, d=2, lengths=(2, 2))
-    ht = decoupled_hamiltonian(part, sample)
+def test_origin_split_blocks_match_hamiltonian():
+    part, sample, h = _small_system(seed=4, d=2, lengths=(2, 2), lam={1: 0.7})
+    delta00, b, hcc = _origin_split(part, sample, {1: 0.7})
     m0 = box_mask(part, (0, 0))
     comp = ~m0
-    assert np.all(ht[np.ix_(m0, comp)] == 0)
-    assert np.all(ht[np.ix_(comp, m0)] == 0)
-    assert np.array_equal(ht[np.ix_(m0, m0)], h.entries[np.ix_(m0, m0)])
-    assert np.array_equal(ht[np.ix_(comp, comp)], h.entries[np.ix_(comp, comp)])
+    lap = part.laplacian
+    assert np.array_equal(delta00, lap[np.ix_(m0, m0)])
+    assert np.array_equal(b, lap[np.ix_(m0, comp)])
+    assert np.array_equal(hcc, h.entries[np.ix_(comp, comp)])
+    _, _, lcc = _origin_split(part)
+    assert np.array_equal(lcc, lap[np.ix_(comp, comp)])
 
 
 def test_schur_eigenvalues_match_resolvent_block():
