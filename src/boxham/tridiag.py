@@ -7,7 +7,8 @@ The object of study is the l x l symmetric tridiagonal matrix
 with A_l the 0/1 path-graph adjacency.  For large r its eigenvalues follow the
 unperturbed modes 2 r^2 cos(pi n/(l+1)) with corrections of order r, 1 and 1/r;
 this module provides the exact modes, the correction coefficients, a
-dependency-free eigensolver used as the reference, and fitted remainder orders.
+LAPACK-backed reference spectrum with a residual check, and fitted remainder
+orders.
 
 Trigonometric quantities are always evaluated as functions of pi*n/(l+1)
 directly (never by recurrence), through helpers that make the reflection
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .errors import ConvergenceError
 
@@ -168,101 +170,22 @@ def c_reflection_table(l: int) -> list[tuple[int, float, float]]:
     return [(n, c_coefficient(l, n), c_coefficient(l, l + 1 - n)) for n in range(1, l + 1)]
 
 
-# ---------------------------------------------------------------------------
-# implicit-shift QL eigensolver (reference solver for this module)
-# ---------------------------------------------------------------------------
-
-def symmetric_tridiagonal_ql(
-    diag: np.ndarray,
-    offdiag: np.ndarray,
-    *,
-    want_vectors: bool = False,
-    iteration_cap: int | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenvalues (ascending) of a symmetric tridiagonal matrix by QL with
-    implicit shifts.
-
-    ``diag`` has length n, ``offdiag`` length n-1 (entry i couples i, i+1).
-    With ``want_vectors`` the orthonormal eigenvector columns are accumulated.
-    The total number of implicit shifts is capped at 50*n^2; exceeding it
-    raises ConvergenceError.
-    """
-    d = np.array(diag, dtype=np.float64)
-    n = d.size
-    e = np.zeros(n, dtype=np.float64)
-    if n > 1:
-        e[: n - 1] = offdiag
-    z = np.eye(n) if want_vectors else None
-    cap = iteration_cap if iteration_cap is not None else 50 * n * n
-    shifts = 0
-
-    for start in range(n):
-        while True:
-            m = start
-            while m < n - 1:
-                scale = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * scale:
-                    break
-                m += 1
-            if m == start:
-                break
-            shifts += 1
-            if shifts > cap:
-                raise ConvergenceError(
-                    f"QL exceeded {cap} implicit shifts on an order-{n} matrix"
-                )
-            g = (d[start + 1] - d[start]) / (2.0 * e[start])
-            rad = math.hypot(g, 1.0)
-            g = d[m] - d[start] + e[start] / (g + math.copysign(rad, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, start - 1, -1):
-                f = s * e[i]
-                h = c * e[i]
-                rad = math.hypot(f, g)
-                e[i + 1] = rad
-                if rad == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / rad
-                c = g / rad
-                g = d[i + 1] - p
-                rad = (d[i] - g) * s + 2.0 * c * h
-                p = s * rad
-                d[i + 1] = g + p
-                g = c * rad - h
-                if z is not None:
-                    f_col = z[:, i + 1].copy()
-                    z[:, i + 1] = s * z[:, i] + c * f_col
-                    z[:, i] = c * z[:, i] - s * f_col
-            if underflow:
-                continue
-            d[start] -= p
-            e[start] = g
-            e[m] = 0.0
-
-    order = np.argsort(d, kind="stable")
-    d = d[order]
-    if z is not None:
-        z = z[:, order]
-    return d, z
-
-
 def exact_spectrum(spec: TridiagSpec) -> np.ndarray:
     """Reference eigenvalues of the boundary-perturbed matrix, ascending.
 
-    Each eigenpair is verified against the matrix: ||D v - lam v|| must stay
-    below 1e-10 * ||D||; a violation (or a QL iteration-cap hit) raises.
+    Solved by LAPACK (``eigh_tridiagonal``).  Each eigenpair is verified
+    against the matrix: ||D v - lam v|| must stay below 1e-10 * ||D||; a
+    violation (or a solver failure) raises ConvergenceError.
     """
     l = spec.l
     diag = np.zeros(l, dtype=np.float64)
     diag[0] += spec.a + spec.r
     diag[-1] += spec.b + spec.r
     offdiag = np.full(max(l - 1, 0), spec.r**2, dtype=np.float64)
-    values, vectors = symmetric_tridiagonal_ql(diag, offdiag, want_vectors=True)
+    try:
+        values, vectors = eigh_tridiagonal(diag, offdiag)
+    except LinAlgError as exc:
+        raise ConvergenceError(f"tridiagonal eigensolver failed on order {l}: {exc}") from exc
 
     # residual check via tridiagonal matvec
     norm = max(np.max(np.abs(values)), np.max(np.abs(diag)) + 2.0 * spec.r**2)
@@ -273,7 +196,7 @@ def exact_spectrum(spec: TridiagSpec) -> np.ndarray:
     residual = np.max(np.linalg.norm(mv - values[None, :] * vectors, axis=0))
     if residual > 1e-10 * norm:
         raise ConvergenceError(
-            f"QL residual {residual:.3e} exceeds 1e-10 * ||D|| = {1e-10 * norm:.3e}"
+            f"eigenpair residual {residual:.3e} exceeds 1e-10 * ||D|| = {1e-10 * norm:.3e}"
         )
     return values
 

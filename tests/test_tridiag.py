@@ -3,8 +3,8 @@
 The small-l spectra have closed forms, so those are the oracles here:
   l=1:            D = a + b + 2r                       (1x1)
   l=2:            eig = (a+b)/2 + r  +-  sqrt(((a-b)/2)^2 + r^4)
-and the QL solver is cross-checked against numpy's eigvalsh elsewhere in the
-range where no closed form exists.
+and the tridiagonal solver is cross-checked against numpy's eigvalsh elsewhere
+in the range where no closed form exists.
 """
 
 import math
@@ -29,7 +29,6 @@ from boxham.tridiag import (
     predicted_eigenvalue,
     residual_order,
     sin_pi_frac,
-    symmetric_tridiagonal_ql,
 )
 
 
@@ -117,17 +116,6 @@ def test_spectrum_matches_dense_eigensolver():
         ref = np.linalg.eigvalsh(boundary_matrix(spec))
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(ours - ref)) < 1e-12 * scale
-
-
-def test_ql_solver_on_raw_arrays():
-    rng = np.random.default_rng(11)
-    diag = rng.uniform(-1, 1, 9)
-    off = rng.uniform(-1, 1, 8)
-    vals, vecs = symmetric_tridiagonal_ql(diag.copy(), off.copy(), want_vectors=True)
-    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    assert np.max(np.abs(vals - np.linalg.eigvalsh(dense))) < 1e-13
-    # accumulated vectors diagonalize the matrix
-    assert np.max(np.abs(vecs.T @ dense @ vecs - np.diag(vals))) < 1e-12
 
 
 def test_spec_validation():
