@@ -17,85 +17,17 @@ from . import harness
 from .errors import BoxhamError, ConfigError, VolumeError
 
 
-def _out_dir(args, config=None) -> Path:
-    if getattr(args, "out", None):
-        return Path(args.out)
-    if config is not None and config.output_dir:
-        return Path(config.output_dir)
-    return Path("results")
-
-
-def _finish(out: Path, name: str, config_hash: str, header, rows, failures, extra=None) -> int:
-    csv_path = harness.write_csv(out / f"{name}.csv", header, rows)
-    harness.write_verdict(out / f"{name}_verdict.json", name, config_hash, failures, extra)
-    status = "PASS" if not failures else f"FAIL ({len(failures)} failure(s))"
-    print(f"{name}: {status}; {len(rows)} rows -> {csv_path}")
-    for failure in failures:
-        print(f"  {failure}", file=sys.stderr)
-    return 0 if not failures else 1
-
-
-def _cmd_partition(args) -> int:
-    config = harness.load_config(args.config)
-    rows, failures = harness.partition_survey(config)
-    return _finish(
-        _out_dir(args, config),
-        "partition",
-        config.config_hash(),
-        ["box", "sites", "first_site", "last_site"],
-        rows,
-        failures,
-    )
-
-
-def _cmd_expansion(args) -> int:
-    config = harness.load_config(args.config)
-    rows, failures, slope = harness.expansion_sweep(config)
-    extra = {"aggregate_slope": slope}
-    return _finish(
-        _out_dir(args, config),
-        "expansion",
-        config.config_hash(),
-        ["l", "a", "b", "r", "n", "exact", "predicted", "residual"],
-        rows,
-        failures,
-        extra,
-    )
-
-
-def _cmd_cluster(args) -> int:
-    config = harness.load_config(args.config)
-    rows, failures = harness.cluster_sweep(config)
-    return _finish(
-        _out_dir(args, config),
-        "cluster",
-        config.config_hash(),
-        ["r", "pair_a", "pair_b", "gap_class", "gap", "required", "satisfied"],
-        rows,
-        failures,
-    )
-
-
-def _cmd_separation(args) -> int:
-    config = harness.load_config(args.config)
-    rows, failures = harness.separation_sweep(config)
-    return _finish(
-        _out_dir(args, config),
-        "separation",
-        config.config_hash(),
-        ["draw", "epsilon", "delta", "min_gap", "threshold", "passed"],
-        rows,
-        failures,
-    )
-
-
-def _cmd_cossum(args) -> int:
+def _moduli(text: str) -> tuple[int, ...]:
     try:
-        ps = tuple(int(p.strip()) for p in args.p.split(",") if p.strip())
+        ps = tuple(int(p.strip()) for p in text.split(",") if p.strip())
     except ValueError:
-        raise ConfigError(f"--p must be comma-separated integers, got {args.p!r}", line=None, field="p")
+        raise ConfigError(f"--p must be comma-separated integers, got {text!r}", line=None, field="p")
     if not ps:
         raise ConfigError("--p must name at least one modulus", line=None, field="p")
+    return ps
+
+
+def _cossum(ps: tuple[int, ...]):
     report, rows, failures = harness.nonvanishing_survey(ps)
     extra = {
         "admissible": report.admissible,
@@ -103,14 +35,15 @@ def _cmd_cossum(args) -> int:
         "zeros": report.zeros,
         "reasons": list(report.reasons),
     }
-    config_hash = hashlib.sha256(",".join(str(p) for p in ps).encode()).hexdigest()
-    return _finish(
-        _out_dir(args), "cossum", config_hash, ["ps", "ns"], rows, failures, extra
-    )
+    return rows, failures, extra
 
 
-def _cmd_multiplicity(args) -> int:
-    config = harness.load_config(args.config)
+def _expansion(config):
+    rows, failures, slope = harness.expansion_sweep(config)
+    return rows, failures, {"aggregate_slope": slope}
+
+
+def _multiplicity(config):
     profile = harness.multiplicity_scan(config)
     rows = [
         (
@@ -123,51 +56,20 @@ def _cmd_multiplicity(args) -> int:
         for row in profile.rows
     ]
     extra = {"s": profile.s, "bound": profile.bound, "simple": profile.simple}
-    return _finish(
-        _out_dir(args, config),
-        "multiplicity",
-        config.config_hash(),
-        ["seed", "r", "max_multiplicity", "histogram", "escalated"],
-        rows,
-        profile.failures,
-        extra,
-    )
+    return rows, profile.failures, extra
 
 
-def _cmd_constancy(args) -> int:
-    config = harness.load_config(args.config)
+def _constancy(config):
     report = harness.constancy_scan(config)
     rows = [
         (row.z, row.lam, "" if row.max_multiplicity is None else row.max_multiplicity, row.note)
         for row in report.rows
     ]
     extra = {"box": list(report.box), "constant": report.constant, "value": report.value}
-    return _finish(
-        _out_dir(args, config),
-        "constancy",
-        config.config_hash(),
-        ["z", "lambda", "max_multiplicity", "note"],
-        rows,
-        report.failures,
-        extra,
-    )
+    return rows, report.failures, extra
 
 
-def _cmd_rankcheck(args) -> int:
-    config = harness.load_config(args.config)
-    rows, failures = harness.rank_sweep(config)
-    return _finish(
-        _out_dir(args, config),
-        "rankcheck",
-        config.config_hash(),
-        ["seed", "rank", "expected", "full"],
-        rows,
-        failures,
-    )
-
-
-def _cmd_gapgrowth(args) -> int:
-    config = harness.load_config(args.config)
+def _gapgrowth(config):
     report = harness.gap_growth_probe(config)
     rows = []
     for curve in report.curves:
@@ -178,28 +80,51 @@ def _cmd_gapgrowth(args) -> int:
         for curve in report.curves
     }
     extra = {"slopes": slopes, "min_pair_slope": report.min_pair_slope}
-    return _finish(
-        _out_dir(args, config),
-        "gapgrowth",
-        config.config_hash(),
-        ["pair_a", "pair_b", "gap_class", "r", "gap", "floored"],
-        rows,
-        report.failures,
-        extra,
-    )
+    return rows, report.failures, extra
 
 
-_HANDLERS = {
-    "partition": _cmd_partition,
-    "expansion": _cmd_expansion,
-    "cluster": _cmd_cluster,
-    "separation": _cmd_separation,
-    "cossum": _cmd_cossum,
-    "multiplicity": _cmd_multiplicity,
-    "constancy": _cmd_constancy,
-    "rankcheck": _cmd_rankcheck,
-    "gapgrowth": _cmd_gapgrowth,
+# Subcommand -> (CSV header, driver).  A driver takes the loaded config (the
+# moduli for cossum) and returns (rows, failures) or (rows, failures, extras),
+# the extras being merged into the verdict.
+_EXPERIMENTS = {
+    "partition": (["box", "sites", "first_site", "last_site"], harness.partition_survey),
+    "expansion": (["l", "a", "b", "r", "n", "exact", "predicted", "residual"], _expansion),
+    "cluster": (
+        ["r", "pair_a", "pair_b", "gap_class", "gap", "required", "satisfied"],
+        harness.cluster_sweep,
+    ),
+    "separation": (
+        ["draw", "epsilon", "delta", "min_gap", "threshold", "passed"],
+        harness.separation_sweep,
+    ),
+    "cossum": (["ps", "ns"], _cossum),
+    "multiplicity": (["seed", "r", "max_multiplicity", "histogram", "escalated"], _multiplicity),
+    "constancy": (["z", "lambda", "max_multiplicity", "note"], _constancy),
+    "rankcheck": (["seed", "rank", "expected", "full"], harness.rank_sweep),
+    "gapgrowth": (["pair_a", "pair_b", "gap_class", "r", "gap", "floored"], _gapgrowth),
 }
+
+
+def _run(args) -> int:
+    name = args.command
+    header, driver = _EXPERIMENTS[name]
+    if name == "cossum":
+        subject = _moduli(args.p)
+        config_hash = hashlib.sha256(",".join(str(p) for p in subject).encode()).hexdigest()
+        out = args.out
+    else:
+        subject = harness.load_config(args.config)
+        config_hash = subject.config_hash()
+        out = args.out or subject.output_dir
+    rows, failures, *extra = driver(subject)
+    out = Path(out or "results")
+    csv_path = harness.write_csv(out / f"{name}.csv", header, rows)
+    harness.write_verdict(out / f"{name}_verdict.json", name, config_hash, failures, *extra)
+    status = "PASS" if not failures else f"FAIL ({len(failures)} failure(s))"
+    print(f"{name}: {status}; {len(rows)} rows -> {csv_path}")
+    for failure in failures:
+        print(f"  {failure}", file=sys.stderr)
+    return 0 if not failures else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Block-disorder lattice operator experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name in _EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         if name == "cossum":
             p.add_argument("--p", required=True, help="comma-separated moduli, e.g. 5,7")
@@ -221,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _run(args)
     except ConfigError as exc:
         location = ""
         if exc.line is not None:

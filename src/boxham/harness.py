@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,62 +62,124 @@ from .separation import (
 )
 from .tridiag import TridiagSpec, exact_spectrum, predicted_eigenvalue
 
-_KNOWN_KEYS = {
-    "geometry.d",
-    "geometry.lengths",
-    "geometry.radius",
-    "disorder.lower",
-    "disorder.upper",
-    "disorder.seeds",
-    "disorder.base_seed",
-    "run.r",
-    "run.lambda",
-    "run.z",
-    "run.workers",
-    "tol.degeneracy",
-    "tol.margin",
-    "precision",
-    "output.dir",
-    "expansion.l",
-    "expansion.ab",
-    "rank.n",
-    "rank.m",
-    "rank.k",
-    "constancy.box",
-    "gap.pairs",
-}
-
 _DEFAULT_Z = (30.0, 37.5, 45.0, 52.5, 60.0)
+
+
+def _scalar(kind):
+    """Parser for one int or float value."""
+
+    def parse(text: str, key: str, line: int):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigError(
+                f"field {key}: cannot parse {text!r} as {kind.__name__}",
+                line=line,
+                field=key,
+            ) from None
+
+    return parse
+
+
+def _list_of(kind):
+    """Parser for a non-empty comma-separated list of int or float values."""
+    one = _scalar(kind)
+
+    def parse(text: str, key: str, line: int) -> tuple:
+        parts = [p.strip() for p in text.split(",") if p.strip()]
+        if not parts:
+            raise ConfigError(f"field {key}: empty list", line=line, field=key)
+        return tuple(one(p, key, line) for p in parts)
+
+    return parse
+
+
+_INT, _FLOAT = _scalar(int), _scalar(float)
+_INTS, _FLOATS = _list_of(int), _list_of(float)
+
+
+def _text(text: str, key: str, line: int) -> str:
+    return text
+
+
+def _parse_precision(text: str, key: str, line: int) -> str:
+    if text not in ("standard", "extended"):
+        raise ConfigError(
+            f"{key} must be standard|extended, got {text!r}", line=line, field=key
+        )
+    return text
+
+
+def _parse_lambda(text: str, key: str, line: int) -> dict:
+    """An explicit boost list, or ``from_lem4:<delta>``; sets three fields."""
+    if text.startswith("from_lem4:"):
+        delta = _FLOAT(text.split(":", 1)[1], key, line)
+        return {"lambda_mode": "from_lem4", "lambda_values": (), "lem4_delta": delta}
+    return {"lambda_mode": "explicit", "lambda_values": _FLOATS(text, key, line)}
+
+
+def _parse_gap_pairs(text: str, key: str, line: int) -> tuple:
+    """Label pairs ``n1,n2:m1,m2`` separated by semicolons."""
+    pairs = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        sides = chunk.split(":")
+        if len(sides) != 2:
+            raise ConfigError(
+                f"{key} entry {chunk!r} is not 'n1,n2:m1,m2'", line=line, field=key
+            )
+        pairs.append(
+            tuple(tuple(_INT(p.strip(), key, line) for p in s.split(",")) for s in sides)
+        )
+    return tuple(pairs)
+
+
+def _key(key: str, parse, default=MISSING):
+    """A field read from config key ``key`` by ``parse(text, key, line)``.
+
+    ``parse`` returns the field's value, or a dict of field values when one
+    key sets several fields.
+    """
+    return field(default=default, metadata={"key": key, "parse": parse})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed experiment description; every field has a config-file key."""
+    """Parsed experiment description.
 
-    d: int
-    lengths: tuple[int, ...]
-    radius: int
-    lower: float = -1.0
-    upper: float = 1.0
-    n_seeds: int = 1
-    base_seed: int = 0
-    r_values: tuple[float, ...] = (300.0,)
-    lambda_mode: str = "explicit"
+    Each field's metadata names its config-file key and parser; fields without
+    a default are required keys.  The key of ``lambda_mode`` also sets
+    ``lambda_values`` and ``lem4_delta``.
+    """
+
+    d: int = _key("geometry.d", _INT)
+    lengths: tuple[int, ...] = _key("geometry.lengths", _INTS)
+    radius: int = _key("geometry.radius", _INT)
+    lower: float = _key("disorder.lower", _FLOAT, -1.0)
+    upper: float = _key("disorder.upper", _FLOAT, 1.0)
+    n_seeds: int = _key("disorder.seeds", _INT, 1)
+    base_seed: int = _key("disorder.base_seed", _INT, 0)
+    r_values: tuple[float, ...] = _key("run.r", _FLOATS, (300.0,))
+    lambda_mode: str = _key("run.lambda", _parse_lambda, "explicit")
     lambda_values: tuple[float, ...] = (0.0,)
     lem4_delta: float | None = None
-    z_values: tuple[float, ...] = _DEFAULT_Z
-    degeneracy_tol: float = 1e-6
-    margin: float = 0.25
-    precision: str = "standard"
-    workers: int = 1
-    output_dir: str | None = None
-    expansion_l: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
-    expansion_ab: tuple[float, ...] = (-1.0, 0.0, 0.5, 1.0)
-    rank_n: tuple[int, ...] | None = None
-    rank_m: tuple[int, ...] | None = None
-    rank_k: int | None = None
-    constancy_box: tuple[int, ...] | None = None
-    gap_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = None
+    z_values: tuple[float, ...] = _key("run.z", _FLOATS, _DEFAULT_Z)
+    degeneracy_tol: float = _key("tol.degeneracy", _FLOAT, 1e-6)
+    margin: float = _key("tol.margin", _FLOAT, 0.25)
+    precision: str = _key("precision", _parse_precision, "standard")
+    workers: int = _key("run.workers", _INT, 1)
+    output_dir: str | None = _key("output.dir", _text, None)
+    expansion_l: tuple[int, ...] = _key("expansion.l", _INTS, (2, 3, 4, 5, 6, 7, 8))
+    expansion_ab: tuple[float, ...] = _key("expansion.ab", _FLOATS, (-1.0, 0.0, 0.5, 1.0))
+    rank_n: tuple[int, ...] | None = _key("rank.n", _INTS, None)
+    rank_m: tuple[int, ...] | None = _key("rank.m", _INTS, None)
+    rank_k: int | None = _key("rank.k", _INT, None)
+    constancy_box: tuple[int, ...] | None = _key("constancy.box", _INTS, None)
+    gap_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = _key(
+        "gap.pairs", _parse_gap_pairs, None
+    )
 
     def partition(self) -> BoxPartition:
         return build_partition(self.d, self.lengths, self.radius)
@@ -130,24 +192,12 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _parse_scalar(text: str, kind, key: str, line: int):
-    try:
-        if kind is int:
-            return int(text)
-        return float(text)
-    except ValueError:
-        raise ConfigError(
-            f"field {key}: cannot parse {text!r} as {kind.__name__}",
-            line=line,
-            field=key,
-        ) from None
+_FIELD_OF_KEY = {f.metadata["key"]: f for f in fields(ExperimentConfig) if f.metadata}
 
 
-def _parse_list(text: str, kind, key: str, line: int) -> tuple:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"field {key}: empty list", line=line, field=key)
-    return tuple(_parse_scalar(p, kind, key, line) for p in parts)
+def _key_of(name: str) -> str:
+    """The config-file key that sets field ``name``."""
+    return ExperimentConfig.__dataclass_fields__[name].metadata["key"]
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -163,114 +213,36 @@ def parse_config_text(text: str) -> ExperimentConfig:
             )
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELD_OF_KEY:
             raise ConfigError(f"unknown config key {key!r}", line=lineno, field=key)
         if key in raw:
             raise ConfigError(f"duplicate config key {key!r}", line=lineno, field=key)
         raw[key] = (value, lineno)
 
-    def need(key: str) -> tuple[str, int]:
+    kwargs: dict = {}
+
+    def parse(key: str) -> int:
+        value, line = raw[key]
+        f = _FIELD_OF_KEY[key]
+        parsed = f.metadata["parse"](value, key, line)
+        kwargs.update(parsed if isinstance(parsed, dict) else {f.name: parsed})
+        return line
+
+    required = [key for key, f in _FIELD_OF_KEY.items() if f.default is MISSING]
+    for key in required:
         if key not in raw:
-            raise ConfigError(
-                f"missing required field {key}", line=None, field=key
-            )
-        return raw[key]
-
-    def opt(key: str):
-        return raw.get(key)
-
-    value, line = need("geometry.d")
-    d = _parse_scalar(value, int, "geometry.d", line)
-    value, line = need("geometry.lengths")
-    lengths = _parse_list(value, int, "geometry.lengths", line)
-    value, line = need("geometry.radius")
-    radius = _parse_scalar(value, int, "geometry.radius", line)
-    if len(lengths) != d:
+            raise ConfigError(f"missing required field {key}", line=None, field=key)
+        line = parse(key)
+    if len(kwargs["lengths"]) != kwargs["d"]:
+        key = _key_of("lengths")
         raise ConfigError(
-            f"geometry.lengths has {len(lengths)} entries for d={d}",
+            f"{key} has {len(kwargs['lengths'])} entries for d={kwargs['d']}",
             line=line,
-            field="geometry.lengths",
+            field=key,
         )
-
-    kwargs: dict = {"d": d, "lengths": lengths, "radius": radius}
-    for key, attr, kind, is_list in (
-        ("disorder.lower", "lower", float, False),
-        ("disorder.upper", "upper", float, False),
-        ("disorder.seeds", "n_seeds", int, False),
-        ("disorder.base_seed", "base_seed", int, False),
-        ("run.r", "r_values", float, True),
-        ("run.z", "z_values", float, True),
-        ("run.workers", "workers", int, False),
-        ("tol.degeneracy", "degeneracy_tol", float, False),
-        ("tol.margin", "margin", float, False),
-        ("expansion.l", "expansion_l", int, True),
-        ("expansion.ab", "expansion_ab", float, True),
-        ("rank.n", "rank_n", int, True),
-        ("rank.m", "rank_m", int, True),
-        ("rank.k", "rank_k", int, False),
-        ("constancy.box", "constancy_box", int, True),
-    ):
-        got = opt(key)
-        if got is None:
-            continue
-        value, line = got
-        kwargs[attr] = (
-            _parse_list(value, kind, key, line)
-            if is_list
-            else _parse_scalar(value, kind, key, line)
-        )
-
-    got = opt("run.lambda")
-    if got is not None:
-        value, line = got
-        if value.startswith("from_lem4:"):
-            delta = _parse_scalar(
-                value.split(":", 1)[1], float, "run.lambda", line
-            )
-            kwargs.update(lambda_mode="from_lem4", lambda_values=(), lem4_delta=delta)
-        else:
-            kwargs.update(
-                lambda_mode="explicit",
-                lambda_values=_parse_list(value, float, "run.lambda", line),
-            )
-
-    got = opt("precision")
-    if got is not None:
-        value, line = got
-        if value not in ("standard", "extended"):
-            raise ConfigError(
-                f"precision must be standard|extended, got {value!r}",
-                line=line,
-                field="precision",
-            )
-        kwargs["precision"] = value
-
-    got = opt("output.dir")
-    if got is not None:
-        kwargs["output_dir"] = got[0]
-
-    got = opt("gap.pairs")
-    if got is not None:
-        value, line = got
-        pairs = []
-        for chunk in value.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            sides = chunk.split(":")
-            if len(sides) != 2:
-                raise ConfigError(
-                    f"gap.pairs entry {chunk!r} is not 'n1,n2:m1,m2'",
-                    line=line,
-                    field="gap.pairs",
-                )
-            pairs.append(
-                tuple(
-                    tuple(_parse_scalar(p.strip(), int, "gap.pairs", line) for p in s.split(","))
-                    for s in sides
-                )
-            )
-        kwargs["gap_pairs"] = tuple(pairs)
+    for key in _FIELD_OF_KEY:
+        if key in raw and key not in required:
+            parse(key)
 
     cfg = ExperimentConfig(**kwargs)
     _validate(cfg)
@@ -279,19 +251,19 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def _validate(cfg: ExperimentConfig) -> None:
     checks = [
-        (cfg.d >= 1, "geometry.d", "d must be >= 1"),
-        (all(l >= 1 for l in cfg.lengths), "geometry.lengths", "lengths must be >= 1"),
-        (cfg.radius >= 0, "geometry.radius", "radius must be >= 0"),
-        (cfg.lower <= cfg.upper, "disorder.lower", "lower must not exceed upper"),
-        (cfg.n_seeds >= 1, "disorder.seeds", "need at least one seed"),
-        (all(r > 0 for r in cfg.r_values), "run.r", "r values must be positive"),
-        (cfg.workers >= 1, "run.workers", "workers must be >= 1"),
-        (cfg.degeneracy_tol > 0, "tol.degeneracy", "tolerance must be positive"),
-        (0 <= cfg.margin < 1, "tol.margin", "margin must be in [0, 1)"),
+        (cfg.d >= 1, "d", "d must be >= 1"),
+        (all(l >= 1 for l in cfg.lengths), "lengths", "lengths must be >= 1"),
+        (cfg.radius >= 0, "radius", "radius must be >= 0"),
+        (cfg.lower <= cfg.upper, "lower", "lower must not exceed upper"),
+        (cfg.n_seeds >= 1, "n_seeds", "need at least one seed"),
+        (all(r > 0 for r in cfg.r_values), "r_values", "r values must be positive"),
+        (cfg.workers >= 1, "workers", "workers must be >= 1"),
+        (cfg.degeneracy_tol > 0, "degeneracy_tol", "tolerance must be positive"),
+        (0 <= cfg.margin < 1, "margin", "margin must be in [0, 1)"),
     ]
-    for ok, fieldname, message in checks:
+    for ok, name, message in checks:
         if not ok:
-            raise ConfigError(message, line=None, field=fieldname)
+            raise ConfigError(message, line=None, field=_key_of(name))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -338,10 +310,11 @@ def boosts_for(config: ExperimentConfig, sample: DisorderSample) -> dict[int, fl
         if len(vals) == 1:
             vals = vals * config.d
         if len(vals) != config.d:
+            key = _key_of("lambda_mode")
             raise ConfigError(
-                f"run.lambda has {len(config.lambda_values)} entries for d={config.d}",
+                f"{key} has {len(config.lambda_values)} entries for d={config.d}",
                 line=None,
-                field="run.lambda",
+                field=key,
             )
         return {i + 1: float(v) for i, v in enumerate(vals)}
     sets = sine_system(config.lengths)
@@ -548,10 +521,9 @@ def constancy_scan(
         )
     box = tuple(int(b) for b in box)
     if config.lambda_mode != "explicit":
+        key = _key_of("lambda_mode")
         raise ConfigError(
-            "constancy scan needs an explicit run.lambda grid",
-            line=None,
-            field="run.lambda",
+            f"constancy scan needs an explicit {key} grid", line=None, field=key
         )
     part = config.partition()
     sample = sample_disorder(config, 0)
@@ -727,7 +699,7 @@ def gap_growth_probe(
         raise ConfigError(
             "gap growth needs >= 3 r values spanning a factor >= 8",
             line=None,
-            field="run.r",
+            field=_key_of("r_values"),
         )
     if pairs is None:
         pairs = list(config.gap_pairs) if config.gap_pairs else None

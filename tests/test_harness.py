@@ -5,6 +5,7 @@ import itertools
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +78,8 @@ def test_parse_full_config():
         tol.margin = 0.1
         precision = extended
         output.dir = /tmp/somewhere
+        expansion.l = 3, 5
+        expansion.ab = -1, 0.5
         rank.n = 0, 0
         rank.m = 1, 1
         rank.k = 12
@@ -90,6 +93,7 @@ def test_parse_full_config():
     assert cfg.z_values == (40.0,)
     assert cfg.precision == "extended"
     assert cfg.output_dir == "/tmp/somewhere"
+    assert cfg.expansion_l == (3, 5) and cfg.expansion_ab == (-1.0, 0.5)
     assert cfg.rank_n == (0, 0) and cfg.rank_m == (1, 1) and cfg.rank_k == 12
     assert cfg.constancy_box == (1, 0)
     assert cfg.gap_pairs == (((1, 1), (1, 2)), ((2, 1), (2, 2)))
@@ -156,6 +160,17 @@ def test_config_hash_is_stable_and_sensitive():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         harness.load_config(tmp_path / "nothere.cfg")
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parent.parent / "configs").glob("*.cfg")), ids=lambda p: p.stem
+)
+def test_example_config_parses_and_names_a_subcommand(path):
+    """Every shipped config loads, and its <subcommand>_<variant> stem names a subcommand."""
+    harness.load_config(path)
+    subcommand = path.stem.partition("_")[0]
+    args = cli.build_parser().parse_args([subcommand, "--config", str(path)])
+    assert args.command == subcommand
 
 
 # ----------------------------------------------------------------- disorder
