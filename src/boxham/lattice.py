@@ -268,11 +268,13 @@ def neighbor_sum_identity(partition: BoxPartition) -> tuple[np.ndarray, np.ndarr
     """Both sides of  P_0 L (I - P_0) L P_0 = sum_{|n|_1 = 1} P_0 L P_n L P_0.
 
     Returned as integer matrices restricted to box 0; equality is exact for
-    radius >= 1 because the Laplacian only couples adjacent boxes.
+    radius >= 1 because the Laplacian only couples adjacent boxes.  The left
+    side sums over the complement sites that box 0 touches: every other column
+    of L[box 0, :] is zero.
     """
     lap = partition.laplacian
     m0 = box_mask(partition, (0,) * partition.d)
-    comp = ~m0
+    comp = ~m0 & lap[m0].any(axis=0)
     lhs = lap[np.ix_(m0, comp)] @ lap[np.ix_(comp, m0)]
     rhs = np.zeros_like(lhs)
     for axis in range(partition.d):
