@@ -28,6 +28,7 @@ from .tridiag import (
     constant_order_correction,
     cos_pi_frac,
     exact_spectrum,
+    predicted_eigenvalue,
     sin_pi_frac,
 )
 
@@ -227,7 +228,10 @@ def classify_pair(n, m, lengths) -> str:
 
 
 def flip_partners(modes, lengths) -> set[tuple[int, ...]]:
-    """All reflections m with m_i in {n_i, l_i+1-n_i}; at most 2^d labels."""
+    """All reflections m with m_i in {n_i, l_i+1-n_i}; at most 2^d labels.
+
+    A test oracle: the tests check same-cluster pairs against it.
+    """
     partners = [()]
     for n, l in zip(modes, lengths):
         options = {n, l + 1 - n}
@@ -419,7 +423,7 @@ def mode_resolved_spectrum(lengths, omega_pairs, lams, r: float) -> dict[tuple[i
     for l, (omega_minus, omega_plus), lam in zip(lengths, omega_pairs, lams):
         spec = TridiagSpec(l=l, a=float(omega_minus), b=float(omega_plus) + float(lam), r=r)
         ascending = exact_spectrum(spec)
-        predicted = [predicted_for_factor(spec, n) for n in range(1, l + 1)]
+        predicted = [predicted_eigenvalue(spec, n, "r1") for n in range(1, l + 1)]
         order = np.argsort(predicted)  # ascending predicted -> ascending exact
         by_mode = {}
         for rank, idx in enumerate(order):
@@ -433,15 +437,6 @@ def mode_resolved_spectrum(lengths, omega_pairs, lams, r: float) -> dict[tuple[i
     for t in all_mode_tuples(lengths):
         out[t] = sum(factor_by_mode[i][n] for i, n in enumerate(t))
     return out
-
-
-def predicted_for_factor(spec: TridiagSpec, n: int) -> float:
-    """Order-const prediction used only to rank factor modes."""
-    m1 = spec.l + 1
-    return (
-        2.0 * spec.r**2 * cos_pi_frac(n, m1)
-        + (4.0 * spec.r / m1) * sin_pi_frac(n, m1) ** 2
-    )
 
 
 def displayed_gap_constant(lengths) -> float:

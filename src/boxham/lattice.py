@@ -174,7 +174,10 @@ def box_mask(partition: BoxPartition, n: tuple[int, ...]) -> np.ndarray:
 
 
 def projection(partition: BoxPartition, n: tuple[int, ...]) -> np.ndarray:
-    """The box projection P_n as an integer diagonal matrix."""
+    """The box projection P_n as an integer diagonal matrix.
+
+    A test oracle: the tests check each ``box_mask`` against its diagonal.
+    """
     return np.diag(box_mask(partition, n).astype(np.int64))
 
 
@@ -230,7 +233,11 @@ def build_hamiltonian(
 
 
 def zero_disorder(partition: BoxPartition) -> DisorderSample:
-    """The omega == 0 sample (handy for structural checks)."""
+    """The omega == 0 sample.
+
+    A test oracle: with no disorder the Hamiltonian is the bare Laplacian, so
+    the tests know its truncations in closed form.
+    """
     return DisorderSample(
         values={n: 0.0 for n in partition.boxes}, distribution=(0.0, 0.0), seed=0
     )

@@ -80,17 +80,6 @@ class TridiagSpec:
             )
 
 
-@dataclass(frozen=True)
-class ExpansionTerms:
-    """Per-mode pieces of the large-r expansion."""
-
-    n: int
-    cos_term: float
-    sine_weight: float
-    c_n: float
-    predicted: float
-
-
 def dirichlet_modes(l: int) -> list[tuple[float, float, np.ndarray]]:
     """Eigenpairs of the path-graph adjacency A_l plus the boundary weights.
 
@@ -161,15 +150,6 @@ def constant_order_correction(l: int, n: int) -> float:
     return -4.0 * c_coefficient(l, n)
 
 
-def c_reflection_table(l: int) -> list[tuple[int, float, float]]:
-    """Exploratory report of (n, C_n, C_{l+1-n}) pairs.
-
-    No reflection symmetry is asserted; the table exists so sweeps can record
-    the observed behaviour.
-    """
-    return [(n, c_coefficient(l, n), c_coefficient(l, l + 1 - n)) for n in range(1, l + 1)]
-
-
 def exact_spectrum(spec: TridiagSpec) -> np.ndarray:
     """Reference eigenvalues of the boundary-perturbed matrix, ascending.
 
@@ -230,18 +210,6 @@ def predicted_eigenvalue(spec: TridiagSpec, n: int, order: str = "const") -> flo
     if order == "c_over_r":
         return value
     raise ValueError(f"unknown order token {order!r}")
-
-
-def expansion_terms(spec: TridiagSpec, n: int) -> ExpansionTerms:
-    """Bundle of the per-mode quantities at order const."""
-    m1 = spec.l + 1
-    return ExpansionTerms(
-        n=n,
-        cos_term=2.0 * cos_pi_frac(n, m1),
-        sine_weight=(2.0 / m1) * sin_pi_frac(n, m1) ** 2,
-        c_n=c_coefficient(spec.l, n),
-        predicted=predicted_eigenvalue(spec, n, "const"),
-    )
 
 
 def expansion_residuals(spec: TridiagSpec) -> np.ndarray:

@@ -18,13 +18,11 @@ from boxham.tridiag import (
     TridiagSpec,
     boundary_matrix,
     c_coefficient,
-    c_reflection_table,
     constant_order_correction,
     cos_pi_frac,
     dirichlet_modes,
     exact_spectrum,
     expansion_residuals,
-    expansion_terms,
     path_adjacency,
     predicted_eigenvalue,
     residual_order,
@@ -153,14 +151,6 @@ def test_constant_order_correction_is_minus_four_c():
             assert constant_order_correction(l, n) == -4.0 * c_coefficient(l, n)
 
 
-def test_c_reflection_table_pairs_modes():
-    table = c_reflection_table(5)
-    assert [row[0] for row in table] == [1, 2, 3, 4, 5]
-    for n, c_n, c_flip in table:
-        assert c_n == c_coefficient(5, n)
-        assert c_flip == c_coefficient(5, 6 - n)
-
-
 # ------------------------------------------------------------ expansion
 
 
@@ -192,14 +182,6 @@ def test_predicted_rejects_unknown_order_and_bad_mode():
         predicted_eigenvalue(spec, 1, "r3")
     with pytest.raises(ValueError):
         predicted_eigenvalue(spec, 4)
-
-
-def test_expansion_terms_bundle():
-    spec = TridiagSpec(l=3, a=0.2, b=0.1, r=100.0)
-    t = expansion_terms(spec, 2)
-    assert t.n == 2
-    assert t.c_n == c_coefficient(3, 2)
-    assert t.predicted == predicted_eigenvalue(spec, 2, "const")
 
 
 def test_residuals_shrink_with_r():
