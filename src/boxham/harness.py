@@ -136,13 +136,16 @@ def _parse_gap_pairs(text: str, key: str, line: int) -> tuple:
     return tuple(pairs)
 
 
-def _key(key: str, parse, default=MISSING):
+def _key(key: str, parse, default=MISSING, execution: bool = False):
     """A field read from config key ``key`` by ``parse(text, key, line)``.
 
     ``parse`` returns the field's value, or a dict of field values when one
-    key sets several fields.
+    key sets several fields.  ``execution`` marks a setting of how a run
+    executes rather than what it computes; the config hash leaves it out.
     """
-    return field(default=default, metadata={"key": key, "parse": parse})
+    return field(
+        default=default, metadata={"key": key, "parse": parse, "execution": execution}
+    )
 
 
 @dataclass(frozen=True)
@@ -169,8 +172,8 @@ class ExperimentConfig:
     degeneracy_tol: float = _key("tol.degeneracy", _FLOAT, 1e-6)
     margin: float = _key("tol.margin", _FLOAT, 0.25)
     precision: str = _key("precision", _parse_precision, "standard")
-    workers: int = _key("run.workers", _INT, 1)
-    output_dir: str | None = _key("output.dir", _text, None)
+    workers: int = _key("run.workers", _INT, 1, execution=True)
+    output_dir: str | None = _key("output.dir", _text, None, execution=True)
     expansion_l: tuple[int, ...] = _key("expansion.l", _INTS, (2, 3, 4, 5, 6, 7, 8))
     expansion_ab: tuple[float, ...] = _key("expansion.ab", _FLOATS, (-1.0, 0.0, 0.5, 1.0))
     rank_n: tuple[int, ...] | None = _key("rank.n", _INTS, None)
@@ -185,9 +188,18 @@ class ExperimentConfig:
         return build_partition(self.d, self.lengths, self.radius)
 
     def config_hash(self) -> str:
-        """sha256 over a canonical field serialization (format-independent)."""
+        """sha256 over a canonical serialization of the experiment fields.
+
+        Format-independent, and blind to execution settings (worker count,
+        output directory), so it names the experiment only.
+        """
         payload = json.dumps(
-            {k: repr(v) for k, v in sorted(self.__dict__.items())}, sort_keys=True
+            {
+                f.name: repr(getattr(self, f.name))
+                for f in fields(self)
+                if not f.metadata.get("execution")
+            },
+            sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 

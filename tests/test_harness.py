@@ -155,6 +155,9 @@ def test_config_hash_is_stable_and_sensitive():
     assert a.config_hash() == b.config_hash()  # formatting-independent
     assert a.config_hash() != c.config_hash()
     assert len(a.config_hash()) == 64
+    # execution settings do not change what the experiment is
+    for setting in ("run.workers = 4\n", "output.dir = elsewhere\n"):
+        assert parse_config_text(MINIMAL + setting).config_hash() == a.config_hash()
 
 
 def test_load_config_missing_file(tmp_path):
