@@ -62,8 +62,8 @@ from .resolvent import (
     schur_reduced,
     truncation_remainder,
 )
-from .separation import SeparationDesign, design, verify_separation
-from .tridiag import TridiagSpec, c_coefficient, exact_spectrum, predicted_eigenvalue, residual_order
+from .separation import verify_separation
+from .tridiag import TridiagSpec, c_coefficient, exact_spectrum, predicted_eigenvalue
 
 __version__ = "0.1.0"
 
@@ -89,7 +89,6 @@ __all__ = [
     "PrecisionWarning",
     "RestrictedResolvent",
     "SchurReduced",
-    "SeparationDesign",
     "SpectralProximityError",
     "TridiagSpec",
     "VolumeError",
@@ -103,7 +102,6 @@ __all__ = [
     "cos_sum_is_zero",
     "cyclic_rank_check",
     "cyclotomic_polynomial",
-    "design",
     "exact_spectrum",
     "gap_growth_probe",
     "load_config",
@@ -113,7 +111,6 @@ __all__ = [
     "parse_config_text",
     "predicted_cluster_energy",
     "predicted_eigenvalue",
-    "residual_order",
     "restricted_resolvent",
     "sample_disorder",
     "schur_reduced",

@@ -24,10 +24,9 @@ import numpy as np
 from .cyclotomic import MODULUS_CAP, CyclotomicElement, cos_as_element
 from .errors import CombinatorialLimitError, MatchingError
 from .tridiag import (
-    TridiagSpec,
-    constant_order_correction,
     cos_pi_frac,
     exact_spectrum,
+    factor_specs,
     predicted_eigenvalue,
     sin_pi_frac,
 )
@@ -44,13 +43,9 @@ _FALLBACK_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ClusterPrediction:
-    """Predicted energy of one mode tuple, split into its displayed orders."""
+    """Predicted energy of one mode tuple, and the exact eigenvalue matched to it."""
 
     modes: tuple[int, ...]
-    r2_term: float
-    r1_term: float
-    potential_term: float
-    c_term: float
     predicted: float
     matched_exact: float | None = None
 
@@ -94,36 +89,17 @@ def predicted_cluster_energy(
     lams,
     r: float,
 ) -> ClusterPrediction:
-    """Sum of per-coordinate expansions for one mode tuple.
+    """Sum of the per-factor expansions (order const) for one mode tuple.
 
-    ``omega_pairs[i] = (omega on box -e_i, omega on box +e_i)`` and ``lams[i]``
-    is the boost on box +e_i; coordinate i then contributes the expansion of a
-    factor with boundary parameters a = omega_-, b = omega_+ + lambda.  For
-    d = 1 this reduces bitwise to the tridiagonal prediction at order const.
+    The factors come from ``tridiag.factor_specs``; each must be in the
+    expansion regime r > max(|a|, |b|, 1), or ValueError is raised.
     """
     lengths = tuple(int(l) for l in lengths)
     modes = tuple(int(n) for n in modes)
     _check_modes(lengths, modes)
-    r2 = r1 = pot = corr = 0.0
-    for l, n, (omega_minus, omega_plus), lam in zip(lengths, modes, omega_pairs, lams):
-        m1 = l + 1
-        cos_n = cos_pi_frac(n, m1)
-        sin2_n = sin_pi_frac(n, m1) ** 2
-        a = float(omega_minus)
-        b = float(omega_plus) + float(lam)
-        r2 += 2.0 * r**2 * cos_n
-        r1 += (4.0 * r / m1) * sin2_n
-        pot += (2.0 * (a + b) / m1) * sin2_n
-        corr += constant_order_correction(l, n)
-    predicted = ((r2 + r1) + pot) + corr
-    return ClusterPrediction(
-        modes=modes,
-        r2_term=r2,
-        r1_term=r1,
-        potential_term=pot,
-        c_term=corr,
-        predicted=predicted,
-    )
+    specs = factor_specs(lengths, omega_pairs, lams, r)
+    predicted = sum(predicted_eigenvalue(spec, n, "const") for spec, n in zip(specs, modes))
+    return ClusterPrediction(modes=modes, predicted=predicted)
 
 
 def all_mode_tuples(lengths) -> list[tuple[int, ...]]:
@@ -144,6 +120,9 @@ def _sine_sum(lengths, modes) -> float:
     return sum(sin_pi_frac(n, l + 1) ** 2 / (l + 1) for n, l in zip(modes, lengths))
 
 
+_SUM_OF = {"cos": _cos_sum, "sine": _sine_sum}
+
+
 def _lcm_order(lengths) -> int:
     return math.lcm(*[l + 1 for l in lengths])
 
@@ -161,15 +140,19 @@ def _cos_element_any(k: int, q: int, ambient: int) -> CyclotomicElement:
     return cos_as_element(k // g, q // g, ambient)
 
 
-def _exact_diff_is_zero(lengths, n, m, kind: str) -> bool | None:
-    """Exact zero test of the cosine-sum or sine-sum difference.
+def _is_tie(lengths, n, m, kind: str, diff: float, scale: float) -> bool:
+    """Do the (cosine | sine) sums of n and m, ``diff`` apart in floats, agree?
 
-    Returns None when the ambient cyclotomic modulus would exceed the cap, in
-    which case the caller falls back to a floating tolerance.
+    A difference beyond the near-tie band (relative to ``scale``) is not a
+    tie.  Inside the band the difference is tested for zero exactly in the
+    cyclotomic field, or against 1e-12 * scale when the ambient modulus would
+    exceed the cap.
     """
+    if abs(diff) > _NEAR_TIE_BAND * scale:
+        return False
     ambient = _lcm_order(lengths)
     if 2 * ambient > MODULUS_CAP:
-        return None
+        return abs(diff) <= _FALLBACK_TOL * scale
     total = CyclotomicElement.zero(2 * ambient)
     for l, ni, mi in zip(lengths, n, m):
         q = l + 1
@@ -186,18 +169,8 @@ def _exact_diff_is_zero(lengths, n, m, kind: str) -> bool | None:
 
 def _sums_equal(lengths, n, m, kind: str) -> bool:
     """Are the (cosine | weighted sine-square) sums of n and m equal?"""
-    if kind == "cos":
-        x, y = _cos_sum(lengths, n), _cos_sum(lengths, m)
-    else:
-        x, y = _sine_sum(lengths, n), _sine_sum(lengths, m)
-    diff = x - y
-    scale = max(1.0, abs(x), abs(y))
-    if abs(diff) > _NEAR_TIE_BAND * scale:
-        return False
-    exact = _exact_diff_is_zero(lengths, n, m, kind)
-    if exact is not None:
-        return exact
-    return abs(diff) <= _FALLBACK_TOL * scale
+    x, y = _SUM_OF[kind](lengths, n), _SUM_OF[kind](lengths, m)
+    return _is_tie(lengths, n, m, kind, x - y, max(1.0, abs(x), abs(y)))
 
 
 def classify_pair(n, m, lengths) -> str:
@@ -250,21 +223,13 @@ def min_nonzero_gaps(lengths) -> tuple[float | None, float | None]:
     tuples = all_mode_tuples(lengths)
 
     def spread(kind: str) -> float | None:
-        if kind == "cos":
-            pairs = sorted((_cos_sum(lengths, t), t) for t in tuples)
-        else:
-            pairs = sorted((_sine_sum(lengths, t), t) for t in tuples)
+        pairs = sorted((_SUM_OF[kind](lengths, t), t) for t in tuples)
         scale = max(1.0, abs(pairs[0][0]), abs(pairs[-1][0]))
         distinct = [pairs[0]]
         for value, t in pairs[1:]:
             prev_value, prev_t = distinct[-1]
-            diff = value - prev_value
-            if diff <= _NEAR_TIE_BAND * scale:
-                exact = _exact_diff_is_zero(lengths, t, prev_t, kind)
-                tie = exact if exact is not None else diff <= _FALLBACK_TOL * scale
-                if tie:
-                    continue
-            distinct.append((value, t))
+            if not _is_tie(lengths, t, prev_t, kind, value - prev_value, scale):
+                distinct.append((value, t))
         if len(distinct) == 1:
             return None
         return min(b[0] - a[0] for a, b in zip(distinct, distinct[1:]))
@@ -420,16 +385,15 @@ def mode_resolved_spectrum(lengths, omega_pairs, lams, r: float) -> dict[tuple[i
     """
     lengths = tuple(int(l) for l in lengths)
     factor_by_mode = []
-    for l, (omega_minus, omega_plus), lam in zip(lengths, omega_pairs, lams):
-        spec = TridiagSpec(l=l, a=float(omega_minus), b=float(omega_plus) + float(lam), r=r)
+    for spec in factor_specs(lengths, omega_pairs, lams, r):
         ascending = exact_spectrum(spec)
-        predicted = [predicted_eigenvalue(spec, n, "r1") for n in range(1, l + 1)]
+        predicted = [predicted_eigenvalue(spec, n, "r1") for n in range(1, spec.l + 1)]
         order = np.argsort(predicted)  # ascending predicted -> ascending exact
         by_mode = {}
         for rank, idx in enumerate(order):
             by_mode[idx + 1] = float(ascending[rank])
         gaps = np.diff(np.sort(predicted))
-        if l > 1 and np.any(gaps < 4.0 * r):
+        if spec.l > 1 and np.any(gaps < 4.0 * r):
             # adjacent factor modes closer than the r^1 scale: ordering unsafe
             raise MatchingError(f"factor modes too close to order at r={r}", indices=())
         factor_by_mode.append(by_mode)

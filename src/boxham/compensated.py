@@ -69,21 +69,6 @@ def dd_mul(x_hi, x_lo, y_hi, y_lo):
     return quick_two_sum(p, e)
 
 
-def dd_sum(values_hi, values_lo=None, axis=None):
-    """Compensated reduction to a dd pair along ``axis`` (flattened if None)."""
-    arr_hi = np.asarray(values_hi, dtype=np.float64)
-    arr_lo = np.zeros_like(arr_hi) if values_lo is None else np.asarray(values_lo, dtype=np.float64)
-    if axis is None:
-        arr_hi, arr_lo, axis = arr_hi.ravel(), arr_lo.ravel(), 0
-    arr_hi = np.moveaxis(arr_hi, axis, 0)
-    arr_lo = np.moveaxis(arr_lo, axis, 0)
-    acc_hi = np.zeros(arr_hi.shape[1:])
-    acc_lo = np.zeros(arr_hi.shape[1:])
-    for k in range(arr_hi.shape[0]):
-        acc_hi, acc_lo = dd_add(acc_hi, acc_lo, arr_hi[k], arr_lo[k])
-    return acc_hi, acc_lo
-
-
 def dd_matmul(a_hi, a_lo, b_hi, b_lo):
     """Matrix product of two dd matrices, accumulated in dd.
 

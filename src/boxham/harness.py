@@ -338,6 +338,17 @@ def boosts_for(config: ExperimentConfig, sample: DisorderSample) -> dict[int, fl
     }
 
 
+def _factor_inputs(config: ExperimentConfig):
+    """The seed-0 sample with its per-coordinate omega pairs and boosts.
+
+    Returns (sample, omega_pairs, lams), the inputs of ``tridiag.factor_specs``.
+    """
+    sample = sample_disorder(config, 0)
+    boosts = boosts_for(config, sample)
+    lams = tuple(boosts.get(i + 1, 0.0) for i in range(config.d))
+    return sample, omega_pairs(sample, config.d), lams
+
+
 def _work_map(fn, items, workers: int) -> list:
     if workers <= 1:
         return [fn(item) for item in items]
@@ -722,10 +733,7 @@ def gap_growth_probe(
             for i in range(len(tuples))
             for j in range(i + 1, len(tuples))
         ]
-    sample = sample_disorder(config, 0)
-    boosts = boosts_for(config, sample)
-    opairs = omega_pairs(sample, config.d)
-    lams = tuple(boosts.get(i + 1, 0.0) for i in range(config.d))
+    sample, opairs, lams = _factor_inputs(config)
 
     spectra = {}
     floors = {}
@@ -831,9 +839,9 @@ def expansion_sweep(config: ExperimentConfig):
                         )
     slope = None
     if len(worst_by_r) >= 4 and max(worst_by_r) / min(worst_by_r) >= 8:
-        xs = [math.log(r) for r in sorted(worst_by_r)]
-        ys = [math.log(max(worst_by_r[r], 1e-300)) for r in sorted(worst_by_r)]
-        slope = float(np.polyfit(xs, ys, 1)[0])
+        rs = sorted(worst_by_r)
+        worst = [max(worst_by_r[r], 1e-300) for r in rs]
+        slope = _fit_slope(rs, worst, [False] * len(rs))
         if slope > -0.7:
             failures.append(
                 {"check": "expansion_aggregate_slope", "slope": slope, "limit": -0.7}
@@ -847,10 +855,7 @@ def cluster_sweep(config: ExperimentConfig):
     Returns (rows, failures): rows follow (r, pair_a, pair_b, class, gap,
     required, satisfied) with required empty for same_cluster pairs.
     """
-    sample = sample_disorder(config, 0)
-    boosts = boosts_for(config, sample)
-    opairs = omega_pairs(sample, config.d)
-    lams = tuple(boosts.get(i + 1, 0.0) for i in range(config.d))
+    sample, opairs, lams = _factor_inputs(config)
     constants = min_nonzero_gaps(config.lengths)
     rows = []
     failures = []

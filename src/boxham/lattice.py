@@ -77,7 +77,11 @@ class BoxPartition:
         return lap
 
     def box_of(self, site: tuple[int, ...]) -> tuple[int, ...]:
-        """Box index of a site: n_i = floor((x_i - 1) / l_i)."""
+        """Box index of a site: n_i = floor((x_i - 1) / l_i).
+
+        A test oracle: the tests check ``box_sites``, the box masks and the
+        Hamiltonian's diagonal against it.
+        """
         return tuple((x - 1) // l for x, l in zip(site, self.lengths))
 
 

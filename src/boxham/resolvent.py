@@ -35,7 +35,7 @@ from .lattice import (
     box_mask,
     kronecker_sum,
 )
-from .tridiag import TridiagSpec, boundary_matrix
+from .tridiag import boundary_matrix, factor_specs
 
 SOLVER_TOL = 1e-10
 PROXIMITY_FLOOR = 1e-6
@@ -64,7 +64,11 @@ class SchurReduced:
     omega0: float
 
     def mu_values(self) -> np.ndarray:
-        """Sorted eigenvalues of G_00(r) implied by the reduction."""
+        """Sorted eigenvalues of G_00(r) implied by the reduction.
+
+        A test oracle: the tests compare it with the eigenvalues of the
+        directly solved resolvent block.
+        """
         nu = np.linalg.eigvalsh(self.matrix)
         return np.sort(1.0 / (nu + self.omega0 - self.r))
 
@@ -218,16 +222,12 @@ def neumann_truncation(
 def kronecker_truncation(lengths, omega_pairs, lams, r: float) -> np.ndarray:
     """A_r assembled as the Kronecker sum of its tridiagonal factors.
 
-    Factor i is r^2 * path Laplacian of length l_i with boundary weights
-    a_i + r and b_i + r, a_i = omega on box -e_i, b_i = omega on box +e_i plus
-    the boost lambda_i.  Coordinate 1 is the outermost factor, matching the
-    lexicographic site order of box 0.
+    Factor i is the boundary matrix of ``tridiag.factor_specs``' spec i.
+    Coordinate 1 is the outermost factor, matching the lexicographic site
+    order of box 0.
     """
-    factors = [
-        boundary_matrix(TridiagSpec(l=l, a=float(minus), b=float(plus) + float(lam), r=r))
-        for l, (minus, plus), lam in zip(lengths, omega_pairs, lams)
-    ]
-    return kronecker_sum(factors)
+    specs = factor_specs(lengths, omega_pairs, lams, r)
+    return kronecker_sum([boundary_matrix(spec) for spec in specs])
 
 
 def precision_guard(r: float, quantity: float, context: str = "") -> bool:

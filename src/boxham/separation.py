@@ -6,8 +6,7 @@ Drawing a_i from the geometric windows ((1/2)(2/(eps*delta))^i, (2/(eps*delta))^
 forces every two distinct selections more than 1/delta apart:
 
   * eps is the smallest of all elements and all within-set gaps (the proof
-    only ever uses within-set separation; cross-set gaps are reported by
-    gap_profile but deliberately unused),
+    only ever uses within-set separation, so cross-set gaps play no part),
   * delta is any value in (0, min(1/2, 1/(1+eps))).
 
 verify_separation brute-forces the claim for concrete coefficients.
@@ -23,16 +22,6 @@ from .errors import CombinatorialLimitError, DegenerateInputError, MagnitudeErro
 from .tridiag import sin_pi_frac
 
 PAIR_CAP = 1_000_000
-
-
-@dataclass(frozen=True)
-class SeparationDesign:
-    """Sets, the derived (epsilon, delta), and the coefficient windows."""
-
-    sets: tuple[tuple[float, ...], ...]
-    epsilon: float
-    delta: float
-    intervals: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -61,28 +50,16 @@ def sine_system(lengths) -> list[tuple[float, ...]]:
 
 
 def gap_profile(sets) -> dict[str, float]:
-    """Minimal element, minimal within-set gap, minimal cross-set gap.
-
-    Only the first two feed epsilon; the cross-set figure is informational.
-    """
+    """Minimal element and minimal within-set gap: the two inputs of epsilon."""
     elements = [x for s in sets for x in s]
     within = [
         b - a
         for s in sets
         for a, b in zip(sorted(s), sorted(s)[1:])
     ]
-    cross = [
-        abs(x - y)
-        for i, s in enumerate(sets)
-        for j, t in enumerate(sets)
-        if i < j
-        for x in s
-        for y in t
-    ]
     return {
         "min_element": min(elements),
         "min_within_gap": min(within) if within else float("inf"),
-        "min_cross_gap": min(cross) if cross else float("inf"),
     }
 
 
@@ -126,14 +103,6 @@ def design_intervals(epsilon: float, delta: float, d: int) -> list[tuple[float, 
             )
         out.append((0.5 * power, power))
     return out
-
-
-def design(sets, delta_hint: float | None = None) -> SeparationDesign:
-    """Bundle epsilon, delta and the windows for the given sets."""
-    normalized = tuple(tuple(sorted(float(x) for x in s)) for s in sets)
-    eps, delta = epsilon_delta(normalized, delta_hint)
-    intervals = tuple(design_intervals(eps, delta, len(normalized)))
-    return SeparationDesign(sets=normalized, epsilon=eps, delta=delta, intervals=intervals)
 
 
 def midpoint_coefficients(intervals) -> list[float]:

@@ -6,9 +6,9 @@ The object of study is the l x l symmetric tridiagonal matrix
 
 with A_l the 0/1 path-graph adjacency.  For large r its eigenvalues follow the
 unperturbed modes 2 r^2 cos(pi n/(l+1)) with corrections of order r, 1 and 1/r;
-this module provides the exact modes, the correction coefficients, a
-LAPACK-backed reference spectrum with a residual check, and fitted remainder
-orders.
+this module provides that expansion with its correction coefficients, a
+LAPACK-backed reference spectrum with a residual check, and the factor
+description of each coordinate of the Kronecker-sum truncation.
 
 Trigonometric quantities are always evaluated as functions of pi*n/(l+1)
 directly (never by recurrence), through helpers that make the reflection
@@ -24,8 +24,6 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .errors import ConvergenceError
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def cos_pi_frac(num: int, den: int) -> float:
@@ -80,22 +78,17 @@ class TridiagSpec:
             )
 
 
-def dirichlet_modes(l: int) -> list[tuple[float, float, np.ndarray]]:
-    """Eigenpairs of the path-graph adjacency A_l plus the boundary weights.
+def factor_specs(lengths, omega_pairs, lams, r: float) -> list[TridiagSpec]:
+    """The tridiagonal factor of each coordinate of the truncation A_r.
 
-    Returns (E_n, a_n, phi_n) for n = 1..l with E_n = 2 cos(pi n/(l+1)),
-    a_n = (2/(l+1)) sin^2(pi n/(l+1)) and phi_n the unit eigenvector
-    phi_n(x) = sqrt(2/(l+1)) sin(pi n x/(l+1)).
+    ``omega_pairs[i] = (omega on box -e_i, omega on box +e_i)`` and ``lams[i]``
+    is the boost lambda_i on box +e_i; coordinate i has the boundary
+    parameters a = omega_-, b = omega_+ + lambda_i.
     """
-    m1 = l + 1
-    amp = math.sqrt(2.0 / m1)
-    out = []
-    for n in range(1, l + 1):
-        energy = 2.0 * cos_pi_frac(n, m1)
-        weight = (2.0 / m1) * sin_pi_frac(n, m1) ** 2
-        vec = np.array([amp * sin_pi_frac(n * x, m1) for x in range(1, l + 1)])
-        out.append((energy, weight, vec))
-    return out
+    return [
+        TridiagSpec(l=int(l), a=float(minus), b=float(plus) + float(lam), r=r)
+        for l, (minus, plus), lam in zip(lengths, omega_pairs, lams)
+    ]
 
 
 def path_adjacency(l: int) -> np.ndarray:
@@ -210,40 +203,3 @@ def predicted_eigenvalue(spec: TridiagSpec, n: int, order: str = "const") -> flo
     if order == "c_over_r":
         return value
     raise ValueError(f"unknown order token {order!r}")
-
-
-def expansion_residuals(spec: TridiagSpec) -> np.ndarray:
-    """Per-mode |exact - predicted(const)| with both lists sorted ascending.
-
-    Sorting both sides is the mode assignment: predictions are total-order
-    accurate in the expansion regime, so index pairing is the nearest matching.
-    """
-    exact = exact_spectrum(spec)
-    predicted = np.sort([predicted_eigenvalue(spec, n, "const") for n in range(1, spec.l + 1)])
-    return np.abs(exact - predicted)
-
-
-def residual_order(l: int, a: float, b: float, r_values) -> float | str:
-    """Fitted log-log slope of the max expansion residual against r.
-
-    Needs at least four r values spanning a factor of eight.  When every
-    residual sits at the working-precision floor (below
-    max(1e-13, 4*eps*max|eigenvalue|)), returns the string
-    "exact-to-precision" instead of fitting noise.
-    """
-    r_values = sorted(float(r) for r in r_values)
-    if len(r_values) < 4 or r_values[-1] / r_values[0] < 8:
-        raise ValueError("need >= 4 values of r spanning a factor >= 8")
-    residuals = []
-    floors = []
-    for r in r_values:
-        spec = TridiagSpec(l=l, a=a, b=b, r=r)
-        res = float(np.max(expansion_residuals(spec)))
-        scale = float(np.max(np.abs(exact_spectrum(spec))))
-        residuals.append(res)
-        floors.append(max(1e-13, 4.0 * _EPS * scale))
-    if all(res < floor for res, floor in zip(residuals, floors)):
-        return "exact-to-precision"
-    clipped = [max(res, floor) for res, floor in zip(residuals, floors)]
-    slope, _ = np.polyfit(np.log(r_values), np.log(clipped), 1)
-    return float(slope)

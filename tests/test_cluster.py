@@ -33,7 +33,7 @@ from boxham.cluster import (
 )
 from boxham.errors import MatchingError
 from boxham.resolvent import kronecker_truncation
-from boxham.tridiag import TridiagSpec, predicted_eigenvalue
+from boxham.tridiag import TridiagSpec, constant_order_correction, predicted_eigenvalue
 
 
 ZERO2 = [(0.0, 0.0), (0.0, 0.0)]
@@ -66,7 +66,7 @@ def test_predicted_energy_zero_disorder_square():
         p = predicted_cluster_energy((2, 2), modes, ZERO2, (0.0, 0.0), 100.0)
         assert p.predicted == pytest.approx(want, rel=1e-12)
         assert p.modes == modes
-        assert p.c_term == 0.0
+    assert constant_order_correction(2, 1) == constant_order_correction(2, 2) == 0.0
 
 
 def test_predicted_energy_unit_boxes_are_exact():
@@ -86,14 +86,23 @@ def test_prediction_reduces_to_tridiagonal_in_one_dimension():
         assert p.predicted == predicted_eigenvalue(spec, n, "const")
 
 
-def test_prediction_term_breakdown():
-    p = predicted_cluster_energy((3,), (1,), [(0.5, -0.25)], (0.75,), 200.0)
-    assert p.r2_term == pytest.approx(2 * 200.0**2 * math.cos(math.pi / 4), rel=1e-14)
-    assert p.r1_term == pytest.approx(200.0 * math.sin(math.pi / 4) ** 2, rel=1e-14)
-    assert p.potential_term == pytest.approx(
-        2 * (0.5 + 0.5) / 4 * math.sin(math.pi / 4) ** 2, rel=1e-14
-    )
-    assert p.c_term == pytest.approx(4.0 / (32.0 * math.sqrt(2.0)), rel=1e-13)
+def test_prediction_sums_the_factor_expansions():
+    lengths, pairs, lams, r = (2, 3, 4), [(0.3, -0.2), (0.1, 0.4), (-0.6, 0.05)], (1.0, 0.5, 2.0), 80.0
+    specs = [
+        TridiagSpec(l=l, a=lo, b=hi + lam, r=r) for l, (lo, hi), lam in zip(lengths, pairs, lams)
+    ]
+    for modes in all_mode_tuples(lengths):
+        p = predicted_cluster_energy(lengths, modes, pairs, lams, r)
+        assert p.predicted == sum(
+            predicted_eigenvalue(spec, n, "const") for spec, n in zip(specs, modes)
+        )
+
+
+def test_prediction_requires_expansion_regime():
+    # r must exceed max(|a|, |b|, 1) in every factor; b = 0.5 + 1.0 here
+    predicted_cluster_energy((2, 2), (1, 1), ZERO2, (0.0, 0.0), 1.2)
+    with pytest.raises(ValueError):
+        predicted_cluster_energy((2, 2), (1, 1), [(0.0, 0.0), (0.0, 0.5)], (0.0, 1.0), 1.2)
 
 
 def test_prediction_is_frozen():
@@ -271,15 +280,17 @@ def test_verify_gaps_same_cluster_reported_not_asserted():
 
 
 def test_mode_resolved_spectrum_matches_dense_diagonalization():
-    lengths = (2, 3)
-    pairs = [(0.2, -0.4), (0.15, 0.33)]
-    lams = (0.9, 0.1)
+    cases = [
+        ((2, 3), [(0.2, -0.4), (0.15, 0.33)], (0.9, 0.1)),
+        ((2, 3, 4), [(0.2, -0.4), (0.15, 0.33), (-0.7, 0.05)], (0.9, 0.1, 1.7)),
+    ]
     r = 300.0
-    by_mode = mode_resolved_spectrum(lengths, pairs, lams, r)
-    assert set(by_mode) == set(all_mode_tuples(lengths))
-    ours = np.sort(list(by_mode.values()))
-    dense = np.linalg.eigvalsh(kronecker_truncation(lengths, pairs, lams, r))
-    assert np.max(np.abs(ours - dense)) < 1e-9 * np.max(np.abs(dense))
+    for lengths, pairs, lams in cases:
+        by_mode = mode_resolved_spectrum(lengths, pairs, lams, r)
+        assert set(by_mode) == set(all_mode_tuples(lengths))
+        ours = np.sort(list(by_mode.values()))
+        dense = np.linalg.eigvalsh(kronecker_truncation(lengths, pairs, lams, r))
+        assert np.max(np.abs(ours - dense)) < 1e-9 * np.max(np.abs(dense))
 
 
 def test_mode_resolved_spectrum_labels_follow_predictions():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from boxham.errors import CombinatorialLimitError, DegenerateInputError
 from boxham.separation import (
-    design,
     design_intervals,
     draw_coefficients,
     epsilon_delta,
@@ -41,7 +40,6 @@ def test_gap_profile_fields():
     prof = gap_profile([(0.2, 0.5), (0.3,)])
     assert prof["min_element"] == 0.2
     assert prof["min_within_gap"] == pytest.approx(0.3)
-    assert prof["min_cross_gap"] == pytest.approx(0.1)
 
 
 def test_epsilon_delta_default_and_hint():
@@ -81,15 +79,6 @@ def test_design_intervals_geometry():
     # windows are disjoint and increasing: hi_i < lo_{i+1} since base > 2
     for (_, hi), (lo2, _) in zip(intervals, intervals[1:]):
         assert hi < lo2
-
-
-def test_design_bundles_consistently():
-    d = design(sine_system((2, 3)))
-    assert len(d.intervals) == 2
-    assert d.epsilon > 0 and 0 < d.delta < 0.5
-    mids = midpoint_coefficients(d.intervals)
-    for m, (lo, hi) in zip(mids, d.intervals):
-        assert lo < m < hi
 
 
 def test_draw_coefficients_stay_inside_windows():

@@ -20,12 +20,9 @@ from boxham.tridiag import (
     c_coefficient,
     constant_order_correction,
     cos_pi_frac,
-    dirichlet_modes,
     exact_spectrum,
-    expansion_residuals,
-    path_adjacency,
+    factor_specs,
     predicted_eigenvalue,
-    residual_order,
     sin_pi_frac,
 )
 
@@ -57,22 +54,15 @@ def test_trig_helpers_match_math_library():
             assert sin_pi_frac(n, q) == pytest.approx(math.sin(math.pi * n / q), abs=1e-15)
 
 
-# ------------------------------------------------------------ modes
+# ------------------------------------------------------------ factors
 
 
-def test_dirichlet_modes_satisfy_eigen_relation():
-    for l in (1, 2, 3, 5, 8):
-        adj = path_adjacency(l)
-        for energy, weight, vec in dirichlet_modes(l):
-            assert np.linalg.norm(adj @ vec - energy * vec) < 1e-13
-            assert abs(np.linalg.norm(vec) - 1.0) < 1e-13
-            # the boundary weight is the squared endpoint amplitude
-            assert weight == pytest.approx(vec[0] ** 2, rel=1e-13)
-
-
-def test_mode_energies_are_strictly_decreasing():
-    energies = [e for e, _, _ in dirichlet_modes(6)]
-    assert all(x > y for x, y in zip(energies, energies[1:]))
+def test_factor_specs_put_the_boost_on_the_plus_side():
+    specs = factor_specs((2, 3), [(0.5, -0.25), (0.1, 0.2)], (0.75, 1.5), 40.0)
+    assert specs == [
+        TridiagSpec(l=2, a=0.5, b=-0.25 + 0.75, r=40.0),
+        TridiagSpec(l=3, a=0.1, b=0.2 + 1.5, r=40.0),
+    ]
 
 
 def test_boundary_matrix_shape_and_corners():
@@ -182,29 +172,6 @@ def test_predicted_rejects_unknown_order_and_bad_mode():
         predicted_eigenvalue(spec, 1, "r3")
     with pytest.raises(ValueError):
         predicted_eigenvalue(spec, 4)
-
-
-def test_residuals_shrink_with_r():
-    spec_small = TridiagSpec(l=5, a=1.0, b=-0.5, r=100.0)
-    spec_large = TridiagSpec(l=5, a=1.0, b=-0.5, r=1600.0)
-    assert np.max(expansion_residuals(spec_large)) < np.max(expansion_residuals(spec_small))
-
-
-def test_residual_order_exact_family():
-    assert residual_order(1, 0.4, -0.9, [50, 100, 400, 800]) == "exact-to-precision"
-
-
-def test_residual_order_generic_family_decays():
-    slope = residual_order(3, 0.5, -1.0, [50, 100, 200, 400, 800, 1600])
-    assert isinstance(slope, float)
-    assert slope <= -0.7
-
-
-def test_residual_order_input_validation():
-    with pytest.raises(ValueError):
-        residual_order(3, 0.0, 0.0, [100, 200])
-    with pytest.raises(ValueError):
-        residual_order(3, 0.0, 0.0, [100, 110, 120, 130])
 
 
 @settings(max_examples=40, deadline=None)
