@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 _SPLITTER = 134217729.0  # 2**27 + 1
+REFINEMENT_PASSES = 3
 
 
 def two_sum(a, b):
@@ -92,12 +93,12 @@ def dd_matmul(a_hi, a_lo, b_hi, b_lo):
     return c_hi, c_lo
 
 
-def refined_solve(m: np.ndarray, rhs: np.ndarray, passes: int = 3):
+def refined_solve(m: np.ndarray, rhs: np.ndarray):
     """Solve m @ X = rhs with dd-accurate iterative refinement.
 
-    One LU factorization; each pass computes the residual rhs - m @ X in dd
-    (so the subtraction does not lose the small part) and folds the correction
-    into a dd-carried X.  The factorization's conditioning limits the
+    One LU factorization; each of REFINEMENT_PASSES passes computes the
+    residual rhs - m @ X in dd (so the subtraction does not lose the small
+    part) and folds the correction into a dd-carried X.  The factorization's conditioning limits the
     correction direction, not the achievable residual accuracy.
     """
     m = np.asarray(m, dtype=np.float64)
@@ -105,7 +106,7 @@ def refined_solve(m: np.ndarray, rhs: np.ndarray, passes: int = 3):
     lu = lu_factor(m)
     x_hi = lu_solve(lu, rhs)
     x_lo = np.zeros_like(x_hi)
-    for _ in range(passes):
+    for _ in range(REFINEMENT_PASSES):
         mx_hi, mx_lo = dd_matmul(m, None, x_hi, x_lo)
         r_hi, r_lo = dd_add(rhs, np.zeros_like(rhs), -mx_hi, -mx_lo)
         delta = lu_solve(lu, r_hi + r_lo)

@@ -233,23 +233,22 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     kwargs: dict = {}
 
-    def parse(key: str) -> int:
+    def parse(key: str) -> None:
         value, line = raw[key]
         f = _FIELD_OF_KEY[key]
         parsed = f.metadata["parse"](value, key, line)
         kwargs.update(parsed if isinstance(parsed, dict) else {f.name: parsed})
-        return line
 
     required = [key for key, f in _FIELD_OF_KEY.items() if f.default is MISSING]
     for key in required:
         if key not in raw:
             raise ConfigError(f"missing required field {key}", line=None, field=key)
-        line = parse(key)
+        parse(key)
     if len(kwargs["lengths"]) != kwargs["d"]:
         key = _key_of("lengths")
         raise ConfigError(
             f"{key} has {len(kwargs['lengths'])} entries for d={kwargs['d']}",
-            line=line,
+            line=raw[key][1],
             field=key,
         )
     for key in _FIELD_OF_KEY:
@@ -536,7 +535,8 @@ def constancy_scan(
     Sweeps the (z, lambda) grid, clustering the eigenvalues of the origin
     resolvent block at tolerance tau; asserts the value is the same at every
     usable grid point.  Grid points with z inside (or hugging) the spectrum
-    are skipped with a note rather than failed.
+    are skipped with a note rather than failed.  Each lambda's Hamiltonian
+    and spectrum are built once and shared by every z.
     """
     if box is None:
         box = config.constancy_box or tuple(
@@ -553,18 +553,19 @@ def constancy_scan(
     base = build_hamiltonian(part, sample)
     mask = box_mask(part, box)
     origin = (0,) * config.d
+    boosted = []
+    for lam in config.lambda_values:
+        h = base.entries.copy()
+        h[np.diag_indices_from(h)] += lam * mask
+        boosted.append((lam, LatticeOperator(entries=h, partition=part), np.linalg.eigvalsh(h)))
     rows: list[ConstancyRow] = []
     for z in config.z_values:
-        for lam in config.lambda_values:
-            h = base.entries.copy()
-            h[np.diag_indices_from(h)] += lam * mask
-            spectrum = np.linalg.eigvalsh(h)
+        for lam, op, spectrum in boosted:
             if np.min(np.abs(spectrum - z)) < 1e-6:
                 rows.append(
                     ConstancyRow(z=z, lam=lam, max_multiplicity=None, note="z inside spectrum; skipped")
                 )
                 continue
-            op = LatticeOperator(entries=h, partition=part)
             try:
                 rr = restricted_resolvent(op, z, origin, origin)
             except SpectralProximityError as exc:

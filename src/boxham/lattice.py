@@ -110,29 +110,26 @@ def build_partition(
     d: int,
     lengths: list[int] | tuple[int, ...],
     radius: int,
-    *,
-    site_cap: int = DEFAULT_SITE_CAP,
-    radius_cap: int = DEFAULT_RADIUS_CAP,
 ) -> BoxPartition:
     """Materialize the boxes with all |n_i| <= radius.
 
     Raises VolumeError when the total site count Prod(l_i) * (2*radius+1)^d
-    exceeds ``site_cap`` (the error names the offending count and the bytes one
-    dense float64 matrix on it would take), or when the radius exceeds the
-    desk-scale cap.
+    exceeds DEFAULT_SITE_CAP (the error names the offending count and the
+    bytes one dense float64 matrix on it would take), or when the radius
+    exceeds the desk-scale DEFAULT_RADIUS_CAP.
     """
     lengths = tuple(int(l) for l in lengths)
     if d < 1 or len(lengths) != d or any(l < 1 for l in lengths):
         raise VolumeError(f"need d >= 1 and {d} lengths >= 1, got lengths={lengths}")
     if radius < 0:
         raise VolumeError(f"radius must be nonnegative, got {radius}")
-    if radius > radius_cap:
-        raise VolumeError(f"radius {radius} exceeds cap {radius_cap}")
+    if radius > DEFAULT_RADIUS_CAP:
+        raise VolumeError(f"radius {radius} exceeds cap {DEFAULT_RADIUS_CAP}")
     partition = BoxPartition(d=d, lengths=lengths, radius=radius)
     count = partition.n_sites
-    if count > site_cap:
+    if count > DEFAULT_SITE_CAP:
         raise VolumeError(
-            f"volume of {count} sites exceeds cap {site_cap}: one dense float64 "
+            f"volume of {count} sites exceeds cap {DEFAULT_SITE_CAP}: one dense float64 "
             f"matrix on it needs {8 * count**2} bytes"
         )
     return partition

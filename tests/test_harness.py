@@ -138,6 +138,7 @@ def test_parse_lengths_dimension_mismatch():
     with pytest.raises(ConfigError) as info:
         parse_config_text("geometry.d = 2\ngeometry.lengths = 2\ngeometry.radius = 2\n")
     assert info.value.field == "geometry.lengths"
+    assert info.value.line == 2
 
 
 def test_duplicate_key_reports_line():
@@ -335,6 +336,23 @@ def test_constancy_lambda_zero_column_matches_plain_resolvent():
         tau = degeneracy_tolerance(eigs, cfg.degeneracy_tol)
         mx = max(len(g) for g in cluster_indices(eigs, tau))
         assert row.max_multiplicity == mx
+
+
+def test_constancy_scan_solves_each_lambda_once(monkeypatch):
+    cfg = make_config(lambda_values=(0.0, 1.0, 2.5), z_values=(30.0, 45.0, 60.0))
+    n_sites = cfg.partition().n_sites
+    eigvalsh = np.linalg.eigvalsh
+    full_solves = []
+
+    def counting(a, *args, **kwargs):
+        if a.shape[0] == n_sites:
+            full_solves.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    report = harness.constancy_scan(cfg)
+    assert len(report.rows) == 9
+    assert len(full_solves) == 3
 
 
 def test_constancy_one_dimension_is_simple():
