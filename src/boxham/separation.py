@@ -118,28 +118,42 @@ def draw_coefficients(intervals, rng: np.random.Generator) -> list[float]:
 def verify_separation(sets, a, delta: float) -> SeparationCheck:
     """Brute-force check that all selection sums are more than 1/delta apart.
 
-    Enumerates every selection sum; the minimum over distinct pairs equals the
-    minimum adjacent difference after sorting, so the pair scan is exact
-    without quadratic work.  The pair count (not the sum count) is capped.
+    Enumerates every selection sum exactly from the float inputs: each float
+    is a dyadic rational p/2^k, so with every product a_i * x scaled to one
+    power-of-two denominator the sums are integers, and sums near 1e17 cannot
+    round together.  The minimum over distinct pairs equals the minimum
+    adjacent difference after sorting, so the pair scan needs no quadratic
+    work; it is compared with the threshold exactly and reported rounded to
+    the nearest float.  The pair count (not the sum count) is capped.
     """
-    sets = [np.asarray(s, dtype=np.float64) for s in sets]
+    sets = [[float(x) for x in s] for s in sets]
     if len(a) != len(sets):
         raise ValueError(f"need one coefficient per set: {len(a)} vs {len(sets)}")
     n_sums = 1
     for s in sets:
-        n_sums *= s.size
+        n_sums *= len(s)
     n_pairs = n_sums * (n_sums - 1) // 2
     if n_pairs > PAIR_CAP:
         raise CombinatorialLimitError(f"{n_pairs} pairs exceed cap {PAIR_CAP}")
-
-    sums = np.zeros(1)
-    for coeff, s in zip(a, sets):
-        sums = (sums[:, None] + coeff * s[None, :]).ravel()
     threshold = 1.0 / delta
     if n_sums < 2:
         return SeparationCheck(min_gap=float("inf"), threshold=threshold, passed=True, n_sums=n_sums)
+
+    products = []
+    for coeff, s in zip(a, sets):
+        pc, qc = float(coeff).as_integer_ratio()
+        products.append([(pc * px, qc * qx) for px, qx in (x.as_integer_ratio() for x in s)])
+    denom = max(q for terms in products for _, q in terms)
+    sums = [0]
+    for terms in products:
+        scaled = [p * (denom // q) for p, q in terms]
+        sums = [u + v for u in sums for v in scaled]
     sums.sort()
-    min_gap = float(np.min(np.diff(sums)))
+    min_diff = min(v - u for u, v in zip(sums, sums[1:]))
+    tp, tq = threshold.as_integer_ratio()
     return SeparationCheck(
-        min_gap=min_gap, threshold=threshold, passed=min_gap > threshold, n_sums=n_sums
+        min_gap=min_diff / denom,
+        threshold=threshold,
+        passed=min_diff * tq > tp * denom,
+        n_sums=n_sums,
     )

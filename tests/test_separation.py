@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxham.errors import CombinatorialLimitError, DegenerateInputError
@@ -138,6 +138,7 @@ def test_pair_cap():
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 10**9), d=st.integers(1, 4))
+@example(seed=177935146, d=4)  # sums near 1.5e17 once rounded together in floats
 def test_designed_coefficients_always_separate(seed, d):
     """The core guarantee, as a property: random sets + designed draws pass."""
     rng = np.random.default_rng(seed)
