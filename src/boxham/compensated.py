@@ -98,8 +98,9 @@ def refined_solve(m: np.ndarray, rhs: np.ndarray):
 
     One LU factorization; each of REFINEMENT_PASSES passes computes the
     residual rhs - m @ X in dd (so the subtraction does not lose the small
-    part) and folds the correction into a dd-carried X.  The factorization's conditioning limits the
-    correction direction, not the achievable residual accuracy.
+    part) and folds the correction into a dd-carried X.  The factorization's
+    conditioning limits the correction direction, not the achievable residual
+    accuracy.
     """
     m = np.asarray(m, dtype=np.float64)
     rhs = np.atleast_2d(np.asarray(rhs, dtype=np.float64))

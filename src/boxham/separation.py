@@ -118,13 +118,12 @@ def draw_coefficients(intervals, rng: np.random.Generator) -> list[float]:
 def verify_separation(sets, a, delta: float) -> SeparationCheck:
     """Brute-force check that all selection sums are more than 1/delta apart.
 
-    Enumerates every selection sum exactly from the float inputs: each float
-    is a dyadic rational p/2^k, so with every product a_i * x scaled to one
-    power-of-two denominator the sums are integers, and sums near 1e17 cannot
-    round together.  The minimum over distinct pairs equals the minimum
-    adjacent difference after sorting, so the pair scan needs no quadratic
-    work; it is compared with the threshold exactly and reported rounded to
-    the nearest float.  The pair count (not the sum count) is capped.
+    Enumerates every selection sum exactly: each float is a dyadic rational,
+    so scaling every product a_i * x to one power-of-two denominator makes the
+    sums integers that no rounding can merge.  The minimum over distinct pairs
+    is the minimum adjacent difference after sorting, so the pair scan needs
+    no quadratic work; it is compared with the threshold exactly and reported
+    as the nearest float.  The pair count (not the sum count) is capped.
     """
     sets = [[float(x) for x in s] for s in sets]
     if len(a) != len(sets):
