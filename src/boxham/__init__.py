@@ -20,14 +20,13 @@ from .cluster import (
     predicted_cluster_energy,
     verify_gaps,
 )
-from .cyclotomic import CyclotomicElement, cos_sum_is_zero, cyclotomic_polynomial, verify_nonvanishing
+from .cyclotomic import cos_sum_is_zero, cyclotomic_polynomial, verify_nonvanishing
 from .errors import (
     BoxhamError,
     CombinatorialLimitError,
     ConfigError,
     ConvergenceError,
     DegenerateInputError,
-    EmbeddingError,
     IncompleteSampleError,
     MagnitudeError,
     MatchingError,
@@ -75,10 +74,8 @@ __all__ = [
     "CombinatorialLimitError",
     "ConfigError",
     "ConvergenceError",
-    "CyclotomicElement",
     "DegenerateInputError",
     "DisorderSample",
-    "EmbeddingError",
     "ExperimentConfig",
     "GapReport",
     "IncompleteSampleError",

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import MODULUS_CAP, CyclotomicElement, cos_as_element
+from .cyclotomic import MODULUS_CAP, cos_rows
 from .errors import CombinatorialLimitError, MatchingError
 from .tridiag import (
     cos_pi_frac,
@@ -127,44 +126,31 @@ def _lcm_order(lengths) -> int:
     return math.lcm(*[l + 1 for l in lengths])
 
 
-def _cos_element_any(k: int, q: int, ambient: int) -> CyclotomicElement:
-    """cos(pi*k/q) as an exact element, for any integer k."""
-    k %= 2 * q
-    if k > q:
-        k = 2 * q - k
-    if k == 0:
-        return CyclotomicElement.rational(2 * ambient, 1)
-    if k == q:
-        return CyclotomicElement.rational(2 * ambient, -1)
-    g = math.gcd(k, q)
-    return cos_as_element(k // g, q // g, ambient)
-
-
 def _is_tie(lengths, n, m, kind: str, diff: float, scale: float) -> bool:
     """Do the (cosine | sine) sums of n and m, ``diff`` apart in floats, agree?
 
     A difference beyond the near-tie band (relative to ``scale``) is not a
-    tie.  Inside the band the difference is tested for zero exactly in the
-    cyclotomic field, or against 1e-12 * scale when the ambient modulus would
-    exceed the cap.
+    tie.  Inside the band the difference is tested for zero exactly in
+    Z[zeta_2A], A the lcm of the l_i+1, or against 1e-12 * scale when 2A would
+    exceed the modulus cap.
     """
     if abs(diff) > _NEAR_TIE_BAND * scale:
         return False
     ambient = _lcm_order(lengths)
     if 2 * ambient > MODULUS_CAP:
         return abs(diff) <= _FALLBACK_TOL * scale
-    total = CyclotomicElement.zero(2 * ambient)
-    for l, ni, mi in zip(lengths, n, m):
-        q = l + 1
-        if kind == "cos":
-            total = total + _cos_element_any(ni, q, ambient)
-            total = total - _cos_element_any(mi, q, ambient)
-        else:
-            # sin^2(pi j/q)/q = (1 - cos(2 pi j / q))/(2q); the constant halves
-            # cancel in the difference, leaving pure cosine terms.
-            piece = _cos_element_any(2 * mi, q, ambient) - _cos_element_any(2 * ni, q, ambient)
-            total = total + piece.scaled(Fraction(1, 2 * q))
-    return total.is_zero()
+    # 2cos(pi k/q) is row k*ambient/q of cos_rows(., 2*ambient).
+    steps = np.array([ambient // (l + 1) for l in lengths], dtype=np.int64)
+    n, m = np.asarray(n, dtype=np.int64), np.asarray(m, dtype=np.int64)
+    if kind == "cos":
+        exponents = np.concatenate([n * steps, m * steps])
+        weights = np.concatenate([np.ones_like(steps), -np.ones_like(steps)])
+    else:
+        # 4A sin^2(pi j/q)/q = (A/q)(2 - 2cos(2 pi j/q)); the constants cancel
+        # in the difference, leaving integer-weighted cosines.
+        exponents = np.concatenate([2 * n * steps, 2 * m * steps])
+        weights = np.concatenate([-steps, steps])
+    return not (weights @ cos_rows(exponents, 2 * ambient)).any()
 
 
 def _sums_equal(lengths, n, m, kind: str) -> bool:

@@ -1,47 +1,28 @@
 """Exact zero tests for sums of cosines at rational angles.
 
-A sum sum_i cos(pi n_i / p_i) is an algebraic number living in the cyclotomic
-field Q(zeta_{2P}) with P = prod p_i: each cosine is (zeta^k + zeta^{-k})/2
-with k = n_i P / p_i.  Representing elements as rational-coefficient
-polynomials reduced modulo the cyclotomic polynomial Phi_{2P} makes "is this
-sum exactly zero?" a finite, float-free question.  That is the whole point of
-this module: the scans it runs certify non-vanishing exactly, with big-integer
-rationals everywhere.
+A sum sum_i cos(pi n_i / p_i) is an algebraic number in the cyclotomic ring
+Z[zeta_m] with m = 2P, P = prod p_i: twice each cosine is zeta^K + zeta^-K
+with K = n_i P / p_i.  Reducing x^K + x^(m-K) modulo the monic integer
+polynomial Phi_m gives its coordinates in the basis 1, zeta, ...,
+zeta^(phi(m)-1), so every such number is one row of integers and "is this sum
+exactly zero?" is "is the summed row the zero vector?" -- a finite, float-free
+question.  The scans here certify non-vanishing that way.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import CombinatorialLimitError, EmbeddingError
+from .errors import CombinatorialLimitError
 
 MODULUS_CAP = 10_000
 TUPLE_CAP = 100_000
 
 _PHI_CACHE: dict[int, tuple[int, ...]] = {}
-_POWER_TABLES: dict[int, list[tuple[int, ...]]] = {}
-
-
-def totient(m: int) -> int:
-    """Euler phi by trial-division factorization (elementary on purpose)."""
-    if m < 1:
-        raise ValueError(f"totient needs m >= 1, got {m}")
-    result = m
-    k = m
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            while k % p == 0:
-                k //= p
-            result -= result // p
-        p += 1
-    if k > 1:
-        result -= result // k
-    return result
 
 
 def _divisors(m: int) -> list[int]:
@@ -96,133 +77,54 @@ def cyclotomic_polynomial(m: int) -> list[int]:
     return list(coeffs)
 
 
-def _power_mod(m: int, k: int) -> tuple[int, ...]:
-    """Coefficients of x^k reduced modulo Phi_m (length phi(m), exact ints)."""
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    table = _POWER_TABLES.setdefault(m, [tuple(1 if i == 0 else 0 for i in range(deg))])
-    while len(table) <= k:
-        prev = table[-1]
-        lead = prev[deg - 1] if deg >= 1 else 0
-        shifted = [0] + list(prev[: deg - 1])
-        if lead:
-            # x^deg = -(phi_0 + phi_1 x + ... ) for the monic modulus
-            shifted = [s - lead * phi[i] for i, s in enumerate(shifted)]
-        table.append(tuple(shifted))
-    return table[k]
+def cos_rows(exponents, m: int) -> np.ndarray:
+    """2cos(2 pi K/m) = zeta^K + zeta^-K in Z[zeta_m], one int64 row per exponent K.
 
+    Row j holds x^K + x^(m-K) reduced modulo Phi_m, constant term first, with
+    the exponents taken mod m; all rows are reduced together by long division.
+    A sum of these numbers with integer weights is zero exactly when the
+    weighted sum of the rows is the zero vector.
 
-@dataclass(frozen=True)
-class CyclotomicElement:
-    """A rational polynomial of degree < phi(m) modulo Phi_m."""
-
-    modulus: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        expected = totient(self.modulus)
-        if len(self.coeffs) != expected:
-            raise ValueError(
-                f"need {expected} coefficients for modulus {self.modulus}, got {len(self.coeffs)}"
-            )
-
-    @classmethod
-    def zero(cls, modulus: int) -> "CyclotomicElement":
-        return cls(modulus, tuple(Fraction(0) for _ in range(totient(modulus))))
-
-    @classmethod
-    def rational(cls, modulus: int, value) -> "CyclotomicElement":
-        c = [Fraction(0)] * totient(modulus)
-        c[0] = Fraction(value)
-        return cls(modulus, tuple(c))
-
-    def _check(self, other: "CyclotomicElement"):
-        if self.modulus != other.modulus:
-            raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check(other)
-        return CyclotomicElement(
-            self.modulus, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check(other)
-        return CyclotomicElement(
-            self.modulus, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "CyclotomicElement":
-        return CyclotomicElement(self.modulus, tuple(-a for a in self.coeffs))
-
-    def scaled(self, factor) -> "CyclotomicElement":
-        q = Fraction(factor)
-        return CyclotomicElement(self.modulus, tuple(a * q for a in self.coeffs))
-
-    def __mul__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check(other)
-        n = len(self.coeffs)
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        reduced = list(conv[:n])
-        for i in range(n, 2 * n - 1):
-            c = conv[i]
-            if c:
-                row = _power_mod(self.modulus, i)
-                for j, t in enumerate(row):
-                    if t:
-                        reduced[j] += c * t
-        return CyclotomicElement(self.modulus, tuple(reduced))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def evaluate(self) -> complex:
-        """Numeric value at the primitive root exp(2*pi*i/modulus)."""
-        zeta = complex(math.cos(2 * math.pi / self.modulus), math.sin(2 * math.pi / self.modulus))
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * zeta + complex(c)
-        return acc
-
-
-def cos_as_element(n: int, p: int, big_p: int) -> CyclotomicElement:
-    """cos(pi*n/p) as an element of Q(zeta_{2*big_p}); requires p | big_p.
-
-    The cosine is (zeta^k + zeta^(2P-k))/2 with k = n*(big_p/p), zeta the
-    primitive 2*big_p-th root of unity.
+    int64 is exact here: every row, also midway through the division, is a
+    sum of two shifted remainders x^e mod Phi_m, and a sweep of every
+    m <= MODULUS_CAP and every e < m found those remainders' coefficients at
+    most 72 in magnitude (at most 24 for the even m that 2P and 2A give).
     """
-    if big_p % p != 0:
-        raise EmbeddingError(f"{p} does not divide the ambient product {big_p}")
-    if not 1 <= n < p:
-        raise ValueError(f"need 1 <= n < p, got n={n}, p={p}")
-    m = 2 * big_p
+    phi = np.array(cyclotomic_polynomial(m), dtype=np.int64)
+    deg = phi.size - 1
+    k = np.asarray(exponents, dtype=np.int64).reshape(-1) % m
+    rows = np.zeros((k.size, m), dtype=np.int64)
+    index = np.arange(k.size)
+    rows[index, k] += 1
+    rows[index, -k % m] += 1
+    # Phi_m is monic, so x^j = x^(j-deg) * (x^deg - Phi_m) removes column j.
+    for j in range(m - 1, deg - 1, -1):
+        rows[:, j - deg : j] -= rows[:, j, None] * phi[:deg]
+    return rows[:, :deg]
+
+
+def _ambient_order(ps: tuple[int, ...]) -> int:
+    """The order m = 2P whose ring holds every cos(pi n/p_i); validates the p_i."""
+    if not ps or any(p < 1 for p in ps):
+        raise ValueError(f"need at least one modulus, each >= 1, got {ps}")
+    m = 2 * math.prod(ps)
     if m > MODULUS_CAP:
         raise CombinatorialLimitError(f"modulus 2P={m} exceeds cap {MODULUS_CAP}")
-    k = n * (big_p // p)
-    half = Fraction(1, 2)
-    fwd = _power_mod(m, k)
-    bwd = _power_mod(m, m - k)
-    return CyclotomicElement(m, tuple((Fraction(a + b)) * half for a, b in zip(fwd, bwd)))
+    return m
 
 
 def cos_sum_is_zero(ps, ns) -> bool:
     """Exact zero test of sum_i cos(pi*ns[i]/ps[i]); no floating point anywhere."""
-    ps = [int(p) for p in ps]
-    ns = [int(n) for n in ns]
-    if len(ps) != len(ns) or not ps:
-        raise ValueError("ps and ns must be same nonzero length")
-    big_p = math.prod(ps)
-    if 2 * big_p > MODULUS_CAP:
-        raise CombinatorialLimitError(f"modulus 2P={2 * big_p} exceeds cap {MODULUS_CAP}")
-    total = CyclotomicElement.zero(2 * big_p)
-    for p, n in zip(ps, ns):
-        total = total + cos_as_element(n, p, big_p)
-    return total.is_zero()
+    ps = tuple(int(p) for p in ps)
+    ns = tuple(int(n) for n in ns)
+    if len(ps) != len(ns):
+        raise ValueError("ps and ns must have the same length")
+    m = _ambient_order(ps)
+    for n, p in zip(ns, ps):
+        if not 1 <= n < p:
+            raise ValueError(f"need 1 <= n < p, got n={n}, p={p}")
+    rows = cos_rows([n * (m // (2 * p)) for n, p in zip(ns, ps)], m)
+    return not rows.sum(axis=0).any()
 
 
 @dataclass(frozen=True)
@@ -243,8 +145,11 @@ def verify_nonvanishing(ps) -> NonvanishingReport:
     Admissibility (pairwise-coprime p_i, each p_i odd, not divisible by 3 and
     not 1) is checked and reported; violations do not stop the scan, they only
     flag the input, since the inadmissible outcomes are informative controls.
+    An empty ps or any p_i < 1 raises ValueError.  Witnesses come in
+    lexicographic order.
     """
     ps = tuple(int(p) for p in ps)
+    m = _ambient_order(ps)
     reasons = []
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
@@ -256,24 +161,16 @@ def verify_nonvanishing(ps) -> NonvanishingReport:
     count = math.prod(p - 1 for p in ps)
     if count > TUPLE_CAP:
         raise CombinatorialLimitError(f"{count} tuples exceed cap {TUPLE_CAP}")
-    big_p = math.prod(ps)
-    if 2 * big_p > MODULUS_CAP:
-        raise CombinatorialLimitError(f"modulus 2P={2 * big_p} exceeds cap {MODULUS_CAP}")
 
-    per_coordinate = [
-        [cos_as_element(n, p, big_p) for n in range(1, p)] for p in ps
-    ]
+    # Row n-1 of block i is 2cos(pi n/p_i).  Each prefix of the leading
+    # coordinates is summed once and added to the whole last block.
+    *leading, last = [cos_rows([n * (m // (2 * p)) for n in range(1, p)], m) for p in ps]
     witnesses: list[tuple[int, ...]] = []
-
-    def scan(level: int, prefix: CyclotomicElement, chosen: tuple[int, ...]):
-        if level == len(ps):
-            if prefix.is_zero():
-                witnesses.append(chosen)
-            return
-        for n, element in enumerate(per_coordinate[level], start=1):
-            scan(level + 1, prefix + element, chosen + (n,))
-
-    scan(0, CyclotomicElement.zero(2 * big_p), ())
+    for prefix in itertools.product(*(range(1, p) for p in ps[:-1])):
+        total = last.copy()
+        for block, n in zip(leading, prefix):
+            total += block[n - 1]
+        witnesses.extend(prefix + (int(n) + 1,) for n in np.flatnonzero(~total.any(axis=1)))
     return NonvanishingReport(
         ps=ps,
         admissible=not reasons,

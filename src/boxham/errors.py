@@ -43,10 +43,6 @@ class DegenerateInputError(BoxhamError):
     (e.g. coincident points where a positive gap is required)."""
 
 
-class EmbeddingError(BoxhamError):
-    """A cosine cannot be embedded in the requested cyclotomic field."""
-
-
 class MatchingError(BoxhamError):
     """Sorted assignment between exact and predicted spectra is ambiguous."""
 

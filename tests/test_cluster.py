@@ -7,6 +7,7 @@ both invariant sums without being reflections, and classify_pair deliberately
 asserts on exactly that boundary.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -138,6 +139,36 @@ def test_classification_permutation_tie_asserts():
     # other; the contract says this must assert rather than misclassify
     with pytest.raises(AssertionError):
         classify_pair((1, 2), (2, 1), (3, 3))
+
+
+def test_classification_matches_float_sums():
+    # Float oracle: separated when the sums differ by more than 1e-9.  Over
+    # these lengths every difference is 0, below 1e-12 or above 1e-6, so the
+    # oracle is unambiguous.
+    cases = [(a, b) for a in range(1, 6) for b in range(1, 6)] + [(2, 3, 4), (4, 4, 2)]
+    for lengths in cases:
+        qs = [l + 1 for l in lengths]
+
+        def cos_sum(t):
+            return sum(math.cos(math.pi * n / q) for n, q in zip(t, qs))
+
+        def sine_sum(t):
+            return sum(math.sin(math.pi * n / q) ** 2 / q for n, q in zip(t, qs))
+
+        for n, m in itertools.combinations(all_mode_tuples(lengths), 2):
+            if abs(cos_sum(n) - cos_sum(m)) > 1e-9:
+                expected = "cos_separated"
+            elif abs(sine_sum(n) - sine_sum(m)) > 1e-9:
+                expected = "sine_separated"
+            else:
+                expected = "same_cluster"
+            try:
+                kind = classify_pair(n, m, lengths)
+            except AssertionError:
+                # permuted labels tie both sums (see test_classification_permutation_tie_asserts)
+                assert expected == "same_cluster"
+                continue
+            assert kind == expected, (lengths, n, m)
 
 
 def test_classification_validates_labels():

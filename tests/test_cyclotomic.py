@@ -1,11 +1,11 @@
-"""Exact arithmetic in cyclotomic fields and the cosine-sum vanishing scan.
+"""Exact zero tests in cyclotomic rings and the cosine-sum vanishing scan.
 
-Everything here is integer/rational; the only floats appear in ``evaluate``
-cross-checks against the complex embedding.
+Everything here is integer: each cosine is a row of coordinates in Z[zeta_m].
+The only floats appear in cross-checks against the complex embedding
+zeta = exp(2 pi i/m).
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,19 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxham.cyclotomic import (
-    CyclotomicElement,
-    cos_as_element,
+    cos_rows,
     cos_sum_is_zero,
     cyclotomic_polynomial,
-    totient,
     verify_nonvanishing,
 )
-from boxham.errors import CombinatorialLimitError, EmbeddingError
-
-
-def test_totient_small_values():
-    assert [totient(m) for m in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
-    assert totient(770) == 240
+from boxham.errors import CombinatorialLimitError
 
 
 def test_cyclotomic_polynomial_known_cases():
@@ -41,7 +34,7 @@ def test_cyclotomic_polynomial_known_cases():
 def test_cyclotomic_polynomial_degree_is_totient():
     for m in (5, 8, 15, 30, 105, 770):
         poly = cyclotomic_polynomial(m)
-        assert len(poly) - 1 == totient(m)
+        assert len(poly) - 1 == sum(math.gcd(k, m) == 1 for k in range(1, m + 1))
         assert poly[-1] == 1  # monic
 
 
@@ -58,36 +51,28 @@ def test_cyclotomic_polynomial_roots_are_primitive():
         assert abs(value) < 1e-9
 
 
-def test_element_rational_roundtrip():
-    e = CyclotomicElement.rational(12, Fraction(3, 7))
-    assert not e.is_zero()
-    assert (e - CyclotomicElement.rational(12, Fraction(3, 7))).is_zero()
-    assert e.evaluate() == pytest.approx(3 / 7)
+@pytest.mark.parametrize("m", [2, 12, 30, 210, 2002])
+def test_cos_rows_match_embedding(m):
+    # row K, evaluated at zeta = exp(2 pi i/m), is 2cos(2 pi K/m) for any integer K
+    exponents = sorted({0, 1, m // 2, m - 1, m + 3, -5} | set(range(0, m, max(1, m // 40))))
+    rows = cos_rows(exponents, m)
+    assert rows.dtype == np.int64
+    assert rows.shape == (len(exponents), len(cyclotomic_polynomial(m)) - 1)
+    powers = np.exp(2j * np.pi / m) ** np.arange(rows.shape[1])
+    expected = [2 * math.cos(2 * math.pi * k / m) for k in exponents]
+    np.testing.assert_allclose(rows @ powers, expected, atol=1e-9)
 
 
-def test_element_ring_operations_match_embedding():
-    x = cos_as_element(1, 5, 10)
-    y = cos_as_element(2, 5, 10)
-    fx, fy = math.cos(math.pi / 5), math.cos(2 * math.pi / 5)
-    assert (x + y).evaluate() == pytest.approx(fx + fy, abs=1e-12)
-    assert (x * y).evaluate() == pytest.approx(fx * fy, abs=1e-12)
-    assert x.scaled(Fraction(5, 2)).evaluate() == pytest.approx(2.5 * fx, abs=1e-12)
-    assert (-x + x).is_zero()
+def test_cos_sum_golden_identity():
+    # cos(pi/5) + cos(3pi/5) + cos(2pi/3) = (cos(pi/5) - cos(2pi/5)) - 1/2 = 0
+    assert cos_sum_is_zero((5, 5, 3), (1, 3, 2))
+    assert not cos_sum_is_zero((5, 5, 3), (1, 2, 2))
 
 
-def test_cos_as_element_golden_identity():
-    # cos(pi/5) - cos(2pi/5) = 1/2, an exact identity in Q(zeta_10)
-    diff = cos_as_element(1, 5, 10) - cos_as_element(2, 5, 10)
-    assert (diff - CyclotomicElement.rational(20, Fraction(1, 2))).is_zero()
-
-
-def test_cos_as_element_validates_range():
-    with pytest.raises(ValueError):
-        cos_as_element(0, 5, 10)
-    with pytest.raises(ValueError):
-        cos_as_element(5, 5, 10)
-    with pytest.raises(EmbeddingError):
-        cos_as_element(1, 5, 12)  # 5 does not divide 12
+def test_cos_sum_validates_range():
+    for ps, ns in [((5,), (0,)), ((5,), (5,)), ((5, 7), (1,)), ((), ()), ((-5,), (1,))]:
+        with pytest.raises(ValueError):
+            cos_sum_is_zero(ps, ns)
 
 
 def test_cos_sum_controls():
@@ -124,6 +109,23 @@ def test_verify_nonvanishing_non_coprime_finds_zero():
     assert not rep.admissible
     assert rep.zeros >= 1
     assert (1, 2) in rep.witnesses or (2, 1) in rep.witnesses
+
+
+def test_verify_nonvanishing_witness_order():
+    # lexicographic; the cossum CSV lists its rows in this order
+    assert verify_nonvanishing((4, 4, 4)).witnesses == (
+        (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 2, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1),
+    )
+    assert verify_nonvanishing((6,)).witnesses == ((3,),)
+
+
+def test_verify_nonvanishing_rejects_bad_moduli():
+    for ps in [(), (0,), (-5,), (5, 0)]:
+        with pytest.raises(ValueError):
+            verify_nonvanishing(ps)
+    rep = verify_nonvanishing((1,))  # legal but inadmissible: nothing to scan
+    assert not rep.admissible
+    assert rep.tuples == 0 and rep.zeros == 0
 
 
 def test_modulus_cap_is_enforced():

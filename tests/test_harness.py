@@ -599,6 +599,12 @@ def test_cli_cossum(tmp_path):
     assert (out / "cossum.csv").read_text().splitlines() == ["ps,ns"]
 
 
+def test_cli_cossum_rejects_bad_moduli(tmp_path, capsys):
+    for p in ("-5", "0"):
+        assert cli.main(["cossum", f"--p={p}", "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_entry_point_installed(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "boxham.cli", "cossum", "--p", "5", "--out", str(tmp_path)],
