@@ -759,9 +759,9 @@ def gap_growth_probe(
             )
         )
 
+    # Rounded subtraction is monotone, so the closest pair is adjacent in sorted order.
     min_gaps = tuple(
-        min(abs(u - v) for u, v in itertools.combinations(spectra[r].values(), 2))
-        for r in r_values
+        float(np.diff(np.sort(list(spectra[r].values()))).min()) for r in r_values
     )
     min_floored = tuple(g <= floors[r] for g, r in zip(min_gaps, r_values))
     min_pair_slope = _fit_slope(r_values, min_gaps, min_floored)
