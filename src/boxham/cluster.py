@@ -144,7 +144,7 @@ def _is_tie(lengths, n, m, kind: str, diff: float, scale: float) -> bool:
     n, m = np.asarray(n, dtype=np.int64), np.asarray(m, dtype=np.int64)
     if kind == "cos":
         exponents = np.concatenate([n * steps, m * steps])
-        weights = np.concatenate([np.ones_like(steps), -np.ones_like(steps)])
+        weights = np.repeat([1, -1], len(steps))
     else:
         # 4A sin^2(pi j/q)/q = (A/q)(2 - 2cos(2 pi j/q)); the constants cancel
         # in the difference, leaving integer-weighted cosines.

@@ -92,7 +92,7 @@ def cos_rows(exponents, m: int) -> np.ndarray:
     """
     phi = np.array(cyclotomic_polynomial(m), dtype=np.int64)
     deg = phi.size - 1
-    k = np.asarray(exponents, dtype=np.int64).reshape(-1) % m
+    k = np.asarray(exponents, dtype=np.int64) % m
     rows = np.zeros((k.size, m), dtype=np.int64)
     index = np.arange(k.size)
     rows[index, k] += 1
