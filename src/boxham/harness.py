@@ -171,6 +171,7 @@ class ExperimentConfig:
     z_values: tuple[float, ...] = _key("run.z", _FLOATS, _DEFAULT_Z)
     degeneracy_tol: float = _key("tol.degeneracy", _FLOAT, 1e-6)
     margin: float = _key("tol.margin", _FLOAT, 0.25)
+    # both values run the same Schur solve; the key stays so existing configs parse
     precision: str = _key("precision", _parse_precision, "standard")
     workers: int = _key("run.workers", _INT, 1, execution=True)
     output_dir: str | None = _key("output.dir", _text, None, execution=True)
@@ -432,8 +433,8 @@ def multiplicity_scan(config: ExperimentConfig) -> MultiplicityProfile:
     """Histogram eigenvalue clusters of r^2 * H_r across seeds and r values.
 
     Asserts the cluster-size bound 2^s - s whenever s >= 2, and simplicity at
-    the largest r for admissible-simple geometries.  A guardrail trip switches
-    that cell to the compensated solve and is recorded on its row.
+    the largest r for admissible-simple geometries.  A ``precision_guard``
+    trip is recorded on its row as ``escalated``; the cell is not re-solved.
     """
     if config.radius < 2:
         raise VolumeError(f"multiplicity scan needs radius >= 2, got {config.radius}")
@@ -448,14 +449,10 @@ def multiplicity_scan(config: ExperimentConfig) -> MultiplicityProfile:
         seed, r = cell
         sample = sample_disorder(config, seed)
         boosts = boosts_for(config, sample)
-        sr = schur_reduced(part, sample, boosts, r, precision=config.precision)
+        sr = schur_reduced(part, sample, boosts, r)
         eigs = np.linalg.eigvalsh(r**2 * sr.matrix)
         tau = degeneracy_tolerance(eigs, config.degeneracy_tol)
         escalated = precision_guard(r, tau, context="multiplicity clustering")
-        if escalated and config.precision == "standard":
-            sr = schur_reduced(part, sample, boosts, r, precision="extended")
-            eigs = np.linalg.eigvalsh(r**2 * sr.matrix)
-            tau = degeneracy_tolerance(eigs, config.degeneracy_tol)
         groups = cluster_indices(eigs, tau)
         histogram: dict[int, int] = {}
         for g in groups:

@@ -161,24 +161,15 @@ def schur_reduced(
     disorder: DisorderSample,
     boosts: dict[int, float] | None,
     r: float,
-    precision: str = "standard",
 ) -> SchurReduced:
     """The reduced operator H_r = P0 L P0 - P0 L (H~ - r)^{-1} L P0 on box 0.
 
-    ``precision="extended"`` runs the complement solve with compensated
-    refinement, for runs where the guardrail flags r^2-scale rounding.
+    The complement solve is ``_solve_refined``'s; the eigensolve of r^2 H_r,
+    not the solve, limits the accuracy (see ``precision_guard``).
     """
     delta00, b, hcc = _origin_split(partition, disorder, boosts)
     m = hcc - r * np.eye(len(hcc))
-    if precision == "extended":
-        from .compensated import refined_solve
-
-        y_hi, y_lo = refined_solve(m, b.T)
-        matrix = (delta00 - b @ y_hi) - b @ y_lo
-    elif precision == "standard":
-        matrix = delta00 - b @ _solve_refined(m, b.T, r)
-    else:
-        raise ValueError(f"precision must be standard|extended, got {precision!r}")
+    matrix = delta00 - b @ _solve_refined(m, b.T, r)
     origin = (0,) * partition.d
     return SchurReduced(
         r=float(r), matrix=matrix, omega0=float(disorder.values[origin])
@@ -193,8 +184,9 @@ def neumann_truncation(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The order-(r^2, r, 1) truncation A_r and the third-order face product.
 
-    Needs radius >= 2 so that the two shells entering the third-order product
-    P0 L (I-P0) L (I-P0) L P0 are fully present.
+    A_r = r^2 Delta_00 + r B B^T + B V_cc B^T with V_cc the box potential off
+    box 0, and the third-order product is B L_cc B^T.  Needs radius >= 2 so
+    that both shells entering it are fully present.
     """
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
@@ -202,21 +194,12 @@ def neumann_truncation(
         raise VolumeError(
             f"radius {partition.radius} < 2: the third-order term needs two shells"
         )
-    boosts = boosts or {}
-    delta00, b, lcc = _origin_split(partition)
-    a_r = r**2 * delta00 + r * (b @ b.T)
-    m0 = box_mask(partition, (0,) * partition.d)
-    lap = partition.laplacian
-    for axis in range(partition.d):
-        for sign in (+1, -1):
-            n = tuple(sign if k == axis else 0 for k in range(partition.d))
-            mn = box_mask(partition, n)
-            face = (lap[np.ix_(m0, mn)] @ lap[np.ix_(mn, m0)]).astype(np.float64)
-            weight = disorder.values[n]
-            if sign > 0:
-                weight += boosts.get(axis + 1, 0.0)
-            a_r += weight * face
-    return a_r, b @ lcc @ b.T
+    delta00, b, hcc = _origin_split(partition, disorder, boosts)
+    # L has a zero diagonal, so the diagonal of H~_cc is V_cc and the rest L_cc
+    v_cc = hcc.diagonal().copy()
+    np.fill_diagonal(hcc, 0.0)
+    a_r = r**2 * delta00 + r * (b @ b.T) + (b * v_cc) @ b.T
+    return a_r, b @ hcc @ b.T
 
 
 def kronecker_truncation(lengths, omega_pairs, lams, r: float) -> np.ndarray:

@@ -128,13 +128,29 @@ def test_schur_matrix_approaches_laplacian_block_at_large_r():
     assert np.max(np.abs(sr.matrix - delta00)) < 1e-4
 
 
-def test_schur_extended_matches_standard_at_moderate_r():
-    part, sample, _ = _small_system(seed=4, d=2, lengths=(2, 2), radius=2)
-    a = schur_reduced(part, sample, None, 200.0).matrix
-    b = schur_reduced(part, sample, None, 200.0, precision="extended").matrix
-    assert np.max(np.abs(a - b)) < 1e-12
-    with pytest.raises(ValueError):
-        schur_reduced(part, sample, None, 200.0, precision="quad")
+def test_schur_matches_50_digit_reduction():
+    # r^2 H_r from the same blocks, reduced in 50-digit arithmetic: the
+    # double solve stays within a few ulp of every entry up to r = 3e7
+    mp = pytest.importorskip("mpmath").mp
+    cfg = ExperimentConfig(d=2, lengths=(2, 2), radius=1, base_seed=0)
+    part = cfg.partition()
+    sample = sample_disorder(cfg, 0)
+    boosts = {1: 0.7}
+    delta00, b, hcc = _origin_split(part, sample, boosts)
+    eps = np.finfo(np.float64).eps
+    with mp.workdps(50):
+        b_mp = mp.matrix(b.tolist())
+        for r in (300.0, 3e4, 3e6, 3e7):
+            lu, perm = mp.LU_decomp(mp.matrix(hcc.tolist()) - r * mp.eye(len(hcc)))
+            # one factorization, solved for the |box 0| columns of B^T only
+            by = [
+                b_mp * mp.U_solve(lu, mp.L_solve(lu, b_mp.T.column(j), perm))
+                for j in range(b_mp.rows)
+            ]
+            got = r**2 * schur_reduced(part, sample, boosts, r).matrix
+            for i, j in np.ndindex(got.shape):
+                exact = r**2 * (delta00[i, j] - by[j][i])
+                assert abs(mp.mpf(float(got[i, j])) - exact) <= 8 * eps * abs(exact)
 
 
 # ------------------------------------------------------- truncation
@@ -174,6 +190,8 @@ def test_neumann_truncation_guards():
     sample = zero_disorder(part)
     with pytest.raises(ValueError):
         neumann_truncation(part, sample, None, -1.0)
+    with pytest.raises(VolumeError):
+        neumann_truncation(part, sample, {2: 1.0}, 10.0)
 
 
 def test_third_order_norm_bound():
