@@ -17,8 +17,9 @@ class IncompleteSampleError(BoxhamError):
 class SpectralProximityError(BoxhamError):
     """A linear solve at spectral parameter z sat too close to the spectrum.
 
-    Carries the worst relative solver residual observed so the caller can
-    report how close the call was.
+    ``residual`` carries the evidence so the caller can report how close the
+    call was: either the distance bound ||rhs|| / ||x|| to the nearest
+    eigenvalue, or the absolute residual norm of the solve.
     """
 
     def __init__(self, message: str, residual: float):
@@ -27,7 +28,8 @@ class SpectralProximityError(BoxhamError):
 
 
 class ConvergenceError(BoxhamError):
-    """An iterative eigensolver hit its iteration cap."""
+    """An eigensolve failed in LAPACK, or one of its eigenpairs left a
+    residual above 1e-10 * ||D||."""
 
 
 class MagnitudeError(BoxhamError):
@@ -65,5 +67,7 @@ class ConfigError(BoxhamError):
 
 
 class PrecisionWarning(UserWarning):
-    """r^2-scale arithmetic is about to eat more than 1e-3 of the quantity
-    under test; the caller should switch to compensated arithmetic."""
+    """r^2-scale rounding is about to eat more than 1e-3 of the quantity
+    under test.  The eigensolve of r^2 H_r resolves no finer than about
+    r^2 * eps * ||H_r||, whatever the precision of the complement solve; the
+    caller records the trip with its result."""

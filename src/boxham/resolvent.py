@@ -216,15 +216,17 @@ def kronecker_truncation(lengths, omega_pairs, lams, r: float) -> np.ndarray:
 def precision_guard(r: float, quantity: float, context: str = "") -> bool:
     """Warn when r^2 rounding noise encroaches on the quantity under test.
 
-    Trips when r^2 * 2^-52 > 1e-3 * |quantity|; the caller is expected to
-    escalate to compensated arithmetic for that run.
+    Trips when r^2 * 2^-52 > 1e-3 * |quantity|.  The eigensolve of r^2 H_r
+    resolves no finer than about r^2 * eps * ||H_r||, whatever the precision
+    of the complement solve, so a trip is reported, not repaired; the caller
+    records it with the result.
     """
     noise = r**2 * 2.0**-52
     if noise > 1e-3 * abs(quantity):
         warnings.warn(
             f"r^2 rounding noise {noise:.3e} is within 10^3 of the quantity "
-            f"{quantity:.3e}{' in ' + context if context else ''}; switching to "
-            "compensated arithmetic is advised",
+            f"{quantity:.3e}{' in ' + context if context else ''}; the eigensolve "
+            "of r^2 H_r resolves no finer than about r^2 * eps * ||H_r||",
             PrecisionWarning,
             stacklevel=2,
         )

@@ -99,7 +99,8 @@ def design_intervals(epsilon: float, delta: float, d: int) -> list[tuple[float, 
         power *= base
         if not np.isfinite(power):
             raise MagnitudeError(
-                f"(2/(eps*delta))^{d} overflows double precision; use extended precision"
+                f"the windows (2/(eps*delta))^i overflow double for d={d}, "
+                f"eps={epsilon:g}, delta={delta:g}"
             )
         out.append((0.5 * power, power))
     return out
