@@ -20,7 +20,6 @@ import numpy as np
 from .errors import CombinatorialLimitError
 
 MODULUS_CAP = 10_000
-TUPLE_CAP = 100_000
 
 _PHI_CACHE: dict[int, tuple[int, ...]] = {}
 
@@ -146,7 +145,8 @@ def verify_nonvanishing(ps) -> NonvanishingReport:
     not 1) is checked and reported; violations do not stop the scan, they only
     flag the input, since the inadmissible outcomes are informative controls.
     An empty ps or any p_i < 1 raises ValueError.  Witnesses come in
-    lexicographic order.
+    lexicographic order.  The modulus cap also bounds the scan: it holds
+    prod(p_i - 1) < P <= MODULUS_CAP / 2 tuples.
     """
     ps = tuple(int(p) for p in ps)
     m = _ambient_order(ps)
@@ -159,8 +159,6 @@ def verify_nonvanishing(ps) -> NonvanishingReport:
         if p == 1 or p % 2 == 0 or p % 3 == 0:
             reasons.append(f"{p} is 1 or divisible by 2 or 3")
     count = math.prod(p - 1 for p in ps)
-    if count > TUPLE_CAP:
-        raise CombinatorialLimitError(f"{count} tuples exceed cap {TUPLE_CAP}")
 
     # Row n-1 of block i is 2cos(pi n/p_i).  Each prefix of the leading
     # coordinates is summed once and added to the whole last block.
