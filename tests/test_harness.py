@@ -569,6 +569,21 @@ def test_cli_output_is_byte_identical_across_reruns(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_cli_multiplicity_precision_key_runs_one_solve(tmp_path):
+    # both precision values parse and run the same Schur solve
+    body = (
+        "geometry.d = 2\ngeometry.lengths = 2, 4\ngeometry.radius = 2\n"
+        "disorder.seeds = 2\nrun.r = 300\nrun.lambda = from_lem4:0.4\n"
+    )
+    csvs = []
+    for precision in ("extended", "standard"):
+        cfg = write_cfg(tmp_path, body + f"precision = {precision}\n", f"{precision}.cfg")
+        out = tmp_path / precision
+        assert cli.main(["multiplicity", "--config", cfg, "--out", str(out)]) == 0
+        csvs.append((out / "multiplicity.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_cli_config_error_exit_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "geometry.d = 2\ngeometry.radius = 2\n")
     assert cli.main(["partition", "--config", cfg, "--out", str(tmp_path)]) == 2
