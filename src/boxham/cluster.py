@@ -36,6 +36,8 @@ COS_SEPARATED = "cos_separated"
 SINE_SEPARATED = "sine_separated"
 SAME_CLUSTER = "same_cluster"
 
+DEGENERACY_TOL = 1e-6
+
 _NEAR_TIE_BAND = 1e-7
 _FALLBACK_TOL = 1e-12
 
@@ -223,11 +225,11 @@ def min_nonzero_gaps(lengths) -> tuple[float | None, float | None]:
     return spread("cos"), spread("sine")
 
 
-def degeneracy_tolerance(values, tol: float = 1e-6) -> float:
-    """tau = tol * max(1, spectral diameter) — the clustering resolution."""
+def degeneracy_tolerance(values) -> float:
+    """tau = DEGENERACY_TOL * max(1, spectral diameter) — the clustering resolution."""
     values = np.asarray(values, dtype=np.float64)
     diameter = float(values.max() - values.min()) if values.size > 1 else 0.0
-    return tol * max(1.0, diameter)
+    return DEGENERACY_TOL * max(1.0, diameter)
 
 
 def cluster_indices(values, tau: float) -> list[list[int]]:

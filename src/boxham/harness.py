@@ -4,9 +4,8 @@ Everything here is deterministic plumbing around the math modules: a flat
 key-value config format, seeded disorder sampling, the multiplicity /
 constancy / rank / gap-growth scans, and fixed-schema CSV + JSON output whose
 bytes depend only on the config (17-significant-digit float formatting,
-ordered rows, sorted JSON keys).  Scans over independent (seed, r) cells may
-run on a thread pool; results are assembled in task order, so worker count
-never changes the output.
+ordered rows, sorted JSON keys).  Every scan is one serial loop over seeds
+(and r values), so rows come out in (seed, r) order.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import hashlib
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -140,8 +138,8 @@ def _key(key: str, parse, default=MISSING, execution: bool = False):
     """A field read from config key ``key`` by ``parse(text, key, line)``.
 
     ``parse`` returns the field's value, or a dict of field values when one
-    key sets several fields.  ``execution`` marks a setting of how a run
-    executes rather than what it computes; the config hash leaves it out.
+    key sets several fields.  ``execution`` marks a setting that does not
+    change what a run computes; the config hash leaves it out.
     """
     return field(
         default=default, metadata={"key": key, "parse": parse, "execution": execution}
@@ -169,11 +167,9 @@ class ExperimentConfig:
     lambda_values: tuple[float, ...] = (0.0,)
     lem4_delta: float | None = None
     z_values: tuple[float, ...] = _key("run.z", _FLOATS, _DEFAULT_Z)
-    degeneracy_tol: float = _key("tol.degeneracy", _FLOAT, 1e-6)
     margin: float = _key("tol.margin", _FLOAT, 0.25)
     # both values run the same Schur solve; the key stays so existing configs parse
-    precision: str = _key("precision", _parse_precision, "standard")
-    workers: int = _key("run.workers", _INT, 1, execution=True)
+    precision: str = _key("precision", _parse_precision, "standard", execution=True)
     output_dir: str | None = _key("output.dir", _text, None, execution=True)
     expansion_l: tuple[int, ...] = _key("expansion.l", _INTS, (2, 3, 4, 5, 6, 7, 8))
     expansion_ab: tuple[float, ...] = _key("expansion.ab", _FLOATS, (-1.0, 0.0, 0.5, 1.0))
@@ -191,8 +187,8 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         """sha256 over a canonical serialization of the experiment fields.
 
-        Format-independent, and blind to execution settings (worker count,
-        output directory), so it names the experiment only.
+        Format-independent, and blind to settings that do not change the
+        result (output directory, precision), so it names the experiment only.
         """
         payload = json.dumps(
             {
@@ -269,8 +265,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         (cfg.lower <= cfg.upper, "lower", "lower must not exceed upper"),
         (cfg.n_seeds >= 1, "n_seeds", "need at least one seed"),
         (all(r > 0 for r in cfg.r_values), "r_values", "r values must be positive"),
-        (cfg.workers >= 1, "workers", "workers must be >= 1"),
-        (cfg.degeneracy_tol > 0, "degeneracy_tol", "tolerance must be positive"),
         (0 <= cfg.margin < 1, "margin", "margin must be in [0, 1)"),
     ]
     for ok, name, message in checks:
@@ -347,13 +341,6 @@ def _factor_inputs(config: ExperimentConfig):
     boosts = boosts_for(config, sample)
     lams = tuple(boosts.get(i + 1, 0.0) for i in range(config.d))
     return sample, omega_pairs(sample, config.d), lams
-
-
-def _work_map(fn, items, workers: int) -> list:
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------- formatting
@@ -441,30 +428,26 @@ def multiplicity_scan(config: ExperimentConfig) -> MultiplicityProfile:
     part = config.partition()
     adm = admissibility(config.lengths)
     total = math.prod(config.lengths)
-    cells = [
-        (seed, r) for seed in range(config.n_seeds) for r in config.r_values
-    ]
-
-    def run_cell(cell):
-        seed, r = cell
+    rows = []
+    for seed in range(config.n_seeds):
         sample = sample_disorder(config, seed)
         boosts = boosts_for(config, sample)
-        sr = schur_reduced(part, sample, boosts, r)
-        eigs = np.linalg.eigvalsh(r**2 * sr.matrix)
-        tau = degeneracy_tolerance(eigs, config.degeneracy_tol)
-        escalated = precision_guard(r, tau, context="multiplicity clustering")
-        groups = cluster_indices(eigs, tau)
-        histogram: dict[int, int] = {}
-        for g in groups:
-            histogram[len(g)] = histogram.get(len(g), 0) + len(g)
-        assert sum(histogram.values()) == total
-        mx = max(len(g) for g in groups)
-        assert mx <= total
-        return MultiplicityRow(
-            seed=seed, r=r, histogram=histogram, max_multiplicity=mx, escalated=escalated
-        )
-
-    rows = _work_map(run_cell, cells, config.workers)
+        for r in config.r_values:
+            sr = schur_reduced(part, sample, boosts, r)
+            eigs = np.linalg.eigvalsh(r**2 * sr.matrix)
+            tau = degeneracy_tolerance(eigs)
+            escalated = precision_guard(r, tau, context="multiplicity clustering")
+            groups = cluster_indices(eigs, tau)
+            histogram: dict[int, int] = {}
+            for g in groups:
+                histogram[len(g)] = histogram.get(len(g), 0) + len(g)
+            assert sum(histogram.values()) == total
+            mx = max(len(g) for g in groups)
+            assert mx <= total
+            row = MultiplicityRow(
+                seed=seed, r=r, histogram=histogram, max_multiplicity=mx, escalated=escalated
+            )
+            rows.append(row)
     failures = []
     largest_r = max(config.r_values)
     size_cap = 2**adm.s - adm.s
@@ -574,7 +557,7 @@ def constancy_scan(
                 continue
             block = (rr.block + rr.block.T) / 2.0
             eigs = np.linalg.eigvalsh(block)
-            tau = degeneracy_tolerance(eigs, config.degeneracy_tol)
+            tau = degeneracy_tolerance(eigs)
             mx = max(len(g) for g in cluster_indices(eigs, tau))
             rows.append(ConstancyRow(z=z, lam=lam, max_multiplicity=mx, note=""))
     observed = sorted({row.max_multiplicity for row in rows if row.note == ""})
@@ -969,15 +952,10 @@ def rank_sweep(config: ExperimentConfig):
     m = config.rank_m if config.rank_m is not None else (1,) * config.d
     rows = []
     failures = []
-
-    def run_seed(seed):
+    for seed in range(config.n_seeds):
         sample = sample_disorder(config, seed)
-        boosts = boosts_for(config, sample)
-        h = build_hamiltonian(part, sample, boosts)
-        return cyclic_rank_check(h, n, m, config.rank_k)
-
-    results = _work_map(run_seed, range(config.n_seeds), config.workers)
-    for seed, res in enumerate(results):
+        h = build_hamiltonian(part, sample, boosts_for(config, sample))
+        res = cyclic_rank_check(h, n, m, config.rank_k)
         rows.append((seed, res.rank, res.expected, res.full))
         if not res.full:
             failures.append(

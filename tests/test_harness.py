@@ -55,8 +55,8 @@ def test_parse_minimal_config_defaults():
     assert cfg.n_seeds == 1 and cfg.base_seed == 0
     assert cfg.r_values == (300.0,)
     assert cfg.lambda_mode == "explicit" and cfg.lambda_values == (0.0,)
-    assert cfg.precision == "standard" and cfg.workers == 1
-    assert cfg.margin == 0.25 and cfg.degeneracy_tol == 1e-6
+    assert cfg.precision == "standard"
+    assert cfg.margin == 0.25
 
 
 def test_parse_full_config():
@@ -73,8 +73,6 @@ def test_parse_full_config():
         run.r = 100, 200, 400
         run.lambda = 1.5, 2.5
         run.z = 40
-        run.workers = 2
-        tol.degeneracy = 1e-7
         tol.margin = 0.1
         precision = extended
         output.dir = /tmp/somewhere
@@ -111,6 +109,8 @@ def test_parse_lem4_lambda():
     [
         ("geometry.d = 2\n", "geometry.d", "duplicate"),
         ("geometry.bogus = 1\n", "geometry.bogus", "unknown config key"),
+        ("run.workers = 2\n", "run.workers", "unknown config key"),
+        ("tol.degeneracy = 1e-6\n", "tol.degeneracy", "unknown config key"),
         ("precision = double\n", "precision", "standard|extended"),
         ("run.r = -5\n", "run.r", "positive"),
         ("tol.margin = 1.5\n", "tol.margin", "margin"),
@@ -156,8 +156,8 @@ def test_config_hash_is_stable_and_sensitive():
     assert a.config_hash() == b.config_hash()  # formatting-independent
     assert a.config_hash() != c.config_hash()
     assert len(a.config_hash()) == 64
-    # execution settings do not change what the experiment is
-    for setting in ("run.workers = 4\n", "output.dir = elsewhere\n"):
+    # the output directory and the inert precision key leave the hash unchanged
+    for setting in ("precision = extended\n", "output.dir = elsewhere\n"):
         assert parse_config_text(MINIMAL + setting).config_hash() == a.config_hash()
 
 
@@ -291,6 +291,21 @@ def test_multiplicity_scan_small():
     assert profile.passed
 
 
+def test_multiplicity_scan_draws_each_seed_once(monkeypatch):
+    draws = []
+
+    def counting(config, index):
+        draws.append(index)
+        return sample_disorder(config, index)
+
+    monkeypatch.setattr(harness, "sample_disorder", counting)
+    cfg = make_config(n_seeds=2, r_values=(300.0, 600.0), lambda_values=(2.0, 3.0))
+    profile = harness.multiplicity_scan(cfg)
+    assert draws == [0, 1]
+    cells = [(row.seed, row.r) for row in profile.rows]
+    assert cells == [(0, 300.0), (0, 600.0), (1, 300.0), (1, 600.0)]
+
+
 def test_multiplicity_scan_needs_radius_two():
     cfg = make_config(radius=1)
     with pytest.raises(VolumeError):
@@ -333,7 +348,7 @@ def test_constancy_lambda_zero_column_matches_plain_resolvent():
         rr = restricted_resolvent(h, row.z, (0, 0), (0, 0))
         block = (rr.block + rr.block.T) / 2.0
         eigs = np.linalg.eigvalsh(block)
-        tau = degeneracy_tolerance(eigs, cfg.degeneracy_tol)
+        tau = degeneracy_tolerance(eigs)
         mx = max(len(g) for g in cluster_indices(eigs, tau))
         assert row.max_multiplicity == mx
 
@@ -570,18 +585,20 @@ def test_cli_output_is_byte_identical_across_reruns(tmp_path):
 
 
 def test_cli_multiplicity_precision_key_runs_one_solve(tmp_path):
-    # both precision values parse and run the same Schur solve
+    # both precision values parse, run the same Schur solve and write the same files
     body = (
         "geometry.d = 2\ngeometry.lengths = 2, 4\ngeometry.radius = 2\n"
         "disorder.seeds = 2\nrun.r = 300\nrun.lambda = from_lem4:0.4\n"
     )
-    csvs = []
+    outputs = []
     for precision in ("extended", "standard"):
         cfg = write_cfg(tmp_path, body + f"precision = {precision}\n", f"{precision}.cfg")
         out = tmp_path / precision
         assert cli.main(["multiplicity", "--config", cfg, "--out", str(out)]) == 0
-        csvs.append((out / "multiplicity.csv").read_bytes())
-    assert csvs[0] == csvs[1]
+        outputs.append(
+            [(out / name).read_bytes() for name in ("multiplicity.csv", "multiplicity_verdict.json")]
+        )
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_config_error_exit_two(tmp_path, capsys):
