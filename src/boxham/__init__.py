@@ -36,7 +36,6 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
-    MultiplicityProfile,
     constancy_scan,
     cyclic_rank_check,
     gap_growth_probe,
@@ -82,7 +81,6 @@ __all__ = [
     "LatticeOperator",
     "MagnitudeError",
     "MatchingError",
-    "MultiplicityProfile",
     "PrecisionWarning",
     "RestrictedResolvent",
     "SchurReduced",

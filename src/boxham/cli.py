@@ -27,68 +27,15 @@ def _moduli(text: str) -> tuple[int, ...]:
     return ps
 
 
-def _cossum(ps: tuple[int, ...]):
-    report, rows, failures = harness.nonvanishing_survey(ps)
-    extra = {
-        "admissible": report.admissible,
-        "tuples": report.tuples,
-        "zeros": report.zeros,
-        "reasons": list(report.reasons),
-    }
-    return rows, failures, extra
-
-
-def _expansion(config):
-    rows, failures, slope = harness.expansion_sweep(config)
-    return rows, failures, {"aggregate_slope": slope}
-
-
-def _multiplicity(config):
-    profile = harness.multiplicity_scan(config)
-    rows = [
-        (
-            row.seed,
-            row.r,
-            row.max_multiplicity,
-            "|".join(f"{size}:{count}" for size, count in sorted(row.histogram.items())),
-            row.escalated,
-        )
-        for row in profile.rows
-    ]
-    extra = {"s": profile.s, "bound": profile.bound, "simple": profile.simple}
-    return rows, profile.failures, extra
-
-
-def _constancy(config):
-    report = harness.constancy_scan(config)
-    rows = [
-        (row.z, row.lam, "" if row.max_multiplicity is None else row.max_multiplicity, row.note)
-        for row in report.rows
-    ]
-    extra = {"box": list(report.box), "constant": report.constant, "value": report.value}
-    return rows, report.failures, extra
-
-
-def _gapgrowth(config):
-    report = harness.gap_growth_probe(config)
-    rows = []
-    for curve in report.curves:
-        for r, gap, floored in zip(curve.r_values, curve.gaps, curve.floored):
-            rows.append((curve.pair[0], curve.pair[1], curve.gap_class, r, gap, floored))
-    slopes = {
-        "|".join(map(str, curve.pair[0])) + ":" + "|".join(map(str, curve.pair[1])): curve.slope
-        for curve in report.curves
-    }
-    extra = {"slopes": slopes, "min_pair_slope": report.min_pair_slope}
-    return rows, report.failures, extra
-
-
 # Subcommand -> (CSV header, driver).  A driver takes the loaded config (the
 # moduli for cossum) and returns (rows, failures) or (rows, failures, extras),
 # the extras being merged into the verdict.
 _EXPERIMENTS = {
     "partition": (["box", "sites", "first_site", "last_site"], harness.partition_survey),
-    "expansion": (["l", "a", "b", "r", "n", "exact", "predicted", "residual"], _expansion),
+    "expansion": (
+        ["l", "a", "b", "r", "n", "exact", "predicted", "residual"],
+        harness.expansion_sweep,
+    ),
     "cluster": (
         ["r", "pair_a", "pair_b", "gap_class", "gap", "required", "satisfied"],
         harness.cluster_sweep,
@@ -97,11 +44,17 @@ _EXPERIMENTS = {
         ["draw", "epsilon", "delta", "min_gap", "threshold", "passed"],
         harness.separation_sweep,
     ),
-    "cossum": (["ps", "ns"], _cossum),
-    "multiplicity": (["seed", "r", "max_multiplicity", "histogram", "escalated"], _multiplicity),
-    "constancy": (["z", "lambda", "max_multiplicity", "note"], _constancy),
+    "cossum": (["ps", "ns"], harness.nonvanishing_survey),
+    "multiplicity": (
+        ["seed", "r", "max_multiplicity", "histogram", "escalated"],
+        harness.multiplicity_scan,
+    ),
+    "constancy": (["z", "lambda", "max_multiplicity", "note"], harness.constancy_scan),
     "rankcheck": (["seed", "rank", "expected", "full"], harness.rank_sweep),
-    "gapgrowth": (["pair_a", "pair_b", "gap_class", "r", "gap", "floored"], _gapgrowth),
+    "gapgrowth": (
+        ["pair_a", "pair_b", "gap_class", "r", "gap", "floored"],
+        harness.gap_growth_probe,
+    ),
 }
 
 

@@ -391,44 +391,25 @@ def write_verdict(
 # ------------------------------------------------------------- multiplicity
 
 
-@dataclass(frozen=True)
-class MultiplicityRow:
-    seed: int
-    r: float
-    histogram: dict[int, int]
-    max_multiplicity: int
-    escalated: bool
-
-
-@dataclass(frozen=True)
-class MultiplicityProfile:
-    """Per-(seed, r) cluster-size census of r^2 * H_r eigenvalues."""
-
-    lengths: tuple[int, ...]
-    s: int
-    bound: int
-    simple: bool
-    rows: list[MultiplicityRow]
-    failures: list[dict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def multiplicity_scan(config: ExperimentConfig) -> MultiplicityProfile:
+def multiplicity_scan(config: ExperimentConfig):
     """Histogram eigenvalue clusters of r^2 * H_r across seeds and r values.
 
     Asserts the cluster-size bound 2^s - s whenever s >= 2, and simplicity at
     the largest r for admissible-simple geometries.  A ``precision_guard``
     trip is recorded on its row as ``escalated``; the cell is not re-solved.
+    Returns (rows, failures, extras): rows are (seed, r, max_multiplicity,
+    histogram, escalated) with the histogram written ``size:count|...``, and
+    extras are the admissibility fields s, bound and simple.
     """
     if config.radius < 2:
         raise VolumeError(f"multiplicity scan needs radius >= 2, got {config.radius}")
     part = config.partition()
     adm = admissibility(config.lengths)
     total = math.prod(config.lengths)
+    largest_r = max(config.r_values)
+    size_cap = 2**adm.s - adm.s
     rows = []
+    failures = []
     for seed in range(config.n_seeds):
         sample = sample_disorder(config, seed)
         boosts = boosts_for(config, sample)
@@ -444,79 +425,30 @@ def multiplicity_scan(config: ExperimentConfig) -> MultiplicityProfile:
             assert sum(histogram.values()) == total
             mx = max(len(g) for g in groups)
             assert mx <= total
-            row = MultiplicityRow(
-                seed=seed, r=r, histogram=histogram, max_multiplicity=mx, escalated=escalated
-            )
-            rows.append(row)
-    failures = []
-    largest_r = max(config.r_values)
-    size_cap = 2**adm.s - adm.s
-    for row in rows:
-        if adm.s >= 2 and row.max_multiplicity > size_cap:
-            failures.append(
-                {
-                    "check": "cluster_size_bound",
-                    "lengths": list(config.lengths),
-                    "seed": row.seed,
-                    "r": row.r,
-                    "max_multiplicity": row.max_multiplicity,
-                    "bound": size_cap,
-                }
-            )
-        if adm.simple and row.r == largest_r and row.max_multiplicity != 1:
-            failures.append(
-                {
-                    "check": "simple_spectrum",
-                    "lengths": list(config.lengths),
-                    "seed": row.seed,
-                    "r": row.r,
-                    "max_multiplicity": row.max_multiplicity,
-                }
-            )
-    return MultiplicityProfile(
-        lengths=config.lengths,
-        s=adm.s,
-        bound=adm.bound,
-        simple=adm.simple,
-        rows=rows,
-        failures=failures,
-    )
+            census = "|".join(f"{size}:{count}" for size, count in sorted(histogram.items()))
+            rows.append((seed, r, mx, census, escalated))
+            cell = {"lengths": list(config.lengths), "seed": seed, "r": r, "max_multiplicity": mx}
+            if adm.s >= 2 and mx > size_cap:
+                failures.append({"check": "cluster_size_bound", **cell, "bound": size_cap})
+            if adm.simple and r == largest_r and mx != 1:
+                failures.append({"check": "simple_spectrum", **cell})
+    return rows, failures, {"s": adm.s, "bound": adm.bound, "simple": adm.simple}
 
 
 # ---------------------------------------------------------------- constancy
 
 
-@dataclass(frozen=True)
-class ConstancyRow:
-    z: float
-    lam: float
-    max_multiplicity: int | None
-    note: str
-
-
-@dataclass(frozen=True)
-class ConstancyReport:
-    box: tuple[int, ...]
-    rows: list[ConstancyRow]
-    constant: bool
-    value: int | None
-    failures: list[dict]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def constancy_scan(
-    config: ExperimentConfig, box: tuple[int, ...] | None = None
-) -> ConstancyReport:
+def constancy_scan(config: ExperimentConfig, box: tuple[int, ...] | None = None):
     """Max eigenvalue multiplicity of G_00 under a boost lambda on one box.
 
     Sweeps the (z, lambda) grid, clustering the eigenvalues of the origin
     resolvent block at tolerance tau; asserts the value is the same at every
     usable grid point.  Grid points with z inside (or hugging) the spectrum
     are skipped with a note rather than failed.  Each lambda's Hamiltonian
-    and spectrum are built once and shared by every z.
+    and spectrum are built once and shared by every z.  Returns (rows,
+    failures, extras): rows are (z, lambda, max_multiplicity, note), with an
+    empty multiplicity on skipped points, and extras are box, constant and
+    the common value (None unless exactly one value was seen).
     """
     if box is None:
         box = config.constancy_box or tuple(
@@ -538,55 +470,38 @@ def constancy_scan(
         h = base.entries.copy()
         h[np.diag_indices_from(h)] += lam * mask
         boosted.append((lam, LatticeOperator(entries=h, partition=part), np.linalg.eigvalsh(h)))
-    rows: list[ConstancyRow] = []
+    rows = []
+    grid = []
     for z in config.z_values:
         for lam, op, spectrum in boosted:
             if np.min(np.abs(spectrum - z)) < 1e-6:
-                rows.append(
-                    ConstancyRow(z=z, lam=lam, max_multiplicity=None, note="z inside spectrum; skipped")
-                )
+                rows.append((z, lam, "", "z inside spectrum; skipped"))
                 continue
             try:
                 rr = restricted_resolvent(op, z, origin, origin)
             except SpectralProximityError as exc:
-                rows.append(
-                    ConstancyRow(
-                        z=z, lam=lam, max_multiplicity=None, note=f"solver near-singular (residual {exc.residual:.3g}); skipped"
-                    )
-                )
+                note = f"solver near-singular (residual {exc.residual:.3g}); skipped"
+                rows.append((z, lam, "", note))
                 continue
             block = (rr.block + rr.block.T) / 2.0
             eigs = np.linalg.eigvalsh(block)
             tau = degeneracy_tolerance(eigs)
             mx = max(len(g) for g in cluster_indices(eigs, tau))
-            rows.append(ConstancyRow(z=z, lam=lam, max_multiplicity=mx, note=""))
-    observed = sorted({row.max_multiplicity for row in rows if row.note == ""})
+            rows.append((z, lam, mx, ""))
+            grid.append({"z": z, "lambda": lam, "max_multiplicity": mx})
+    observed = sorted({cell["max_multiplicity"] for cell in grid})
     constant = len(observed) <= 1
     failures = []
     if not constant:
         failures.append(
-            {
-                "check": "constancy",
-                "box": list(box),
-                "observed_values": observed,
-                "grid": [
-                    {"z": row.z, "lambda": row.lam, "max_multiplicity": row.max_multiplicity}
-                    for row in rows
-                    if row.note == ""
-                ],
-            }
+            {"check": "constancy", "box": list(box), "observed_values": observed, "grid": grid}
         )
     if not observed:
         failures.append(
             {"check": "constancy_grid_empty", "box": list(box), "note": "every grid point skipped"}
         )
-    return ConstancyReport(
-        box=box,
-        rows=rows,
-        constant=constant,
-        value=observed[0] if len(observed) == 1 else None,
-        failures=failures,
-    )
+    value = observed[0] if len(observed) == 1 else None
+    return rows, failures, {"box": list(box), "constant": constant, "value": value}
 
 
 # -------------------------------------------------------------- cyclic rank
@@ -650,31 +565,6 @@ def cyclic_rank_check(
 # ---------------------------------------------------------------- gap growth
 
 
-@dataclass(frozen=True)
-class GapCurve:
-    pair: tuple[tuple[int, ...], tuple[int, ...]]
-    gap_class: str
-    r_values: tuple[float, ...]
-    gaps: tuple[float, ...]
-    floored: tuple[bool, ...]
-    slope: float | None
-
-    @property
-    def floor_limited(self) -> bool:
-        return self.slope is None
-
-
-@dataclass(frozen=True)
-class GapGrowthReport:
-    curves: list[GapCurve]
-    min_pair_slope: float | None
-    failures: list[dict]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
 def _fit_slope(r_values, gaps, floored) -> float | None:
     pts = [
         (math.log(r), math.log(g))
@@ -690,13 +580,16 @@ def _fit_slope(r_values, gaps, floored) -> float | None:
 def gap_growth_probe(
     config: ExperimentConfig,
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None,
-) -> GapGrowthReport:
+):
     """Fit log-log growth exponents of labeled eigenvalue gaps in r.
 
     Uses the per-factor tridiagonal route for the exact spectrum, so the tiny
     same-cluster splittings stay far above dense-solver noise.  Gaps under the
     rounding floor are excluded from fits; a curve with fewer than three clean
-    points is reported floor-limited instead of fitted.
+    points is reported floor-limited (slope None) instead of fitted.  Returns
+    (rows, failures, extras): rows are (pair_a, pair_b, gap_class, r, gap,
+    floored) pair by pair (every mode-tuple pair by default), and extras hold the
+    slope per ``n1|n2:m1|m2`` pair label and the slope of the minimum gap.
     """
     r_values = tuple(sorted(config.r_values))
     if len(r_values) < 3 or max(r_values) / min(r_values) < 8:
@@ -708,12 +601,7 @@ def gap_growth_probe(
     if pairs is None:
         pairs = list(config.gap_pairs) if config.gap_pairs else None
     if pairs is None:
-        tuples = all_mode_tuples(config.lengths)
-        pairs = [
-            (tuples[i], tuples[j])
-            for i in range(len(tuples))
-            for j in range(i + 1, len(tuples))
-        ]
+        pairs = list(itertools.combinations(all_mode_tuples(config.lengths), 2))
     sample, opairs, lams = _factor_inputs(config)
 
     spectra = {}
@@ -722,38 +610,21 @@ def gap_growth_probe(
         spectra[r] = mode_resolved_spectrum(config.lengths, opairs, lams, r)
         floors[r] = 8.0 * np.finfo(float).eps * max(abs(v) for v in spectra[r].values())
 
-    curves = []
+    rows = []
+    failures = []
+    slopes = {}
     for a, b in pairs:
         a, b = tuple(int(x) for x in a), tuple(int(x) for x in b)
         cls = classify_pair(a, b, config.lengths)
-        gaps = tuple(abs(spectra[r][a] - spectra[r][b]) for r in r_values)
-        floored = tuple(g <= floors[r] for g, r in zip(gaps, r_values))
-        curves.append(
-            GapCurve(
-                pair=(a, b),
-                gap_class=cls,
-                r_values=r_values,
-                gaps=gaps,
-                floored=floored,
-                slope=_fit_slope(r_values, gaps, floored),
-            )
-        )
-
-    # Rounded subtraction is monotone, so the closest pair is adjacent in sorted order.
-    min_gaps = tuple(
-        float(np.diff(np.sort(list(spectra[r].values()))).min()) for r in r_values
-    )
-    min_floored = tuple(g <= floors[r] for g, r in zip(min_gaps, r_values))
-    min_pair_slope = _fit_slope(r_values, min_gaps, min_floored)
-
-    failures = []
-    for curve in curves:
-        if curve.slope is None:
-            continue
-        bad = (
-            (curve.gap_class == "cos_separated" and curve.slope < 1.8)
-            or (curve.gap_class == "sine_separated" and not 0.8 <= curve.slope <= 1.2)
-            or (curve.gap_class == "same_cluster" and curve.slope > 0.1)
+        gaps = [abs(spectra[r][a] - spectra[r][b]) for r in r_values]
+        floored = [g <= floors[r] for g, r in zip(gaps, r_values)]
+        rows += [(a, b, cls, r, g, f) for r, g, f in zip(r_values, gaps, floored)]
+        slope = _fit_slope(r_values, gaps, floored)
+        slopes["|".join(map(str, a)) + ":" + "|".join(map(str, b))] = slope
+        bad = slope is not None and (
+            (cls == "cos_separated" and slope < 1.8)
+            or (cls == "sine_separated" and not 0.8 <= slope <= 1.2)
+            or (cls == "same_cluster" and slope > 0.1)
         )
         if bad:
             failures.append(
@@ -761,12 +632,19 @@ def gap_growth_probe(
                     "check": "gap_growth_slope",
                     "lengths": list(config.lengths),
                     "seed": sample.seed,
-                    "pair": [list(curve.pair[0]), list(curve.pair[1])],
-                    "class": curve.gap_class,
-                    "slope": curve.slope,
+                    "pair": [list(a), list(b)],
+                    "class": cls,
+                    "slope": slope,
                 }
             )
-    return GapGrowthReport(curves=curves, min_pair_slope=min_pair_slope, failures=failures)
+
+    # Rounded subtraction is monotone, so the closest pair is adjacent in sorted order.
+    min_gaps = [
+        float(np.diff(np.sort(list(spectra[r].values()))).min()) for r in r_values
+    ]
+    min_floored = [g <= floors[r] for g, r in zip(min_gaps, r_values)]
+    min_pair_slope = _fit_slope(r_values, min_gaps, min_floored)
+    return rows, failures, {"slopes": slopes, "min_pair_slope": min_pair_slope}
 
 
 # ----------------------------------------------------- expansion / cluster
@@ -780,9 +658,10 @@ def expansion_bound(l: int, a: float, b: float, r: float) -> float:
 def expansion_sweep(config: ExperimentConfig):
     """Exact-vs-predicted residuals over the (l, a, b, r) grid.
 
-    Returns (rows, failures, aggregate_slope): rows follow the CSV schema
+    Returns (rows, failures, extras): rows follow the CSV schema
     (l, a, b, r, n, exact, predicted, residual); the per-cell bound is checked
-    everywhere, and the aggregate slope fits the per-r worst residual.
+    everywhere, and extras hold the aggregate slope fitted to the per-r worst
+    residual (None when fewer than four r values span a factor of 8).
     """
     rows = []
     failures = []
@@ -827,7 +706,7 @@ def expansion_sweep(config: ExperimentConfig):
             failures.append(
                 {"check": "expansion_aggregate_slope", "slope": slope, "limit": -0.7}
             )
-    return rows, failures, slope
+    return rows, failures, {"aggregate_slope": slope}
 
 
 def cluster_sweep(config: ExperimentConfig):
@@ -974,7 +853,11 @@ def rank_sweep(config: ExperimentConfig):
 
 
 def nonvanishing_survey(ps: tuple[int, ...]):
-    """Exact cosine-sum scan for the CLI; returns (report, rows, failures)."""
+    """Exact cosine-sum scan over the moduli ``ps``.
+
+    Returns (rows, failures, extras): rows are (ps, ns) per zero witness, and
+    extras carry the admissibility verdict, tuple and zero counts and reasons.
+    """
     report = verify_nonvanishing(ps)
     rows = [(ps, ns) for ns in report.witnesses]
     failures = []
@@ -987,4 +870,10 @@ def nonvanishing_survey(ps: tuple[int, ...]):
                 "witnesses": [list(w) for w in report.witnesses],
             }
         )
-    return report, rows, failures
+    extras = {
+        "admissible": report.admissible,
+        "tuples": report.tuples,
+        "zeros": report.zeros,
+        "reasons": list(report.reasons),
+    }
+    return rows, failures, extras

@@ -77,10 +77,11 @@ def test_criterion_02_expansion_residual_bound_and_decay():
         radius=2,
         r_values=tuple(50.0 * 2**k for k in range(7)),
     )
-    rows, failures, slope = expansion_sweep(cfg)
+    rows, failures, extras = expansion_sweep(cfg)
     assert failures == []
     # 35 modes over l in 2..8, 16 (a,b) pairs, 7 r values
     assert len(rows) == 35 * 16 * 7
+    slope = extras["aggregate_slope"]
     assert slope is not None and slope <= -0.7
     assert time.perf_counter() - start < 30.0
 
@@ -195,42 +196,49 @@ def test_criterion_08_cluster_gaps_open_at_designed_scales():
 def test_criterion_09_gap_growth_contrast_between_geometries():
     start = time.perf_counter()
     shared = dict(d=2, radius=2, base_seed=3, r_values=R_LADDER)
-    tied = gap_growth_probe(ExperimentConfig(lengths=(2, 2), **shared))
-    assert tied.passed
-    same = [c for c in tied.curves if c.gap_class == "same_cluster"]
+    rows, failures, extras = gap_growth_probe(ExperimentConfig(lengths=(2, 2), **shared))
+    assert not failures
+    same = {
+        "|".join(map(str, a)) + ":" + "|".join(map(str, b))
+        for a, b, cls, *_ in rows
+        if cls == "same_cluster"
+    }
     assert same
-    for curve in same:
-        assert curve.floor_limited or curve.slope <= 0.1
-    coprime = gap_growth_probe(ExperimentConfig(lengths=(2, 4), **shared))
-    assert coprime.passed
-    assert coprime.min_pair_slope is not None and coprime.min_pair_slope >= 0.8
+    for label in same:
+        slope = extras["slopes"][label]
+        assert slope is None or slope <= 0.1  # None: floor-limited
+    rows, failures, extras = gap_growth_probe(ExperimentConfig(lengths=(2, 4), **shared))
+    assert not failures
+    min_pair_slope = extras["min_pair_slope"]
+    assert min_pair_slope is not None and min_pair_slope >= 0.8
     assert time.perf_counter() - start < 60.0
 
 
 def test_criterion_10_multiplicity_bounds_across_seeds():
     start = time.perf_counter()
     lem4 = dict(lambda_mode="from_lem4", lambda_values=(), lem4_delta=None)
-    profile = multiplicity_scan(
+    # rows are (seed, r, max_multiplicity, histogram, escalated)
+    rows, failures, extras = multiplicity_scan(
         ExperimentConfig(
             d=2, lengths=(2, 2), radius=2, n_seeds=100, r_values=(300.0,), **lem4
         )
     )
-    assert profile.passed and profile.bound == 2
-    assert all(row.max_multiplicity <= 2 for row in profile.rows)
-    profile = multiplicity_scan(
+    assert not failures and extras["bound"] == 2
+    assert all(row[2] <= 2 for row in rows)
+    rows, failures, extras = multiplicity_scan(
         ExperimentConfig(
             d=2, lengths=(2, 4), radius=2, n_seeds=100, r_values=(300.0,), **lem4
         )
     )
-    assert profile.passed and profile.simple
-    assert all(row.max_multiplicity == 1 for row in profile.rows)
-    profile = multiplicity_scan(
+    assert not failures and extras["simple"]
+    assert all(row[2] == 1 for row in rows)
+    rows, failures, extras = multiplicity_scan(
         ExperimentConfig(
             d=3, lengths=(2, 2, 2), radius=2, n_seeds=25, r_values=(300.0,), **lem4
         )
     )
-    assert profile.passed and profile.bound == 5
-    assert all(row.max_multiplicity <= 5 for row in profile.rows)
+    assert not failures and extras["bound"] == 5
+    assert all(row[2] <= 5 for row in rows)
     assert time.perf_counter() - start < 300.0
 
 
@@ -242,11 +250,11 @@ def test_criterion_11_resolvent_multiplicity_constant_on_grid():
         radius=2,
         lambda_values=(0.0, 1.0, 2.5),  # z grid keeps its 5 default points
     )
-    report = constancy_scan(cfg)
-    assert len(report.rows) == 15
-    assert all(row.note == "" for row in report.rows)
-    assert report.constant and report.passed
-    assert report.value == 2
+    rows, failures, extras = constancy_scan(cfg)
+    assert len(rows) == 15
+    assert all(note == "" for z, lam, mx, note in rows)
+    assert extras["constant"] and not failures
+    assert extras["value"] == 2
     assert time.perf_counter() - start < 30.0
 
 

@@ -281,14 +281,14 @@ def test_write_verdict_schema(tmp_path):
 
 def test_multiplicity_scan_small():
     cfg = make_config(n_seeds=2, r_values=(300.0,), lambda_values=(2.0, 3.0))
-    profile = harness.multiplicity_scan(cfg)
-    assert profile.s == 2 and profile.bound == 2 and not profile.simple
-    assert len(profile.rows) == 2
-    for row in profile.rows:
-        assert sum(row.histogram.values()) == 4
-        assert 1 <= row.max_multiplicity <= 2
-        assert row.escalated is False
-    assert profile.passed
+    rows, failures, extras = harness.multiplicity_scan(cfg)
+    assert extras == {"s": 2, "bound": 2, "simple": False}
+    assert len(rows) == 2
+    for seed, r, max_multiplicity, histogram, escalated in rows:
+        assert sum(int(part.split(":")[1]) for part in histogram.split("|")) == 4
+        assert 1 <= max_multiplicity <= 2
+        assert escalated is False
+    assert not failures
 
 
 def test_multiplicity_scan_draws_each_seed_once(monkeypatch):
@@ -300,9 +300,9 @@ def test_multiplicity_scan_draws_each_seed_once(monkeypatch):
 
     monkeypatch.setattr(harness, "sample_disorder", counting)
     cfg = make_config(n_seeds=2, r_values=(300.0, 600.0), lambda_values=(2.0, 3.0))
-    profile = harness.multiplicity_scan(cfg)
+    rows, failures, extras = harness.multiplicity_scan(cfg)
     assert draws == [0, 1]
-    cells = [(row.seed, row.r) for row in profile.rows]
+    cells = [(row[0], row[1]) for row in rows]
     assert cells == [(0, 300.0), (0, 600.0), (1, 300.0), (1, 600.0)]
 
 
@@ -322,14 +322,14 @@ def test_constancy_scan_skips_spectral_z():
     h[np.diag_indices_from(h)] += 1.5 * mask
     hot = float(np.linalg.eigvalsh(h)[0])  # a point of the spectrum itself
     cfg = dataclasses.replace(cfg, z_values=(hot, 45.0))
-    report = harness.constancy_scan(cfg)
-    notes = [row.note for row in report.rows]
+    rows, failures, extras = harness.constancy_scan(cfg)
+    notes = [note for z, lam, mx, note in rows]
     assert any("skipped" in note for note in notes)
-    skipped = [row for row in report.rows if row.note]
-    assert all(row.max_multiplicity is None for row in skipped)
-    assert report.constant and report.passed
-    assert report.value is not None
-    assert report.box == (1, 0)
+    skipped = [row for row in rows if row[3]]
+    assert all(mx == "" for z, lam, mx, note in skipped)
+    assert extras["constant"] and not failures
+    assert extras["value"] is not None
+    assert extras["box"] == [1, 0]
 
 
 def test_constancy_lambda_zero_column_matches_plain_resolvent():
@@ -337,20 +337,20 @@ def test_constancy_lambda_zero_column_matches_plain_resolvent():
     from boxham.cluster import cluster_indices, degeneracy_tolerance
 
     cfg = make_config(lambda_values=(0.0, 1.0, 2.5), z_values=(30.0, 45.0, 60.0))
-    report = harness.constancy_scan(cfg)
-    assert report.constant and report.passed
+    rows, failures, extras = harness.constancy_scan(cfg)
+    assert extras["constant"] and not failures
     part = cfg.partition()
     sample = sample_disorder(cfg, 0)
     h = build_hamiltonian(part, sample)
-    for row in report.rows:
-        if row.lam != 0.0 or row.note:
+    for z, lam, max_multiplicity, note in rows:
+        if lam != 0.0 or note:
             continue
-        rr = restricted_resolvent(h, row.z, (0, 0), (0, 0))
+        rr = restricted_resolvent(h, z, (0, 0), (0, 0))
         block = (rr.block + rr.block.T) / 2.0
         eigs = np.linalg.eigvalsh(block)
         tau = degeneracy_tolerance(eigs)
         mx = max(len(g) for g in cluster_indices(eigs, tau))
-        assert row.max_multiplicity == mx
+        assert max_multiplicity == mx
 
 
 def test_constancy_scan_solves_each_lambda_once(monkeypatch):
@@ -365,16 +365,16 @@ def test_constancy_scan_solves_each_lambda_once(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    report = harness.constancy_scan(cfg)
-    assert len(report.rows) == 9
+    rows, failures, extras = harness.constancy_scan(cfg)
+    assert len(rows) == 9
     assert len(full_solves) == 3
 
 
 def test_constancy_one_dimension_is_simple():
     cfg = make_config(d=1, lengths=(2,), lambda_values=(0.0, 1.0, 2.5))
-    report = harness.constancy_scan(cfg)
-    assert report.constant and report.value == 1
-    assert report.box == (1,)
+    rows, failures, extras = harness.constancy_scan(cfg)
+    assert extras["constant"] and extras["value"] == 1
+    assert extras["box"] == [1]
 
 
 def test_constancy_scan_rejects_lem4_mode():
@@ -419,9 +419,9 @@ def test_rank_check_reaches_neighbor_in_one_dimension():
 
 def test_multiplicity_one_dimension_always_simple():
     cfg = make_config(d=1, lengths=(3,), n_seeds=3, r_values=(200.0, 300.0))
-    profile = harness.multiplicity_scan(cfg)
-    assert profile.passed and profile.simple
-    assert all(row.max_multiplicity == 1 for row in profile.rows)
+    rows, failures, extras = harness.multiplicity_scan(cfg)
+    assert not failures and extras["simple"]
+    assert all(row[2] == 1 for row in rows)
 
 
 def test_rank_sweep_full_across_seeds():
@@ -443,14 +443,14 @@ def test_gap_growth_one_dimension_quadratic():
     cfg = make_config(
         d=1, lengths=(2,), r_values=(100.0, 200.0, 400.0, 800.0, 1600.0)
     )
-    report = gap_growth_probe(cfg)
-    assert len(report.curves) == 1
-    curve = report.curves[0]
-    assert curve.gap_class == "cos_separated"
-    assert not any(curve.floored)
-    assert curve.slope == pytest.approx(2.0, abs=0.05)
-    assert report.min_pair_slope == pytest.approx(2.0, abs=0.05)
-    assert report.passed
+    rows, failures, extras = gap_growth_probe(cfg)
+    assert list(extras["slopes"]) == ["1:2"]
+    assert len(rows) == 5
+    assert all(row[2] == "cos_separated" for row in rows)
+    assert not any(row[5] for row in rows)
+    assert extras["slopes"]["1:2"] == pytest.approx(2.0, abs=0.05)
+    assert extras["min_pair_slope"] == pytest.approx(2.0, abs=0.05)
+    assert not failures
 
 
 def test_gap_growth_floor_limited_curve():
@@ -459,17 +459,19 @@ def test_gap_growth_floor_limited_curve():
     cfg = make_config(
         lower=0.0, upper=0.0, r_values=(100.0, 200.0, 400.0, 800.0, 1600.0)
     )
-    report = gap_growth_probe(cfg)
+    rows, failures, extras = gap_growth_probe(cfg)
     by_class = {}
-    for curve in report.curves:
-        by_class.setdefault(curve.gap_class, []).append(curve)
+    for a, b, cls, r, gap, floored in rows:
+        label = "|".join(map(str, a)) + ":" + "|".join(map(str, b))
+        by_class.setdefault(cls, {}).setdefault(label, []).append(floored)
     same = by_class["same_cluster"]
     assert len(same) == 1
-    assert same[0].floor_limited and all(same[0].floored)
-    for curve in by_class["cos_separated"]:
-        assert curve.slope == pytest.approx(2.0, abs=0.05)
-    assert report.min_pair_slope is None  # dominated by the exact tie
-    assert report.passed
+    [(label, floored)] = same.items()
+    assert extras["slopes"][label] is None and all(floored)  # floor-limited
+    for label in by_class["cos_separated"]:
+        assert extras["slopes"][label] == pytest.approx(2.0, abs=0.05)
+    assert extras["min_pair_slope"] is None  # dominated by the exact tie
+    assert not failures
 
 
 def test_expansion_bound_formula():
@@ -484,8 +486,9 @@ def test_expansion_sweep_small_grid():
         expansion_ab=(0.0, 1.0),
         r_values=(50.0, 100.0, 200.0, 400.0, 800.0),
     )
-    rows, failures, slope = harness.expansion_sweep(cfg)
+    rows, failures, extras = harness.expansion_sweep(cfg)
     assert not failures
+    slope = extras["aggregate_slope"]
     # (2 + 3 modes) x 4 (a,b) combos x 5 r values
     assert len(rows) == 5 * 4 * 5
     l, a, b, r, n, exact, predicted, residual = rows[0]
@@ -496,8 +499,8 @@ def test_expansion_sweep_small_grid():
 
 def test_expansion_sweep_single_r_has_no_slope():
     cfg = make_config(d=1, lengths=(2,), expansion_l=(2,), expansion_ab=(0.0,))
-    rows, failures, slope = harness.expansion_sweep(cfg)
-    assert not failures and slope is None
+    rows, failures, extras = harness.expansion_sweep(cfg)
+    assert not failures and extras["aggregate_slope"] is None
     assert len(rows) == 2
 
 
@@ -538,12 +541,32 @@ def test_partition_survey_census():
 
 
 def test_nonvanishing_survey_control_vs_admissible():
-    report, rows, failures = harness.nonvanishing_survey((5, 7))
-    assert report.admissible and report.zeros == 0 and not failures and not rows
-    report, rows, failures = harness.nonvanishing_survey((3, 3))
-    assert not report.admissible
-    assert report.zeros > 0 and rows
+    rows, failures, extras = harness.nonvanishing_survey((5, 7))
+    assert extras["admissible"] and extras["zeros"] == 0 and not failures and not rows
+    rows, failures, extras = harness.nonvanishing_survey((3, 3))
+    assert not extras["admissible"]
+    assert extras["zeros"] > 0 and rows
     assert not failures  # inadmissible inputs are controls, not failures
+
+
+@pytest.mark.parametrize("name", sorted(cli._EXPERIMENTS))
+def test_every_driver_returns_rows_failures_and_extras(name):
+    header, driver = cli._EXPERIMENTS[name]
+    assert getattr(harness, driver.__name__) is driver
+    if name == "cossum":
+        subject = (5, 7)
+    elif name == "gapgrowth":
+        subject = make_config(r_values=(100.0, 200.0, 400.0, 800.0))
+    else:
+        subject = make_config()
+    result = driver(subject)
+    assert isinstance(result, tuple) and len(result) in (2, 3)
+    rows, failures, *extras = result
+    assert all(len(row) == len(header) for row in rows)
+    assert isinstance(failures, list)
+    for extra in extras:
+        assert isinstance(extra, dict)
+        json.dumps(extra)
 
 
 # --------------------------------------------------------------------- CLI
