@@ -64,17 +64,22 @@ _DEFAULT_Z = (30.0, 37.5, 45.0, 52.5, 60.0)
 
 
 def _scalar(kind):
-    """Parser for one int or float value."""
+    """Parser for one int or finite float value."""
 
     def parse(text: str, key: str, line: int):
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError:
             raise ConfigError(
                 f"field {key}: cannot parse {text!r} as {kind.__name__}",
                 line=line,
                 field=key,
             ) from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(
+                f"field {key}: {text!r} is not a finite number", line=line, field=key
+            )
+        return value
 
     return parse
 

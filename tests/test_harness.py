@@ -117,6 +117,9 @@ def test_parse_lem4_lambda():
         ("disorder.seeds = three\n", "disorder.seeds", "cannot parse"),
         ("just words\n", None, "key = value"),
         ("gap.pairs = 1,1\n", "gap.pairs", "not 'n1,n2:m1,m2'"),
+        ("disorder.upper = inf\n", "disorder.upper", "not a finite number"),
+        ("run.r = 100, nan\n", "run.r", "not a finite number"),
+        ("run.lambda = from_lem4:nan\n", "run.lambda", "not a finite number"),
     ],
 )
 def test_parse_rejections(extra, field, in_message):
@@ -629,6 +632,13 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     assert cli.main(["partition", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "geometry.lengths" in err
+
+
+def test_cli_non_finite_config_number_exit_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL + "disorder.upper = inf\n")
+    assert cli.main(["multiplicity", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "not a finite number" in err and "disorder.upper" in err and "line 5" in err
 
 
 def test_cli_assertion_failure_exit_one(tmp_path, capsys):
