@@ -121,24 +121,6 @@ def _parse_lambda(text: str, key: str, line: int) -> dict:
     return {"lambda_mode": "explicit", "lambda_values": _FLOATS(text, key, line)}
 
 
-def _parse_gap_pairs(text: str, key: str, line: int) -> tuple:
-    """Label pairs ``n1,n2:m1,m2`` separated by semicolons."""
-    pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sides = chunk.split(":")
-        if len(sides) != 2:
-            raise ConfigError(
-                f"{key} entry {chunk!r} is not 'n1,n2:m1,m2'", line=line, field=key
-            )
-        pairs.append(
-            tuple(tuple(_INT(p.strip(), key, line) for p in s.split(",")) for s in sides)
-        )
-    return tuple(pairs)
-
-
 def _key(key: str, parse, default=MISSING, execution: bool = False):
     """A field read from config key ``key`` by ``parse(text, key, line)``.
 
@@ -172,7 +154,6 @@ class ExperimentConfig:
     lambda_values: tuple[float, ...] = (0.0,)
     lem4_delta: float | None = None
     z_values: tuple[float, ...] = _key("run.z", _FLOATS, _DEFAULT_Z)
-    margin: float = _key("tol.margin", _FLOAT, 0.25)
     # both values run the same Schur solve; the key stays so existing configs parse
     precision: str = _key("precision", _parse_precision, "standard", execution=True)
     output_dir: str | None = _key("output.dir", _text, None, execution=True)
@@ -182,9 +163,6 @@ class ExperimentConfig:
     rank_m: tuple[int, ...] | None = _key("rank.m", _INTS, None)
     rank_k: int | None = _key("rank.k", _INT, None)
     constancy_box: tuple[int, ...] | None = _key("constancy.box", _INTS, None)
-    gap_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = _key(
-        "gap.pairs", _parse_gap_pairs, None
-    )
 
     def partition(self) -> BoxPartition:
         return build_partition(self.d, self.lengths, self.radius)
@@ -270,7 +248,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         (cfg.lower <= cfg.upper, "lower", "lower must not exceed upper"),
         (cfg.n_seeds >= 1, "n_seeds", "need at least one seed"),
         (all(r > 0 for r in cfg.r_values), "r_values", "r values must be positive"),
-        (0 <= cfg.margin < 1, "margin", "margin must be in [0, 1)"),
     ]
     for ok, name, message in checks:
         if not ok:
@@ -582,10 +559,7 @@ def _fit_slope(r_values, gaps, floored) -> float | None:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def gap_growth_probe(
-    config: ExperimentConfig,
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None,
-):
+def gap_growth_probe(config: ExperimentConfig):
     """Fit log-log growth exponents of labeled eigenvalue gaps in r.
 
     Uses the per-factor tridiagonal route for the exact spectrum, so the tiny
@@ -593,7 +567,7 @@ def gap_growth_probe(
     rounding floor are excluded from fits; a curve with fewer than three clean
     points is reported floor-limited (slope None) instead of fitted.  Returns
     (rows, failures, extras): rows are (pair_a, pair_b, gap_class, r, gap,
-    floored) pair by pair (every mode-tuple pair by default), and extras hold the
+    floored) pair by pair over every mode-tuple pair, and extras hold the
     slope per ``n1|n2:m1|m2`` pair label and the slope of the minimum gap.
     """
     r_values = tuple(sorted(config.r_values))
@@ -603,10 +577,6 @@ def gap_growth_probe(
             line=None,
             field=_key_of("r_values"),
         )
-    if pairs is None:
-        pairs = list(config.gap_pairs) if config.gap_pairs else None
-    if pairs is None:
-        pairs = list(itertools.combinations(all_mode_tuples(config.lengths), 2))
     sample, opairs, lams = _factor_inputs(config)
 
     spectra = {}
@@ -618,8 +588,7 @@ def gap_growth_probe(
     rows = []
     failures = []
     slopes = {}
-    for a, b in pairs:
-        a, b = tuple(int(x) for x in a), tuple(int(x) for x in b)
+    for a, b in itertools.combinations(all_mode_tuples(config.lengths), 2):
         cls = classify_pair(a, b, config.lengths)
         gaps = [abs(spectra[r][a] - spectra[r][b]) for r in r_values]
         floored = [g <= floors[r] for g, r in zip(gaps, r_values)]
@@ -731,9 +700,7 @@ def cluster_sweep(config: ExperimentConfig):
             predicted_cluster_energy(config.lengths, modes, opairs, lams, r)
             for modes in all_mode_tuples(config.lengths)
         ]
-        reports = verify_gaps(
-            exact, preds, config.lengths, r, margin=config.margin, constants=constants
-        )
+        reports = verify_gaps(exact, preds, config.lengths, r, constants=constants)
         for rep in reports:
             rows.append(
                 (

@@ -177,7 +177,6 @@ def test_criterion_08_cluster_gaps_open_at_designed_scales():
         base_seed=11,
         r_values=(500.0,),
         lambda_values=(2.0, 3.0),
-        margin=0.25,
     )
     rows, failures = cluster_sweep(cfg)
     assert failures == []

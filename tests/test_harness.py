@@ -56,7 +56,6 @@ def test_parse_minimal_config_defaults():
     assert cfg.r_values == (300.0,)
     assert cfg.lambda_mode == "explicit" and cfg.lambda_values == (0.0,)
     assert cfg.precision == "standard"
-    assert cfg.margin == 0.25
 
 
 def test_parse_full_config():
@@ -73,7 +72,6 @@ def test_parse_full_config():
         run.r = 100, 200, 400
         run.lambda = 1.5, 2.5
         run.z = 40
-        tol.margin = 0.1
         precision = extended
         output.dir = /tmp/somewhere
         expansion.l = 3, 5
@@ -82,7 +80,6 @@ def test_parse_full_config():
         rank.m = 1, 1
         rank.k = 12
         constancy.box = 1, 0
-        gap.pairs = 1,1:1,2; 2,1:2,2
         """
     )
     assert cfg.lengths == (2, 4)
@@ -94,7 +91,6 @@ def test_parse_full_config():
     assert cfg.expansion_l == (3, 5) and cfg.expansion_ab == (-1.0, 0.5)
     assert cfg.rank_n == (0, 0) and cfg.rank_m == (1, 1) and cfg.rank_k == 12
     assert cfg.constancy_box == (1, 0)
-    assert cfg.gap_pairs == (((1, 1), (1, 2)), ((2, 1), (2, 2)))
 
 
 def test_parse_lem4_lambda():
@@ -113,10 +109,10 @@ def test_parse_lem4_lambda():
         ("tol.degeneracy = 1e-6\n", "tol.degeneracy", "unknown config key"),
         ("precision = double\n", "precision", "standard|extended"),
         ("run.r = -5\n", "run.r", "positive"),
-        ("tol.margin = 1.5\n", "tol.margin", "margin"),
+        ("tol.margin = 0.3\n", "tol.margin", "unknown config key"),
         ("disorder.seeds = three\n", "disorder.seeds", "cannot parse"),
         ("just words\n", None, "key = value"),
-        ("gap.pairs = 1,1\n", "gap.pairs", "not 'n1,n2:m1,m2'"),
+        ("gap.pairs = 1,1:1,2\n", "gap.pairs", "unknown config key"),
         ("disorder.upper = inf\n", "disorder.upper", "not a finite number"),
         ("run.r = 100, nan\n", "run.r", "not a finite number"),
         ("run.lambda = from_lem4:nan\n", "run.lambda", "not a finite number"),
