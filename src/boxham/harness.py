@@ -420,7 +420,7 @@ def multiplicity_scan(config: ExperimentConfig):
 # ---------------------------------------------------------------- constancy
 
 
-def constancy_scan(config: ExperimentConfig, box: tuple[int, ...] | None = None):
+def constancy_scan(config: ExperimentConfig):
     """Max eigenvalue multiplicity of G_00 under a boost lambda on one box.
 
     Sweeps the (z, lambda) grid, clustering the eigenvalues of the origin
@@ -432,11 +432,7 @@ def constancy_scan(config: ExperimentConfig, box: tuple[int, ...] | None = None)
     empty multiplicity on skipped points, and extras are box, constant and
     the common value (None unless exactly one value was seen).
     """
-    if box is None:
-        box = config.constancy_box or tuple(
-            1 if k == 0 else 0 for k in range(config.d)
-        )
-    box = tuple(int(b) for b in box)
+    box = config.constancy_box or tuple(1 if k == 0 else 0 for k in range(config.d))
     if config.lambda_mode != "explicit":
         key = _key_of("lambda_mode")
         raise ConfigError(
@@ -585,6 +581,13 @@ def gap_growth_probe(config: ExperimentConfig):
         spectra[r] = mode_resolved_spectrum(config.lengths, opairs, lams, r)
         floors[r] = 8.0 * np.finfo(float).eps * max(abs(v) for v in spectra[r].values())
 
+    # Rounded subtraction is monotone, so the closest pair is adjacent in sorted order.
+    min_gaps = tuple(
+        float(np.diff(np.sort(list(spectra[r].values()))).min()) for r in r_values
+    )
+    min_floored = tuple(g <= floors[r] for g, r in zip(min_gaps, r_values))
+    min_pair_slope = _fit_slope(r_values, min_gaps, min_floored)
+
     rows = []
     failures = []
     slopes = {}
@@ -611,13 +614,6 @@ def gap_growth_probe(config: ExperimentConfig):
                     "slope": slope,
                 }
             )
-
-    # Rounded subtraction is monotone, so the closest pair is adjacent in sorted order.
-    min_gaps = [
-        float(np.diff(np.sort(list(spectra[r].values()))).min()) for r in r_values
-    ]
-    min_floored = [g <= floors[r] for g, r in zip(min_gaps, r_values)]
-    min_pair_slope = _fit_slope(r_values, min_gaps, min_floored)
     return rows, failures, {"slopes": slopes, "min_pair_slope": min_pair_slope}
 
 
