@@ -246,6 +246,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         (all(l >= 1 for l in cfg.lengths), "lengths", "lengths must be >= 1"),
         (cfg.radius >= 0, "radius", "radius must be >= 0"),
         (cfg.lower <= cfg.upper, "lower", "lower must not exceed upper"),
+        (math.isfinite(cfg.upper - cfg.lower), "upper", "upper - lower must be finite"),
         (cfg.n_seeds >= 1, "n_seeds", "need at least one seed"),
         (all(r > 0 for r in cfg.r_values), "r_values", "r values must be positive"),
     ]

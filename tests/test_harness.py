@@ -116,6 +116,7 @@ def test_parse_lem4_lambda():
         ("disorder.upper = inf\n", "disorder.upper", "not a finite number"),
         ("run.r = 100, nan\n", "run.r", "not a finite number"),
         ("run.lambda = from_lem4:nan\n", "run.lambda", "not a finite number"),
+        ("disorder.lower = -1e308\ndisorder.upper = 1e308\n", "disorder.upper", "finite"),
     ],
 )
 def test_parse_rejections(extra, field, in_message):
