@@ -45,6 +45,7 @@ from .lattice import (
     partition_of_unity_holds,
 )
 from .resolvent import (
+    PROXIMITY_FLOOR,
     kronecker_truncation,
     precision_guard,
     restricted_resolvent,
@@ -453,7 +454,7 @@ def constancy_scan(config: ExperimentConfig):
     grid = []
     for z in config.z_values:
         for lam, op, spectrum in boosted:
-            if np.min(np.abs(spectrum - z)) < 1e-6:
+            if np.min(np.abs(spectrum - z)) < PROXIMITY_FLOOR:
                 rows.append((z, lam, "", "z inside spectrum; skipped"))
                 continue
             try:

@@ -12,7 +12,10 @@ operator is assembled from per-axis factors by Kronecker products instead of
 site by site: the Laplacian is the Kronecker sum of path-graph adjacencies,
 a box mask is the Kronecker product of per-axis interval indicators, and the
 potential is the omega grid repeated l_i times along axis i.  The Laplacian is
-built once per partition and cached on it, read-only.
+built once per partition and cached on it, read-only.  ``apply_laplacian``
+applies the same Kronecker sum to columns laid out on the site grid, as
+shifted slices, without forming the n x n matrix; the origin-box coupling
+(box-0 block, Delta_00 and B^T on the grid) is cached per partition too.
 
 All structural objects are integer matrices so identity checks are exact.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +33,8 @@ from .errors import IncompleteSampleError, VolumeError
 from .tridiag import path_adjacency
 
 # Largest site count whose dense float64 matrix fits in 1 GiB: n^2 * 8 <= 2^30.
+# A guard for the dense routes (Laplacian, Hamiltonian, complement LU); the
+# stencil route of the Schur reduction holds only O(n * |box 0|) floats.
 DEFAULT_SITE_CAP = int((2**30 // 8) ** 0.5)
 DEFAULT_RADIUS_CAP = 4
 
@@ -76,6 +82,27 @@ class BoxPartition:
         lap.setflags(write=False)
         return lap
 
+    @functools.cached_property
+    def origin_coupling(self) -> tuple[tuple[slice, ...], np.ndarray, np.ndarray]:
+        """(block, Delta_00, B^T) of box 0, built on first use and shared read-only.
+
+        ``block`` holds the grid slices of box 0; Delta_00 = P0 L P0 is the
+        float Kronecker sum of the path graphs on box 0; B^T = (I-P0) L P0 is
+        laid out on the site grid, shape ``axis_sizes + (|box 0|,)``, one
+        column per box-0 site in lexicographic order.  None of it needs the
+        dense Laplacian.
+        """
+        block = tuple(slice(self.radius * l, (self.radius + 1) * l) for l in self.lengths)
+        size = math.prod(self.lengths)
+        units = np.zeros(tuple(self.axis_sizes) + (size,))
+        units[block] = np.eye(size).reshape(self.lengths + (size,))
+        bt = apply_laplacian(units, self.d)
+        bt[block] = 0.0
+        delta00 = kronecker_sum([path_adjacency(l) for l in self.lengths]).astype(np.float64)
+        for a in (delta00, bt):
+            a.setflags(write=False)
+        return block, delta00, bt
+
     def box_of(self, site: tuple[int, ...]) -> tuple[int, ...]:
         """Box index of a site: n_i = floor((x_i - 1) / l_i).
 
@@ -116,7 +143,9 @@ def build_partition(
     Raises VolumeError when the total site count Prod(l_i) * (2*radius+1)^d
     exceeds DEFAULT_SITE_CAP (the error names the offending count and the
     bytes one dense float64 matrix on it would take), or when the radius
-    exceeds the desk-scale DEFAULT_RADIUS_CAP.
+    exceeds the desk-scale DEFAULT_RADIUS_CAP.  The site cap guards the dense
+    routes (Laplacian, Hamiltonian, resolvent blocks and the complement LU);
+    the stencil route of ``resolvent.schur_reduced`` holds O(n * |box 0|).
     """
     lengths = tuple(int(l) for l in lengths)
     if d < 1 or len(lengths) != d or any(l < 1 for l in lengths):
@@ -147,6 +176,21 @@ def kronecker_sum(factors: list[np.ndarray]) -> np.ndarray:
         # is ever materialized.
         np.einsum("apcaqc->apqc", blocks)[...] += f[:, :, None]
     return total
+
+
+def apply_laplacian(x: np.ndarray, d: int) -> np.ndarray:
+    """L x for x laid out on the site grid: its first d axes are the lattice axes.
+
+    The Kronecker sum of path adjacencies as shifted slices: along each axis
+    every site adds its two neighbours, and Dirichlet truncation drops the
+    neighbours past either end.  Trailing axes index columns.
+    """
+    out = np.zeros_like(x)
+    for axis in range(d):
+        head = (slice(None),) * axis
+        out[head + (slice(1, None),)] += x[head + (slice(None, -1),)]
+        out[head + (slice(None, -1),)] += x[head + (slice(1, None),)]
+    return out
 
 
 def _check_box(partition: BoxPartition, n: tuple[int, ...]) -> None:

@@ -7,8 +7,15 @@ complement, G_00(z)^{-1} = H_z + (omega_0 - z) I where
 
     H_z = P0 L P0 - P0 L (I-P0) (H~ - z)^{-1} (I-P0) L P0
 
-and H~ carries the complement dynamics.  Expanding (H~ - r)^{-1} in powers of
-1/r turns r^2 * H_r into a boundary-perturbed lattice operator
+and H~ carries the complement dynamics.  ``schur_reduced`` solves the
+complement by the series itself: H~_cc - r = D + L_cc with D = diag(V_cc - r)
+the potential minus r, and when q = 2d max|1/D| <= 1/2 the sum
+(D + L_cc)^{-1} = sum_k (-D^{-1} L_cc)^k D^{-1} runs on the lattice stencil
+of the partition, with an a-priori tail bound that decides where it stops.
+Only for larger q does the refined dense LU solve the complement.
+
+Expanding (H~ - r)^{-1} in powers of 1/r turns r^2 * H_r into a
+boundary-perturbed lattice operator
 
     A_r = r^2 P0 L P0 + r P0 L (I-P0) L P0
           + sum_{|n|_1 = 1} omega_n P0 L P_n L P0 + sum_i lambda_i P0 L P_{e_i} L P0
@@ -32,6 +39,7 @@ from .lattice import (
     DisorderSample,
     LatticeOperator,
     _box_potential,
+    apply_laplacian,
     box_mask,
     kronecker_sum,
 )
@@ -156,6 +164,52 @@ def _origin_split(
     return delta00, b, hcc
 
 
+def _jacobi_series(
+    inv_d: np.ndarray, bt: np.ndarray, block: tuple[slice, ...], q: float
+) -> np.ndarray:
+    """B X with X = sum_k (-D^-1 L_cc)^k D^-1 B^T, the complement solve as a series.
+
+    ``inv_d`` is 1/D on the site grid with zeros on box 0, which pins the
+    box-0 rows of every term to 0 and so restricts L to L_cc; q = 2d max|1/D|
+    must be below 1.  Every term after the k-th is bounded entrywise by
+    max|1/D| q^(k+1), and a row of B has at most 2d ones, so the tail of B X
+    is at most q^(k+2) / (1-q).  Summing stops when that is within eps/16 of
+    the smallest nonzero entry of B X, so every entry is resolved and not
+    only the largest, and the support of X has not grown over two steps
+    (one per sublattice of the bipartite lattice), so no entry the walk has
+    yet to reach is still zero.
+    """
+    d = len(block)
+    step = -inv_d[..., None]
+    term = inv_d[..., None] * bt
+    x = term.copy()
+    support = [np.count_nonzero(x)]
+    floor = np.finfo(np.float64).eps / 16.0
+    k = 0
+    while True:
+        if k >= 2 and support[k] == support[k - 2]:
+            bx = _origin_rows(x, block)
+            smallest = np.min(np.abs(bx[bx != 0.0]), initial=np.inf)
+            if q ** (k + 2) / (1.0 - q) <= floor * smallest:
+                return bx
+        term = apply_laplacian(term, d)
+        term *= step
+        x += term
+        support.append(np.count_nonzero(x))
+        k += 1
+
+
+def _origin_rows(x: np.ndarray, block: tuple[slice, ...]) -> np.ndarray:
+    """The box-0 rows of L x as an |box 0| x columns matrix, for x zero on box 0."""
+    rows = np.zeros(x[block].shape)
+    for axis, s in enumerate(block):
+        for step in (-1, 1):
+            shifted = slice(s.start + step, s.stop + step)
+            if 0 <= shifted.start and shifted.stop <= x.shape[axis]:
+                rows += x[block[:axis] + (shifted,) + block[axis + 1 :]]
+    return rows.reshape(-1, x.shape[-1])
+
+
 def schur_reduced(
     partition: BoxPartition,
     disorder: DisorderSample,
@@ -164,12 +218,27 @@ def schur_reduced(
 ) -> SchurReduced:
     """The reduced operator H_r = P0 L P0 - P0 L (H~ - r)^{-1} L P0 on box 0.
 
-    The complement solve is ``_solve_refined``'s; the eigensolve of r^2 H_r,
-    not the solve, limits the accuracy (see ``precision_guard``).
+    The complement block splits as H~_cc - r = D + L_cc with
+    D = diag(V_cc - r).  When q = 2d max|1/D| <= 1/2, D + L_cc is strictly
+    diagonally dominant, so r is provably off the complement spectrum, and
+    the solve is ``_jacobi_series`` on the lattice stencil, using only the
+    partition's cached ``origin_coupling``.  Otherwise the solve is
+    ``_solve_refined``'s dense LU, which raises SpectralProximityError near
+    the spectrum.  The eigensolve of r^2 H_r, not the solve, limits the
+    accuracy (see ``precision_guard``).
     """
-    delta00, b, hcc = _origin_split(partition, disorder, boosts)
-    m = hcc - r * np.eye(len(hcc))
-    matrix = delta00 - b @ _solve_refined(m, b.T, r)
+    block, delta00, bt = partition.origin_coupling
+    potential = _box_potential(partition, disorder, boosts).reshape(partition.axis_sizes)
+    with np.errstate(divide="ignore"):
+        inv_d = 1.0 / (potential - r)
+    inv_d[block] = 0.0
+    q = 2 * partition.d * float(np.max(np.abs(inv_d)))
+    if q <= 0.5:
+        matrix = delta00 - _jacobi_series(inv_d, bt, block, q)
+    else:
+        _, b, hcc = _origin_split(partition, disorder, boosts)
+        m = hcc - r * np.eye(len(hcc))
+        matrix = delta00 - b @ _solve_refined(m, b.T, r)
     origin = (0,) * partition.d
     return SchurReduced(
         r=float(r), matrix=matrix, omega0=float(disorder.values[origin])

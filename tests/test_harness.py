@@ -306,6 +306,27 @@ def test_multiplicity_scan_draws_each_seed_once(monkeypatch):
     assert cells == [(0, 300.0), (0, 600.0), (1, 300.0), (1, 600.0)]
 
 
+def test_multiplicity_scan_four_dimensions_on_the_stencil(monkeypatch):
+    # 10 000 sites: the dense route would need about 3 GB per cell here
+    built = []
+
+    def keep(config):
+        built.append(build_partition(config.d, config.lengths, config.radius))
+        return built[-1]
+
+    monkeypatch.setattr(ExperimentConfig, "partition", keep)
+    cfg = make_config(
+        d=4, lengths=(2, 2, 2, 2), n_seeds=2, r_values=(300.0,),
+        lambda_mode="from_lem4", lambda_values=(), lem4_delta=0.4,
+    )
+    rows, failures, extras = harness.multiplicity_scan(cfg)
+    assert failures == []
+    assert len(rows) == 2
+    assert all(row[2] <= 2**4 - 4 for row in rows)
+    assert [part.n_sites for part in built] == [10_000]
+    assert "laplacian" not in built[0].__dict__
+
+
 def test_multiplicity_scan_needs_radius_two():
     cfg = make_config(radius=1)
     with pytest.raises(VolumeError):

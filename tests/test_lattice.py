@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from boxham.errors import VolumeError
 from boxham.lattice import (
     DisorderSample,
+    apply_laplacian,
     box_mask,
     box_sites,
     build_hamiltonian,
@@ -163,6 +164,28 @@ def test_cached_laplacian_is_read_only():
     assert part.laplacian is part.laplacian
     assert np.array_equal(part.laplacian, build_laplacian(part).entries)
     assert np.array_equal(build_hamiltonian(part, sample, {1: 0.5}).entries, before)
+
+
+def test_stencil_and_origin_coupling_match_dense_laplacian():
+    # integer columns keep the stencil exact; radius 0 has no complement
+    rng = np.random.default_rng(0)
+    for d, lengths in ((1, (3,)), (2, (2, 3)), (3, (1, 2, 2))):
+        for radius in (0, 1, 2):
+            part = build_partition(d, lengths, radius)
+            lap = build_laplacian(part).entries
+            x = rng.integers(-9, 10, size=tuple(part.axis_sizes) + (2,))
+            flat = apply_laplacian(x, d).reshape(part.n_sites, 2)
+            assert np.array_equal(flat, lap @ x.reshape(part.n_sites, 2))
+
+            block, delta00, bt = part.origin_coupling
+            m0 = box_mask(part, (0,) * d)
+            grid = np.zeros(part.axis_sizes, dtype=bool)
+            grid[block] = True
+            assert np.array_equal(grid.ravel(), m0)
+            assert np.array_equal(delta00, lap[np.ix_(m0, m0)])
+            assert np.array_equal(bt.reshape(part.n_sites, -1), lap[:, m0] * ~m0[:, None])
+            assert not delta00.flags.writeable and not bt.flags.writeable
+            assert part.origin_coupling[2] is bt
 
 
 def test_zero_disorder_covers_all_boxes():

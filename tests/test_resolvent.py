@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from boxham.errors import PrecisionWarning, SpectralProximityError, VolumeError
-from boxham.harness import ExperimentConfig, omega_pairs, sample_disorder
+from boxham.harness import ExperimentConfig, boosts_for, omega_pairs, sample_disorder
 from boxham.lattice import (
+    _box_potential,
     box_mask,
     build_hamiltonian,
     build_partition,
@@ -15,6 +16,7 @@ from boxham.lattice import (
 )
 from boxham.resolvent import (
     _origin_split,
+    _solve_refined,
     kronecker_truncation,
     neumann_truncation,
     precision_guard,
@@ -151,6 +153,58 @@ def test_schur_matches_50_digit_reduction():
             for i, j in np.ndindex(got.shape):
                 exact = r**2 * (delta00[i, j] - by[j][i])
                 assert abs(mp.mpf(float(got[i, j])) - exact) <= 8 * eps * abs(exact)
+
+
+def _lem4_cell(d, lengths, seed=0):
+    cfg = ExperimentConfig(
+        d=d, lengths=lengths, radius=2, base_seed=seed,
+        lambda_mode="from_lem4", lambda_values=(), lem4_delta=0.4,
+    )
+    sample = sample_disorder(cfg, 0)
+    return cfg.partition(), sample, boosts_for(cfg, sample)
+
+
+def _jacobi_q(part, sample, boosts, r):
+    """q = 2d max|1/D| over the complement, D = V_cc - r."""
+    m0 = box_mask(part, (0,) * part.d)
+    v_cc = _box_potential(part, sample, boosts)[~m0]
+    return 2 * part.d / float(np.min(np.abs(v_cc - r)))
+
+
+def _dense_reduction(part, sample, boosts, r):
+    delta00, b, hcc = _origin_split(part, sample, boosts)
+    return delta00 - b @ _solve_refined(hcc - r * np.eye(len(hcc)), b.T, r)
+
+
+def test_series_route_matches_dense_lu():
+    # the stencil series against the refined dense LU on the shipped
+    # multiplicity geometries: each is within 8 eps of a 50-digit reduction
+    # (test_schur_matches_50_digit_reduction), so they agree to 16 eps
+    eps = np.finfo(np.float64).eps
+    for d, lengths in ((1, (3,)), (2, (2, 2)), (2, (2, 4)), (3, (2, 2, 2))):
+        part, sample, boosts = _lem4_cell(d, lengths)
+        for r in (300.0, 3e4, 3e6):
+            assert _jacobi_q(part, sample, boosts, r) <= 0.5
+            got = r**2 * schur_reduced(part, sample, boosts, r).matrix
+            ref = r**2 * _dense_reduction(part, sample, boosts, r)
+            assert np.array_equal(got == 0.0, ref == 0.0)
+            assert np.all(np.abs(got - ref) <= 16 * eps * np.abs(ref))
+
+
+def test_dense_route_when_series_cannot_converge():
+    # from_lem4 boosts e_3 by about 3000.4, so at r = 3000 the potential on
+    # that box sits within 2 of r and q > 1/2: the dense LU runs instead
+    part, sample, boosts = _lem4_cell(3, (2, 2, 2))
+    r = 3000.0
+    assert _jacobi_q(part, sample, boosts, r) > 0.5
+    got = schur_reduced(part, sample, boosts, r).matrix
+    assert np.array_equal(got, _dense_reduction(part, sample, boosts, r))
+
+
+def test_schur_without_complement_is_laplacian_block():
+    part = build_partition(2, (2, 3), radius=0)
+    sr = schur_reduced(part, zero_disorder(part), None, 10.0)
+    assert np.array_equal(sr.matrix, part.laplacian.astype(float))
 
 
 # ------------------------------------------------------- truncation
