@@ -15,6 +15,7 @@ floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -128,6 +129,22 @@ def _lcm_order(lengths) -> int:
     return math.lcm(*[l + 1 for l in lengths])
 
 
+@functools.lru_cache(maxsize=64)
+def _geometry_rows(lengths: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Per coordinate i, row j of block i is 2cos(pi j/(l_i+1)) in Z[zeta_2A].
+
+    A is the lcm of the l_i+1 and j runs over 0..2(l_i+1)-1, which covers
+    every exponent the cosine (j = n_i) and sine (j = 2 n_i) tests read.
+    All blocks come from one cos_rows walk; the arrays are read-only.
+    """
+    ambient = _lcm_order(lengths)
+    sizes = [2 * (l + 1) for l in lengths]
+    exponents = [j * (ambient // (l + 1)) for l, size in zip(lengths, sizes) for j in range(size)]
+    rows = cos_rows(exponents, 2 * ambient)
+    rows.flags.writeable = False
+    return tuple(np.split(rows, np.cumsum(sizes[:-1])))
+
+
 def _is_tie(lengths, n, m, kind: str, diff: float, scale: float) -> bool:
     """Do the (cosine | sine) sums of n and m, ``diff`` apart in floats, agree?
 
@@ -141,18 +158,17 @@ def _is_tie(lengths, n, m, kind: str, diff: float, scale: float) -> bool:
     ambient = _lcm_order(lengths)
     if 2 * ambient > MODULUS_CAP:
         return abs(diff) <= _FALLBACK_TOL * scale
-    # 2cos(pi k/q) is row k*ambient/q of cos_rows(., 2*ambient).
-    steps = np.array([ambient // (l + 1) for l in lengths], dtype=np.int64)
-    n, m = np.asarray(n, dtype=np.int64), np.asarray(m, dtype=np.int64)
+    blocks = _geometry_rows(tuple(lengths))
     if kind == "cos":
-        exponents = np.concatenate([n * steps, m * steps])
-        weights = np.repeat([1, -1], len(steps))
+        total = sum(block[a] - block[b] for block, a, b in zip(blocks, n, m))
     else:
         # 4A sin^2(pi j/q)/q = (A/q)(2 - 2cos(2 pi j/q)); the constants cancel
         # in the difference, leaving integer-weighted cosines.
-        exponents = np.concatenate([2 * n * steps, 2 * m * steps])
-        weights = np.concatenate([-steps, steps])
-    return not (weights @ cos_rows(exponents, 2 * ambient)).any()
+        total = sum(
+            (ambient // (l + 1)) * (block[2 * b] - block[2 * a])
+            for block, a, b, l in zip(blocks, n, m, lengths)
+        )
+    return not total.any()
 
 
 def _sums_equal(lengths, n, m, kind: str) -> bool:

@@ -14,7 +14,6 @@ or ndarrays.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 REFINEMENT_PASSES = 3
@@ -102,6 +101,8 @@ def refined_solve(m: np.ndarray, rhs: np.ndarray):
     conditioning limits the correction direction, not the achievable residual
     accuracy.
     """
+    from scipy.linalg import lu_factor, lu_solve  # scipy loads on the first solve only
+
     m = np.asarray(m, dtype=np.float64)
     rhs = np.atleast_2d(np.asarray(rhs, dtype=np.float64))
     lu = lu_factor(m)

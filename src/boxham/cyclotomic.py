@@ -80,26 +80,47 @@ def cos_rows(exponents, m: int) -> np.ndarray:
     """2cos(2 pi K/m) = zeta^K + zeta^-K in Z[zeta_m], one int64 row per exponent K.
 
     Row j holds x^K + x^(m-K) reduced modulo Phi_m, constant term first, with
-    the exponents taken mod m; all rows are reduced together by long division.
-    A sum of these numbers with integer weights is zero exactly when the
-    weighted sum of the rows is the zero vector.
+    the exponents taken mod m.  A sum of these numbers with integer weights is
+    zero exactly when the weighted sum of the rows is the zero vector.
 
-    int64 is exact here: every row, also midway through the division, is a
-    sum of two shifted remainders x^e mod Phi_m, and a sweep of every
-    m <= MODULUS_CAP and every e < m found those remainders' coefficients at
-    most 72 in magnitude (at most 24 for the even m that 2P and 2A give).
+    The remainders x^e mod Phi_m are walked for e = 0, 1, ... up to the
+    largest exponent needed.  Phi_m is monic, so x * (x^e mod Phi_m) is one
+    shift plus one subtraction of the top coefficient times Phi_m.  The
+    remainder is a window of deg = phi(m) entries in a zero-filled buffer of
+    fewer than m + deg, and the shift moves the window one slot down, so it
+    copies nothing.  Only the needed remainders are kept: the walk costs
+    O(m * deg) and holds no m x deg table.
+
+    int64 is exact here: the walk holds single remainders x^e mod Phi_m, and
+    a sweep of every m <= MODULUS_CAP and every e < m found their coefficients
+    at most 72 in magnitude (at most 24 for the even m that 2P and 2A give);
+    a remainder minus 72 times a coefficient of Phi_m, and each row (a sum of
+    two remainders), stay far inside int64.
     """
     phi = np.array(cyclotomic_polynomial(m), dtype=np.int64)
     deg = phi.size - 1
     k = np.asarray(exponents, dtype=np.int64) % m
-    rows = np.zeros((k.size, m), dtype=np.int64)
-    index = np.arange(k.size)
-    rows[index, k] += 1
-    rows[index, -k % m] += 1
-    # Phi_m is monic, so x^j = x^(j-deg) * (x^deg - Phi_m) removes column j.
-    for j in range(m - 1, deg - 1, -1):
-        rows[:, j - deg : j] -= rows[:, j, None] * phi[:deg]
-    return rows[:, :deg]
+    plus, minus = k.tolist(), (-k % m).tolist()
+    needed = set(plus) | set(minus)
+    last = max(needed, default=0)
+    # x^e mod Phi_m is buf[start : start + deg], constant term first.
+    buf = np.zeros(last + deg, dtype=np.int64)
+    start = last
+    buf[start] = 1
+    remainders = {}
+    for e in range(last + 1):
+        if e in needed:
+            remainders[e] = buf[start : start + deg].copy()
+        if e == last:
+            break
+        top = buf[start + deg - 1]
+        start -= 1
+        if top:
+            buf[start : start + deg] -= top * phi[:deg]
+    rows = np.zeros((k.size, deg), dtype=np.int64)
+    for row, a, b in zip(rows, plus, minus):
+        np.add(remainders[a], remainders[b], out=row)
+    return rows
 
 
 def _ambient_order(ps: tuple[int, ...]) -> int:
@@ -162,7 +183,9 @@ def verify_nonvanishing(ps) -> NonvanishingReport:
 
     # Row n-1 of block i is 2cos(pi n/p_i).  Each prefix of the leading
     # coordinates is summed once and added to the whole last block.
-    *leading, last = [cos_rows([n * (m // (2 * p)) for n in range(1, p)], m) for p in ps]
+    # All blocks are reduced in one walk, then split back per modulus.
+    exponents = [n * (m // (2 * p)) for p in ps for n in range(1, p)]
+    *leading, last = np.split(cos_rows(exponents, m), np.cumsum([p - 1 for p in ps[:-1]]))
     witnesses: list[tuple[int, ...]] = []
     for prefix in itertools.product(*(range(1, p) for p in ps[:-1])):
         total = last.copy()

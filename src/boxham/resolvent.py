@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import PrecisionWarning, SpectralProximityError, VolumeError
 from .lattice import (
@@ -99,6 +98,8 @@ def _solve_refined(m: np.ndarray, rhs: np.ndarray, z_scale: float):
     to the second probe; for sampled disorder that configuration has measure
     zero.
     """
+    from scipy.linalg import lu_factor, lu_solve  # scipy loads on the first solve only
+
     rhs = np.atleast_2d(rhs)
     lu = lu_factor(m)
     x = lu_solve(lu, rhs)

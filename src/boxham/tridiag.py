@@ -17,11 +17,11 @@ symmetries n <-> l+1-n bitwise exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .errors import ConvergenceError
 
@@ -107,6 +107,7 @@ def boundary_matrix(spec: TridiagSpec) -> np.ndarray:
     return d
 
 
+@functools.cache
 def c_coefficient(l: int, n: int) -> float:
     """The parity-restricted boundary-coupling coefficient
 
@@ -116,7 +117,8 @@ def c_coefficient(l: int, n: int) -> float:
 
     Zero when the parity-restricted sum is empty (any l <= 2).  Note this is a
     coefficient with a fixed sign convention; see constant_order_correction for
-    how it enters the eigenvalue.
+    how it enters the eigenvalue.  Memoized: it depends on the integers (l, n)
+    only, and each expansion grid asks for the same few pairs many times.
     """
     if not 1 <= n <= l:
         raise ValueError(f"mode index {n} outside 1..{l}")
@@ -146,26 +148,30 @@ def constant_order_correction(l: int, n: int) -> float:
 def exact_spectrum(spec: TridiagSpec) -> np.ndarray:
     """Reference eigenvalues of the boundary-perturbed matrix, ascending.
 
-    Solved by LAPACK (``eigh_tridiagonal``).  Each eigenpair is verified
-    against the matrix: ||D v - lam v|| must stay below 1e-10 * ||D||; a
-    violation (or a solver failure) raises ConvergenceError.
+    Solved by LAPACK ``dstevd`` (divide and conquer, called directly).  Each
+    eigenpair is verified against the matrix: ||D v - lam v|| must stay below
+    1e-10 * ||D||; a violation (or a solver failure) raises ConvergenceError.
     """
+    from scipy.linalg.lapack import dstevd  # scipy loads on the first solve only
+
     l = spec.l
     diag = np.zeros(l, dtype=np.float64)
     diag[0] += spec.a + spec.r
     diag[-1] += spec.b + spec.r
-    offdiag = np.full(max(l - 1, 0), spec.r**2, dtype=np.float64)
-    try:
-        values, vectors = eigh_tridiagonal(diag, offdiag)
-    except LinAlgError as exc:
-        raise ConvergenceError(f"tridiagonal eigensolver failed on order {l}: {exc}") from exc
+    if not all(map(math.isfinite, (diag[0], diag[-1], spec.r**2))):
+        raise ValueError(f"non-finite tridiagonal entries for {spec}")
+    if l == 1:
+        return diag  # the 1 x 1 matrix is its own eigenvalue
+    offdiag = np.full(l - 1, spec.r**2, dtype=np.float64)
+    values, vectors, info = dstevd(diag, offdiag)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal eigensolver failed on order {l}: dstevd info={info}")
 
     # residual check via tridiagonal matvec
     norm = max(np.max(np.abs(values)), np.max(np.abs(diag)) + 2.0 * spec.r**2)
     mv = diag[:, None] * vectors
-    if l > 1:
-        mv[:-1] += offdiag[:, None] * vectors[1:]
-        mv[1:] += offdiag[:, None] * vectors[:-1]
+    mv[:-1] += offdiag[:, None] * vectors[1:]
+    mv[1:] += offdiag[:, None] * vectors[:-1]
     residual = np.max(np.linalg.norm(mv - values[None, :] * vectors, axis=0))
     if residual > 1e-10 * norm:
         raise ConvergenceError(

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxham import cluster
 from boxham.cluster import (
     AdmissibilityReport,
     ClusterPrediction,
@@ -32,6 +33,7 @@ from boxham.cluster import (
     third_order_bound,
     verify_gaps,
 )
+from boxham.cyclotomic import cos_rows
 from boxham.errors import MatchingError
 from boxham.resolvent import kronecker_truncation
 from boxham.tridiag import TridiagSpec, constant_order_correction, predicted_eigenvalue
@@ -169,6 +171,38 @@ def test_classification_matches_float_sums():
                 assert expected == "same_cluster"
                 continue
             assert kind == expected, (lengths, n, m)
+
+
+def _exact_sums_equal(lengths, n, m, kind):
+    """Per-pair oracle: reduce just this pair's cosines in Z[zeta_2A] and sum."""
+    ambient = math.lcm(*[l + 1 for l in lengths])
+    steps = np.array([ambient // (l + 1) for l in lengths], dtype=np.int64)
+    n, m = np.asarray(n, dtype=np.int64), np.asarray(m, dtype=np.int64)
+    if kind == "cos":
+        exponents = np.concatenate([n * steps, m * steps])
+        weights = np.repeat([1, -1], len(steps))
+    else:
+        exponents = np.concatenate([2 * n * steps, 2 * m * steps])
+        weights = np.concatenate([-steps, steps])
+    return not (weights @ cos_rows(exponents, 2 * ambient)).any()
+
+
+@pytest.mark.parametrize("lengths", [(3, 4, 5), (2, 4)])
+def test_cached_geometry_rows_agree_with_per_pair_reduction(lengths):
+    for n, m in itertools.combinations(all_mode_tuples(lengths), 2):
+        equal = {kind: _exact_sums_equal(lengths, n, m, kind) for kind in ("cos", "sine")}
+        for kind in ("cos", "sine"):
+            # diff = 0 sends every pair through the exact test on the cached rows
+            assert cluster._is_tie(lengths, n, m, kind, 0.0, 1.0) == equal[kind], (n, m, kind)
+        if not equal["cos"]:
+            expected = "cos_separated"
+        elif not equal["sine"]:
+            expected = "sine_separated"
+        else:
+            expected = "same_cluster"
+        assert classify_pair(n, m, lengths) == expected, (n, m)
+    with pytest.raises(AssertionError):
+        classify_pair((1, 2), (2, 1), (3, 3))
 
 
 def test_classification_validates_labels():

@@ -63,6 +63,52 @@ def test_cos_rows_match_embedding(m):
     np.testing.assert_allclose(rows @ powers, expected, atol=1e-9)
 
 
+def _long_division_rows(exponents, m):
+    """Oracle: x^K + x^(m-K) reduced modulo Phi_m by long division, top column first.
+
+    Rows whose x^j coefficient is already zero are skipped at column j;
+    subtracting 0 * Phi_m would change nothing.
+    """
+    phi = np.array(cyclotomic_polynomial(m), dtype=np.int64)
+    deg = phi.size - 1
+    k = np.asarray(exponents, dtype=np.int64) % m
+    rows = np.zeros((k.size, m), dtype=np.int64)
+    rows[np.arange(k.size), k] += 1
+    rows[np.arange(k.size), -k % m] += 1
+    for j in range(m - 1, deg - 1, -1):
+        live = np.flatnonzero(rows[:, j])
+        rows[live, j - deg : j] -= rows[live, j, None] * phi[:deg]
+    return rows[:, :deg]
+
+
+def test_cos_rows_walk_matches_long_division_for_every_exponent():
+    for m in range(1, 301):
+        exponents = np.arange(m)
+        rows = cos_rows(exponents, m)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, _long_division_rows(exponents, m)), m
+    m = 2002
+    for start in range(0, m, 128):  # blocks keep the oracle's work array small
+        exponents = np.arange(start, min(start + 128, m))
+        assert np.array_equal(cos_rows(exponents, m), _long_division_rows(exponents, m)), start
+    assert cos_rows([], 12).shape == (0, 4)
+
+
+def test_verify_nonvanishing_blocks_share_one_reduction(monkeypatch):
+    import boxham.cyclotomic as cyclotomic
+
+    calls = []
+
+    def counting(exponents, m):
+        calls.append(m)
+        return cos_rows(exponents, m)
+
+    monkeypatch.setattr(cyclotomic, "cos_rows", counting)
+    rep = cyclotomic.verify_nonvanishing((5, 7, 11))
+    assert calls == [770]
+    assert rep.tuples == 240 and rep.zeros == 0
+
+
 def test_cos_sum_golden_identity():
     # cos(pi/5) + cos(3pi/5) + cos(2pi/3) = (cos(pi/5) - cos(2pi/5)) - 1/2 = 0
     assert cos_sum_is_zero((5, 5, 3), (1, 3, 2))

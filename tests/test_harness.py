@@ -256,6 +256,25 @@ def test_write_csv_formats_and_determinism(tmp_path):
     assert lines[2] == "2,-3,false,0|0"
     # 17 significant digits round-trip the double exactly
     assert float(lines[1].split(",")[1]) == 0.1
+    # every other field type the drivers emit: numpy scalars from spectra and
+    # floor tests, "" for an empty required gap, mode tuples, moduli lists
+    fields = [
+        (np.float64(0.1), "0.10000000000000001"),
+        (np.float64(-3.0), "-3"),
+        (np.float64(1e-300), "1e-300"),
+        (float("inf"), "inf"),
+        (np.bool_(True), "true"),
+        (np.bool_(False), "false"),
+        (np.int64(7), "7"),
+        (np.int64(-2), "-2"),
+        ("", ""),
+        ("same_cluster", "same_cluster"),
+        ((1, 2, 3), "1|2|3"),
+        ((np.int64(4),), "4"),
+        ([7, 11, 13], "7|11|13"),
+    ]
+    path = write_csv(tmp_path / "c.csv", ["v"], [tuple(value for value, _ in fields)])
+    assert path.read_text() == "v\n" + ",".join(text for _, text in fields) + "\n"
 
 
 def test_write_verdict_schema(tmp_path):
@@ -495,6 +514,33 @@ def test_gap_growth_floor_limited_curve():
     assert not failures
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(lower=0.0, upper=0.0, r_values=(100.0, 200.0, 400.0, 800.0, 1600.0)),
+        dict(d=3, lengths=(3, 4, 5), r_values=(100.0, 200.0, 400.0, 800.0, 1600.0)),
+    ],
+    ids=["zero_disorder_2x2", "l345"],
+)
+def test_gap_growth_batched_slopes_equal_per_curve_fits(overrides):
+    cfg = make_config(**overrides)
+    rows, _, extras = gap_growth_probe(cfg)
+    r_values = sorted(cfg.r_values)
+    curves = {}
+    for a, b, _, r, gap, floored in rows:
+        label = "|".join(map(str, a)) + ":" + "|".join(map(str, b))
+        curves.setdefault(label, []).append((gap, floored))
+    assert list(curves) == list(extras["slopes"])
+    kinds = set()
+    for label, points in curves.items():
+        gaps, floored = zip(*points)
+        expected = harness._fit_slope(r_values, gaps, floored)
+        assert extras["slopes"][label] == expected, label  # bit for bit
+        kinds.add(expected is None)
+    if cfg.upper == 0.0:
+        assert kinds == {True, False}  # floored and clean curves both occur
+
+
 def test_expansion_bound_formula():
     assert expansion_bound(2, 1.0, -0.5, 100.0) == (40 * 3 * 0.5 + 16 * 27 + 1) / 100.0
 
@@ -696,6 +742,17 @@ def test_cli_entry_point_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert "cossum: PASS" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by the dense LU and tridiagonal solves on first use
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, boxham.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_gapgrowth_verdict_slopes(tmp_path):

@@ -106,6 +106,36 @@ def test_spectrum_matches_dense_eigensolver():
         assert np.max(np.abs(ours - ref)) < 1e-12 * scale
 
 
+def test_spectrum_is_lapack_stevd_bit_for_bit():
+    # exact_spectrum calls dstevd itself; scipy's eigh_tridiagonal with the
+    # same driver must give the same bits, whatever scipy's default becomes
+    from scipy.linalg import eigh_tridiagonal
+
+    for l in (1, 2, 3, 7, 12, 30):
+        for a, b, r in [(0.3, -0.7, 5.0), (0.0, 0.0, 50.0), (-1.9, 1.4, 3200.0)]:
+            spec = TridiagSpec(l=l, a=a, b=b, r=r)
+            diag = np.zeros(l)
+            diag[0] += a + r
+            diag[-1] += b + r
+            ref = eigh_tridiagonal(diag, np.full(l - 1, r**2), lapack_driver="stevd")[0]
+            assert np.array_equal(exact_spectrum(spec), ref), (l, a, b, r)
+
+
+def test_spectrum_rejects_non_finite_entries():
+    with pytest.raises(ValueError):
+        exact_spectrum(TridiagSpec(l=3, a=float("nan"), b=0.0, r=5.0))
+
+
+def test_c_coefficient_memo_matches_direct_sum():
+    for l in range(1, 13):
+        for n in range(1, l + 1):
+            assert c_coefficient(l, n) == c_coefficient.__wrapped__(l, n)
+    with pytest.raises(ValueError):
+        c_coefficient(5, 6)  # an invalid index raises on every call
+    with pytest.raises(ValueError):
+        c_coefficient(5, 6)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         TridiagSpec(l=0, a=0.0, b=0.0, r=1.0)
