@@ -9,6 +9,7 @@ verdict into the output directory, and exiting 0 when every assertion passed,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -80,7 +81,9 @@ def _run(args) -> int:
     return 0 if not failures else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="boxham",
         description="Block-disorder lattice operator experiments",

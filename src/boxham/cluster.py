@@ -7,10 +7,10 @@ their cosine sums differ, at order r when their weighted sine-square sums
 differ, and otherwise stay together ("same cluster"); the same-cluster labels
 of n are always among the reflections m_i in {n_i, l_i+1-n_i}.
 
-Equality of cosine/sine sums is decided honestly: bitwise-equal floats are
-ties by the exact-symmetry trig helpers, and any difference inside a small
-band is settled exactly in a cyclotomic field rather than guessed from
-floating point.
+Equality of cosine/sine sums is decided exactly, once per geometry: the
+class table reduces every tuple's sums to integer vectors in a cyclotomic
+ring and numbers the distinct vectors, and every classification reads those
+class ids instead of comparing floats.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ SAME_CLUSTER = "same_cluster"
 
 DEGENERACY_TOL = 1e-6
 
-_NEAR_TIE_BAND = 1e-7
 _FALLBACK_TOL = 1e-12
 
 
@@ -114,78 +113,155 @@ def all_mode_tuples(lengths) -> list[tuple[int, ...]]:
     return tuples
 
 
-def _cos_sum(lengths, modes) -> float:
-    return sum(cos_pi_frac(n, l + 1) for n, l in zip(modes, lengths))
+def _over_tuples(per_axis) -> np.ndarray:
+    """sum_i per_axis[i][t_i - 1] for every mode tuple t, in all_mode_tuples order.
+
+    The terms are added left to right from 0, as Python's ``sum`` adds them.
+    """
+    total = 0
+    for axis, terms in enumerate(per_axis):
+        total = total + np.reshape(terms, [-1 if k == axis else 1 for k in range(len(per_axis))])
+    return total.ravel()
 
 
-def _sine_sum(lengths, modes) -> float:
-    return sum(sin_pi_frac(n, l + 1) ** 2 / (l + 1) for n, l in zip(modes, lengths))
+def _probe(width: int) -> np.ndarray:
+    """Fixed pseudo-random uint64 weights below 2^62, for ``_exact_ids``."""
+    return np.random.default_rng(0).integers(1 << 62, size=width, dtype=np.uint64)
 
 
-_SUM_OF = {"cos": _cos_sum, "sine": _sine_sum}
+def _exact_ids(rows) -> np.ndarray:
+    """Number the distinct integer vectors sum_i rows[i][t_i - 1] over the tuples t.
+
+    Each vector's dot product with ``_probe`` in uint64 arithmetic, which is
+    exact mod 2^64 and so linear (one key per tuple), groups the candidates:
+    equal vectors always share it, and only tuples that share it are compared
+    entry by entry, so no N x phi(2A) table is held.
+    """
+    probe = _probe(rows[0].shape[1])
+    keys = _over_tuples([row.astype(np.uint64) @ probe for row in rows])
+    _, ids, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    ids = ids.ravel()
+    order = np.argsort(ids, kind="stable")
+    ends = np.cumsum(counts)
+    next_id = counts.size
+    for group in np.flatnonzero(counts > 1):
+        members = order[ends[group] - counts[group] : ends[group]].tolist()
+        coords = np.unravel_index(members, [len(row) for row in rows])
+        vectors = sum(row[c] for row, c in zip(rows, coords))
+        # the first vector keeps the group's id, every other one gets a new id
+        split: dict[bytes, int] = {}
+        for k, vector in zip(members, vectors):
+            text = vector.tobytes()
+            if text not in split:
+                split[text] = ids[k] if not split else next_id + len(split) - 1
+            ids[k] = split[text]
+        next_id += len(split) - 1
+    return ids
 
 
-def _lcm_order(lengths) -> int:
-    return math.lcm(*[l + 1 for l in lengths])
+def _float_ids(values: np.ndarray) -> np.ndarray:
+    """Number float sums by tolerance; used only where 2A > MODULUS_CAP.
+
+    There the ring Z[zeta_2A] is past the cyclotomic cap, so no exact test
+    is available.  Walking the sums in ascending order, a sum within
+    _FALLBACK_TOL * max(1, max |sum|) of the first sum of the current class
+    joins it; any other sum opens a new class.
+    """
+    tol = _FALLBACK_TOL * max(1.0, float(np.abs(values).max()))
+    ids = np.empty(values.size, dtype=np.int64)
+    leader, current = -math.inf, -1
+    for k in np.argsort(values, kind="stable").tolist():
+        if values[k] - leader > tol:
+            leader, current = values[k], current + 1
+        ids[k] = current
+    return ids
+
+
+@dataclass(frozen=True, eq=False)
+class ClassTable:
+    """The order-r^2 and order-r class of every mode tuple of one geometry.
+
+    ``tuples`` lists the mode tuples in all_mode_tuples order and ``index``
+    maps each to its position k.  ``cos[k]`` and ``sine[k]`` are tuple k's
+    float cosine sum and weighted sine-square sum sum_i sin^2(pi n_i/q_i)/q_i
+    (q_i = l_i + 1); ``cos_ids[k]`` and ``sine_ids[k]`` number their exact
+    values, so two tuples share an id exactly when the sums are equal.
+    """
+
+    lengths: tuple[int, ...]
+    tuples: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
+    cos: np.ndarray
+    sine: np.ndarray
+    cos_ids: tuple[int, ...]
+    sine_ids: tuple[int, ...]
+
+    def classify(self, n: tuple[int, ...], m: tuple[int, ...]) -> str:
+        """``classify_pair`` of two valid mode tuples of this geometry."""
+        i, j = self.index[n], self.index[m]
+        if self.cos_ids[i] != self.cos_ids[j]:
+            return COS_SEPARATED
+        if self.sine_ids[i] != self.sine_ids[j]:
+            return SINE_SEPARATED
+        if not all(mi in (ni, l + 1 - ni) for mi, ni, l in zip(m, n, self.lengths)):
+            raise AssertionError(
+                f"labels {n} and {m} share both sums but are not reflections of each other"
+            )
+        return SAME_CLUSTER
 
 
 @functools.lru_cache(maxsize=64)
-def _geometry_rows(lengths: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Per coordinate i, row j of block i is 2cos(pi j/(l_i+1)) in Z[zeta_2A].
+def class_table(lengths: tuple[int, ...]) -> ClassTable:
+    """The ClassTable of ``lengths``, built once per geometry.
 
-    A is the lcm of the l_i+1 and j runs over 0..2(l_i+1)-1, which covers
-    every exponent the cosine (j = n_i) and sine (j = 2 n_i) tests read.
-    All blocks come from one cos_rows walk; the arrays are read-only.
+    With A the lcm of the q_i = l_i + 1, 2cos(pi n/q_i) is the cos_rows row
+    of exponent n A/q_i in Z[zeta_2A], so a tuple's cosine sum is the sum of
+    its coordinates' rows.  4A sin^2(pi n/q)/q = (A/q)(2 - 2cos(2 pi n/q)),
+    and the constants are the same for every tuple, so the rows of exponent
+    2n A/q_i weighted by A/q_i number the sine sums.  Past the modulus cap
+    (2A > MODULUS_CAP) the float sums are numbered by ``_float_ids``.
+    Building the table raises nothing for permuted ties; ``classify`` does.
     """
-    ambient = _lcm_order(lengths)
-    sizes = [2 * (l + 1) for l in lengths]
-    exponents = [j * (ambient // (l + 1)) for l, size in zip(lengths, sizes) for j in range(size)]
-    rows = cos_rows(exponents, 2 * ambient)
-    rows.flags.writeable = False
-    return tuple(np.split(rows, np.cumsum(sizes[:-1])))
-
-
-def _is_tie(lengths, n, m, kind: str, diff: float, scale: float) -> bool:
-    """Do the (cosine | sine) sums of n and m, ``diff`` apart in floats, agree?
-
-    A difference beyond the near-tie band (relative to ``scale``) is not a
-    tie.  Inside the band the difference is tested for zero exactly in
-    Z[zeta_2A], A the lcm of the l_i+1, or against 1e-12 * scale when 2A would
-    exceed the modulus cap.
-    """
-    if abs(diff) > _NEAR_TIE_BAND * scale:
-        return False
-    ambient = _lcm_order(lengths)
+    tuples = tuple(all_mode_tuples(lengths))
+    cos = _over_tuples([[cos_pi_frac(n, l + 1) for n in range(1, l + 1)] for l in lengths])
+    sine = _over_tuples(
+        [[sin_pi_frac(n, l + 1) ** 2 / (l + 1) for n in range(1, l + 1)] for l in lengths]
+    )
+    ambient = math.lcm(*[l + 1 for l in lengths])
     if 2 * ambient > MODULUS_CAP:
-        return abs(diff) <= _FALLBACK_TOL * scale
-    blocks = _geometry_rows(tuple(lengths))
-    if kind == "cos":
-        total = sum(block[a] - block[b] for block, a, b in zip(blocks, n, m))
+        cos_ids, sine_ids = _float_ids(cos), _float_ids(sine)
     else:
-        # 4A sin^2(pi j/q)/q = (A/q)(2 - 2cos(2 pi j/q)); the constants cancel
-        # in the difference, leaving integer-weighted cosines.
-        total = sum(
-            (ambient // (l + 1)) * (block[2 * b] - block[2 * a])
-            for block, a, b, l in zip(blocks, n, m, lengths)
-        )
-    return not total.any()
-
-
-def _sums_equal(lengths, n, m, kind: str) -> bool:
-    """Are the (cosine | weighted sine-square) sums of n and m equal?"""
-    x, y = _SUM_OF[kind](lengths, n), _SUM_OF[kind](lengths, m)
-    return _is_tie(lengths, n, m, kind, x - y, max(1.0, abs(x), abs(y)))
+        steps = [ambient // (l + 1) for l in lengths]
+        exponents = [
+            j * n * step for j in (1, 2) for l, step in zip(lengths, steps) for n in range(1, l + 1)
+        ]
+        rows = np.split(cos_rows(exponents, 2 * ambient), np.cumsum(lengths * 2)[:-1])
+        d = len(lengths)
+        cos_ids = _exact_ids(rows[:d])
+        sine_ids = _exact_ids([step * row for step, row in zip(steps, rows[d:])])
+    for values in (cos, sine):
+        values.flags.writeable = False
+    return ClassTable(
+        lengths=lengths,
+        tuples=tuples,
+        index={t: k for k, t in enumerate(tuples)},
+        cos=cos,
+        sine=sine,
+        cos_ids=tuple(cos_ids.tolist()),
+        sine_ids=tuple(sine_ids.tolist()),
+    )
 
 
 def classify_pair(n, m, lengths) -> str:
     """cos_separated / sine_separated / same_cluster for a label pair.
 
-    same_cluster additionally asserts the reflection structure: every
-    coordinate of m must be n_i or its mirror l_i+1-n_i.  The assertion marks
-    the boundary of this three-way classification: when two coordinates share
-    a length, permuted labels such as (1,2)/(2,1) at lengths (3,3) tie both
-    displayed sums without being reflections — such pairs are separated only
-    at the designed-potential order, and tripping the assertion (rather than
+    Reads the class ids of the geometry's ``class_table``.  same_cluster
+    additionally asserts the reflection structure: every coordinate of m must
+    be n_i or its mirror l_i+1-n_i.  The assertion marks the boundary of this
+    three-way classification: when two coordinates share a length, permuted
+    labels such as (1,2)/(2,1) at lengths (3,3) tie both displayed sums
+    without being reflections — such pairs are separated only at the
+    designed-potential order, and tripping the assertion (rather than
     silently labeling them same_cluster) is deliberate.
     """
     lengths = tuple(int(l) for l in lengths)
@@ -193,15 +269,7 @@ def classify_pair(n, m, lengths) -> str:
     m = tuple(int(x) for x in m)
     _check_modes(lengths, n)
     _check_modes(lengths, m)
-    if not _sums_equal(lengths, n, m, "cos"):
-        return COS_SEPARATED
-    if not _sums_equal(lengths, n, m, "sine"):
-        return SINE_SEPARATED
-    if not all(mi in (ni, l + 1 - ni) for mi, ni, l in zip(m, n, lengths)):
-        raise AssertionError(
-            f"labels {n} and {m} share both sums but are not reflections of each other"
-        )
-    return SAME_CLUSTER
+    return class_table(lengths).classify(n, m)
 
 
 def flip_partners(modes, lengths) -> set[tuple[int, ...]]:
@@ -219,26 +287,20 @@ def flip_partners(modes, lengths) -> set[tuple[int, ...]]:
 def min_nonzero_gaps(lengths) -> tuple[float | None, float | None]:
     """Smallest nonzero spread of cosine sums (c) and weighted sine sums (s).
 
-    Enumerates every mode tuple, collapses exact ties (bitwise, then the
-    cyclotomic test inside the near-tie band), and takes the minimal adjacent
-    difference of the surviving distinct values.  None when all values agree.
+    Walks every mode tuple's sum in ascending order, keeps the first sum of
+    each class of the geometry's ``class_table``, and takes the minimal
+    adjacent difference of those values.  None when all values agree.
     """
-    lengths = tuple(int(l) for l in lengths)
-    tuples = all_mode_tuples(lengths)
+    table = class_table(tuple(int(l) for l in lengths))
 
-    def spread(kind: str) -> float | None:
-        pairs = sorted((_SUM_OF[kind](lengths, t), t) for t in tuples)
-        scale = max(1.0, abs(pairs[0][0]), abs(pairs[-1][0]))
-        distinct = [pairs[0]]
-        for value, t in pairs[1:]:
-            prev_value, prev_t = distinct[-1]
-            if not _is_tie(lengths, t, prev_t, kind, value - prev_value, scale):
-                distinct.append((value, t))
-        if len(distinct) == 1:
+    def spread(values: np.ndarray, ids: tuple[int, ...]) -> float | None:
+        order = np.argsort(values, kind="stable")
+        _, first = np.unique(np.asarray(ids)[order], return_index=True)
+        if first.size == 1:
             return None
-        return min(b[0] - a[0] for a, b in zip(distinct, distinct[1:]))
+        return float(np.diff(values[order[np.sort(first)]]).min())
 
-    return spread("cos"), spread("sine")
+    return spread(table.cos, table.cos_ids), spread(table.sine, table.sine_ids)
 
 
 def degeneracy_tolerance(values) -> float:
@@ -316,11 +378,12 @@ def verify_gaps(
     lengths = tuple(int(l) for l in lengths)
     matched = match_predictions(exact_values, predictions)
     c_min, s_min = constants if constants is not None else min_nonzero_gaps(lengths)
+    table = class_table(lengths)
     reports = []
     for i in range(len(matched)):
         for j in range(i + 1, len(matched)):
             p, q = matched[i], matched[j]
-            kind = classify_pair(p.modes, q.modes, lengths)
+            kind = table.classify(p.modes, q.modes)
             gap = abs(p.matched_exact - q.matched_exact)
             if kind == COS_SEPARATED:
                 if c_min is None:

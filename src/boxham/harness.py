@@ -23,7 +23,7 @@ import numpy as np
 from .cluster import (
     admissibility,
     all_mode_tuples,
-    classify_pair,
+    class_table,
     cluster_indices,
     degeneracy_tolerance,
     min_nonzero_gaps,
@@ -60,7 +60,7 @@ from .separation import (
     sine_system,
     verify_separation,
 )
-from .tridiag import TridiagSpec, exact_spectrum, predicted_eigenvalue
+from .tridiag import TridiagSpec, exact_spectrum, predicted_grid
 
 _DEFAULT_Z = (30.0, 37.5, 45.0, 52.5, 60.0)
 
@@ -341,12 +341,32 @@ def _formatter(kind: type):
     if issubclass(kind, (float, np.floating)):
         return "%.17g".__mod__  # the text of f"{float(value):.17g}"
     if issubclass(kind, (tuple, list)):
-        return lambda value: "|".join(map(_fmt, value))
+        return _sequence_text
     return str
 
 
 def _fmt(value) -> str:
     return _formatter(type(value))(value)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _label(items: tuple, kinds: tuple) -> str | None:
+    """The text of a label of integers (bools included); None for any other label."""
+    if all(issubclass(kind, (int, np.integer)) for kind in kinds):
+        return "|".join(map(_fmt, items))
+    return None
+
+
+def _sequence_text(value) -> str:
+    """A tuple or list field, "|"-joined; a label of integers is formatted once.
+
+    The cache key holds the element types beside the values, because
+    (1, 2) == (True, 2) == (1.0, 2.0) while their texts differ.  A label with
+    any other element (a float, where 0.0 == -0.0, or a nested sequence whose
+    own element types the key would miss) is formatted every time.
+    """
+    text = _label(tuple(value), tuple(map(type, value)))
+    return "|".join(map(_fmt, value)) if text is None else text
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> Path:
@@ -632,8 +652,9 @@ def gap_growth_probe(config: ExperimentConfig):
     rows = []
     pairs = []
     curves = []
-    for a, b in itertools.combinations(all_mode_tuples(config.lengths), 2):
-        cls = classify_pair(a, b, config.lengths)
+    table = class_table(config.lengths)
+    for a, b in itertools.combinations(table.tuples, 2):
+        cls = table.classify(a, b)
         gaps = [abs(spectra[r][a] - spectra[r][b]) for r in r_values]
         floored = [g <= floors[r] for g, r in zip(gaps, r_values)]
         rows += [(a, b, cls, r, g, f) for r, g, f in zip(r_values, gaps, floored)]
@@ -683,36 +704,34 @@ def expansion_sweep(config: ExperimentConfig):
     failures = []
     worst_by_r: dict[float, float] = {}
     for l in config.expansion_l:
-        for a in config.expansion_ab:
-            for b in config.expansion_ab:
-                for r in config.r_values:
-                    spec = TridiagSpec(l=l, a=a, b=b, r=r)
-                    exact = exact_spectrum(spec)
-                    preds = sorted(
-                        (predicted_eigenvalue(spec, n, "c_over_r"), n)
-                        for n in range(1, l + 1)
-                    )
-                    per_mode = {}
-                    for (pred, n), ex in zip(preds, exact):
-                        per_mode[n] = (float(ex), pred, abs(float(ex) - pred))
-                    for n in range(1, l + 1):
-                        ex, pred, res = per_mode[n]
-                        rows.append((l, a, b, r, n, ex, pred, res))
-                    cell_worst = max(v[2] for v in per_mode.values())
-                    worst_by_r[r] = max(worst_by_r.get(r, 0.0), cell_worst)
-                    allowance = expansion_bound(l, a, b, r)
-                    if cell_worst > allowance:
-                        failures.append(
-                            {
-                                "check": "expansion_bound",
-                                "l": l,
-                                "a": a,
-                                "b": b,
-                                "r": r,
-                                "worst_residual": cell_worst,
-                                "allowance": allowance,
-                            }
-                        )
+        cells = list(itertools.product(config.expansion_ab, config.expansion_ab, config.r_values))
+        specs = [TridiagSpec(l=l, a=a, b=b, r=r) for a, b, r in cells]
+        predicted = predicted_grid(specs, "c_over_r")
+        # Pair the ascending spectrum with the predictions in ascending
+        # (value, mode) order; the stable sort breaks ties by mode.
+        order = np.argsort(predicted, axis=1, kind="stable")
+        exact = np.empty_like(predicted)
+        np.put_along_axis(exact, order, exact_spectrum(specs), axis=1)
+        residual = np.abs(exact - predicted)
+        cell_worst = residual.max(axis=1).tolist()
+        for (a, b, r), ex, pred, res, worst in zip(
+            cells, exact.tolist(), predicted.tolist(), residual.tolist(), cell_worst
+        ):
+            rows += [(l, a, b, r, n + 1, ex[n], pred[n], res[n]) for n in range(l)]
+            worst_by_r[r] = max(worst_by_r.get(r, 0.0), worst)
+            allowance = expansion_bound(l, a, b, r)
+            if worst > allowance:
+                failures.append(
+                    {
+                        "check": "expansion_bound",
+                        "l": l,
+                        "a": a,
+                        "b": b,
+                        "r": r,
+                        "worst_residual": worst,
+                        "allowance": allowance,
+                    }
+                )
     slope = None
     if len(worst_by_r) >= 4 and max(worst_by_r) / min(worst_by_r) >= 8:
         rs = sorted(worst_by_r)

@@ -244,12 +244,12 @@ def _box_potential(
     boosts: dict[int, float] | None = None,
 ) -> np.ndarray:
     """Per-site diagonal omega_{box(x)}, plus lambda_i on the unit box e_i."""
-    radius = partition.radius
-    grid = np.empty((2 * radius + 1,) * partition.d, dtype=np.float64)
-    for n in partition.boxes:
-        if n not in disorder.values:
-            raise IncompleteSampleError(f"disorder sample has no value for box {n}")
-        grid[tuple(ni + radius for ni in n)] = disorder.values[n]
+    # partition.boxes is lexicographic, the C order of the box grid
+    try:
+        values = [disorder.values[n] for n in partition.boxes]
+    except KeyError as exc:
+        raise IncompleteSampleError(f"disorder sample has no value for box {exc.args[0]}") from None
+    grid = np.array(values, dtype=np.float64).reshape((2 * partition.radius + 1,) * partition.d)
     for axis, l in enumerate(partition.lengths):
         grid = np.repeat(grid, l, axis=axis)
     diag = grid.ravel()

@@ -145,39 +145,80 @@ def constant_order_correction(l: int, n: int) -> float:
     return -4.0 * c_coefficient(l, n)
 
 
-def exact_spectrum(spec: TridiagSpec) -> np.ndarray:
-    """Reference eigenvalues of the boundary-perturbed matrix, ascending.
+def exact_spectrum(specs) -> np.ndarray:
+    """Reference eigenvalues of boundary-perturbed matrices, ascending.
 
-    Solved by LAPACK ``dstevd`` (divide and conquer, called directly).  Each
-    eigenpair is verified against the matrix: ||D v - lam v|| must stay below
+    ``specs`` is one TridiagSpec, answered by a 1-D array, or a sequence of
+    specs sharing one l, answered by one row per spec; a single spec is a
+    batch of one.  Each matrix is solved by LAPACK ``dstevd`` (divide and
+    conquer, called directly).  Every eigenpair of the batch is then checked
+    against its matrix at once: ||D v - lam v|| must stay below
     1e-10 * ||D||; a violation (or a solver failure) raises ConvergenceError.
     """
     from scipy.linalg.lapack import dstevd  # scipy loads on the first solve only
 
-    l = spec.l
-    diag = np.zeros(l, dtype=np.float64)
-    diag[0] += spec.a + spec.r
-    diag[-1] += spec.b + spec.r
-    if not all(map(math.isfinite, (diag[0], diag[-1], spec.r**2))):
-        raise ValueError(f"non-finite tridiagonal entries for {spec}")
+    single = isinstance(specs, TridiagSpec)
+    batch = [specs] if single else list(specs)
+    l = batch[0].l
+    if any(spec.l != l for spec in batch):
+        raise ValueError(f"one batch must share l, got {sorted({spec.l for spec in batch})}")
+    diag = np.zeros((len(batch), l), dtype=np.float64)
+    diag[:, 0] += [spec.a + spec.r for spec in batch]
+    diag[:, -1] += [spec.b + spec.r for spec in batch]
+    r2 = np.array([spec.r**2 for spec in batch])
+    finite = np.isfinite(diag[:, 0]) & np.isfinite(diag[:, -1]) & np.isfinite(r2)
+    if not finite.all():
+        raise ValueError(f"non-finite tridiagonal entries for {batch[int(np.argmin(finite))]}")
     if l == 1:
-        return diag  # the 1 x 1 matrix is its own eigenvalue
-    offdiag = np.full(l - 1, spec.r**2, dtype=np.float64)
-    values, vectors, info = dstevd(diag, offdiag)
-    if info != 0:
-        raise ConvergenceError(f"tridiagonal eigensolver failed on order {l}: dstevd info={info}")
+        return diag[0] if single else diag  # the 1 x 1 matrix is its own eigenvalue
+    offdiag = np.repeat(r2[:, None], l - 1, axis=1)
+    values = np.empty_like(diag)
+    vectors = np.empty((len(batch), l, l))
+    for k in range(len(batch)):
+        values[k], vectors[k], info = dstevd(diag[k], offdiag[k])
+        if info != 0:
+            raise ConvergenceError(f"tridiagonal eigensolver failed on order {l}: dstevd info={info}")
 
-    # residual check via tridiagonal matvec
-    norm = max(np.max(np.abs(values)), np.max(np.abs(diag)) + 2.0 * spec.r**2)
-    mv = diag[:, None] * vectors
-    mv[:-1] += offdiag[:, None] * vectors[1:]
-    mv[1:] += offdiag[:, None] * vectors[:-1]
-    residual = np.max(np.linalg.norm(mv - values[None, :] * vectors, axis=0))
-    if residual > 1e-10 * norm:
+    # residual check via tridiagonal matvec, every matrix at once
+    norm = np.maximum(np.abs(values).max(axis=1), np.abs(diag).max(axis=1) + 2.0 * r2)
+    mv = diag[:, :, None] * vectors
+    mv[:, :-1] += offdiag[:, :, None] * vectors[:, 1:]
+    mv[:, 1:] += offdiag[:, :, None] * vectors[:, :-1]
+    residual = np.linalg.norm(mv - values[:, None, :] * vectors, axis=1).max(axis=1)
+    bad = np.flatnonzero(residual > 1e-10 * norm)
+    if bad.size:
+        k = bad[0]
         raise ConvergenceError(
-            f"eigenpair residual {residual:.3e} exceeds 1e-10 * ||D|| = {1e-10 * norm:.3e}"
+            f"eigenpair residual {residual[k]:.3e} exceeds 1e-10 * ||D|| = {1e-10 * norm[k]:.3e}"
         )
-    return values
+    return values[0] if single else values
+
+
+def _expansion(l: int, n: int, a, b, r, r2, order: str):
+    """The partial sum of ``predicted_eigenvalue``, on floats or on arrays.
+
+    ``r2`` is r**2, evaluated by the caller as a Python float per r.  Every
+    operation is elementwise and in the same order for both kinds of input,
+    so each array entry equals the scalar result bit for bit.
+    """
+    m1 = l + 1
+    cos_n = cos_pi_frac(n, m1)
+    sin2_n = sin_pi_frac(n, m1) ** 2
+    value = 2.0 * r2 * cos_n
+    if order == "r2":
+        return value
+    value += (4.0 * r / m1) * sin2_n
+    if order == "r1":
+        return value
+    correction = constant_order_correction(l, n)
+    value += (2.0 * (a + b) / m1) * sin2_n
+    value += correction
+    if order == "const":
+        return value
+    value += correction * (a + b) / r
+    if order == "c_over_r":
+        return value
+    raise ValueError(f"unknown order token {order!r}")
 
 
 def predicted_eigenvalue(spec: TridiagSpec, n: int, order: str = "const") -> float:
@@ -191,21 +232,22 @@ def predicted_eigenvalue(spec: TridiagSpec, n: int, order: str = "const") -> flo
     spec.require_expansion_regime()
     if not 1 <= n <= spec.l:
         raise ValueError(f"mode index {n} outside 1..{spec.l}")
-    m1 = spec.l + 1
-    cos_n = cos_pi_frac(n, m1)
-    sin2_n = sin_pi_frac(n, m1) ** 2
-    value = 2.0 * spec.r**2 * cos_n
-    if order == "r2":
-        return value
-    value += (4.0 * spec.r / m1) * sin2_n
-    if order == "r1":
-        return value
-    correction = constant_order_correction(spec.l, n)
-    value += (2.0 * (spec.a + spec.b) / m1) * sin2_n
-    value += correction
-    if order == "const":
-        return value
-    value += correction * (spec.a + spec.b) / spec.r
-    if order == "c_over_r":
-        return value
-    raise ValueError(f"unknown order token {order!r}")
+    return _expansion(spec.l, n, spec.a, spec.b, spec.r, spec.r**2, order)
+
+
+def predicted_grid(specs, order: str = "const") -> np.ndarray:
+    """``predicted_eigenvalue`` of every mode of specs sharing one l.
+
+    Row k, column n-1 holds mode n of ``specs[k]``, equal bit for bit to the
+    scalar call: each mode is one ``_expansion`` over the arrays of a, b, r.
+    """
+    l = specs[0].l
+    if any(spec.l != l for spec in specs):
+        raise ValueError(f"one grid must share l, got {sorted({spec.l for spec in specs})}")
+    for spec in specs:
+        spec.require_expansion_regime()
+    a = np.array([spec.a for spec in specs])
+    b = np.array([spec.b for spec in specs])
+    r = np.array([spec.r for spec in specs])
+    r2 = np.array([spec.r**2 for spec in specs])
+    return np.stack([_expansion(l, n, a, b, r, r2, order) for n in range(1, l + 1)], axis=1)

@@ -187,22 +187,74 @@ def _exact_sums_equal(lengths, n, m, kind):
     return not (weights @ cos_rows(exponents, 2 * ambient)).any()
 
 
-@pytest.mark.parametrize("lengths", [(3, 4, 5), (2, 4)])
+@pytest.mark.parametrize("lengths", [(3, 4, 5), (2, 4), (4, 4, 4), (2, 3, 4)])
 def test_cached_geometry_rows_agree_with_per_pair_reduction(lengths):
+    # the per-geometry class ids against the per-pair exact reduction
+    table = cluster.class_table(lengths)
+    ids = {"cos": table.cos_ids, "sine": table.sine_ids}
     for n, m in itertools.combinations(all_mode_tuples(lengths), 2):
         equal = {kind: _exact_sums_equal(lengths, n, m, kind) for kind in ("cos", "sine")}
+        i, j = table.index[n], table.index[m]
         for kind in ("cos", "sine"):
-            # diff = 0 sends every pair through the exact test on the cached rows
-            assert cluster._is_tie(lengths, n, m, kind, 0.0, 1.0) == equal[kind], (n, m, kind)
+            assert (ids[kind][i] == ids[kind][j]) == equal[kind], (n, m, kind)
         if not equal["cos"]:
             expected = "cos_separated"
         elif not equal["sine"]:
             expected = "sine_separated"
-        else:
+        elif all(b in (a, l + 1 - a) for a, b, l in zip(n, m, lengths)):
             expected = "same_cluster"
+        else:
+            # permuted ties, as at (4, 4, 4): the table holds them, classify asserts
+            with pytest.raises(AssertionError):
+                classify_pair(n, m, lengths)
+            continue
         assert classify_pair(n, m, lengths) == expected, (n, m)
     with pytest.raises(AssertionError):
         classify_pair((1, 2), (2, 1), (3, 3))
+
+
+def test_exact_ids_split_vectors_whose_probe_keys_collide():
+    # rows (p1, 0) and (0, p0) share the key p0 * p1 but are different vectors
+    p0, p1 = cluster._probe(2).tolist()
+    rows = np.array([[p1, 0], [0, p0], [p1, 0], [0, 0]], dtype=np.int64)
+    ids = cluster._exact_ids([rows]).tolist()
+    assert ids[0] == ids[2] and len(set(ids)) == 3
+    pairs = cluster._exact_ids([rows, np.array([[0, 0], [0, 0]], dtype=np.int64)]).tolist()
+    assert pairs[0] == pairs[1] == pairs[4] == pairs[5] and len(set(pairs)) == 3
+
+
+def test_class_ids_past_the_modulus_cap_follow_the_float_sums():
+    # lcm(3, 61, 79) = 14457, so 2A exceeds MODULUS_CAP and the ids come from
+    # the float fallback.  Oracle: the per-pair float rule, on sums computed
+    # here by math.cos/math.sin; no sampled difference lies in (1e-13, 1e-9).
+    lengths = (2, 60, 78)
+    assert 2 * math.lcm(*[l + 1 for l in lengths]) > cluster.MODULUS_CAP
+    table = cluster.class_table(lengths)
+    qs = [l + 1 for l in lengths]
+
+    def sums(t):
+        return {
+            "cos": sum(math.cos(math.pi * n / q) for n, q in zip(t, qs)),
+            "sine": sum(math.sin(math.pi * n / q) ** 2 / q for n, q in zip(t, qs)),
+        }
+
+    rng = np.random.default_rng(11)
+    pairs = []
+    for k in rng.choice(len(table.tuples), size=200, replace=False).tolist():
+        n = table.tuples[k]
+        # reflections tie the sine sums; random partners mostly do not
+        pairs += [(n, m) for m in sorted(flip_partners(n, lengths)) if m != n]
+        pairs.append((n, table.tuples[int(rng.integers(len(table.tuples)))]))
+    ties = {"cos": 0, "sine": 0}
+    for n, m in pairs:
+        x, y = sums(n), sums(m)
+        i, j = table.index[n], table.index[m]
+        for kind, ids in (("cos", table.cos_ids), ("sine", table.sine_ids)):
+            diff = abs(x[kind] - y[kind])
+            assert not 1e-13 < diff <= 1e-9, (n, m, kind)
+            assert (ids[i] == ids[j]) == (diff <= 1e-13), (n, m, kind)
+            ties[kind] += diff <= 1e-13
+    assert ties["sine"] > 100 and ties["cos"] < ties["sine"]
 
 
 def test_classification_validates_labels():

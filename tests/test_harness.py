@@ -275,6 +275,24 @@ def test_write_csv_formats_and_determinism(tmp_path):
     ]
     path = write_csv(tmp_path / "c.csv", ["v"], [tuple(value for value, _ in fields)])
     assert path.read_text() == "v\n" + ",".join(text for _, text in fields) + "\n"
+    # labels equal as values but of other element types keep their own text,
+    # in one file and in either order
+    labels = [
+        ((1, 2), "1|2"),
+        ((1.0, 2.0), "1|2"),
+        ((True, 2), "true|2"),
+        ((np.int64(1), 2), "1|2"),
+        ([7, 11], "7|11"),
+        ((1.5, 2), "1.5|2"),
+        ((-0.0, 2), "-0|2"),
+        ((0.0, 2), "0|2"),
+        ((np.bool_(True), 2), "true|2"),
+        (((1, 2), 3), "1|2|3"),
+        (((True, 2), 3), "true|2|3"),
+    ]
+    for ordered in (labels, labels[::-1]):
+        path = write_csv(tmp_path / "d.csv", ["label"], [(value,) for value, _ in ordered] * 2)
+        assert path.read_text().splitlines()[1:] == [text for _, text in ordered] * 2
 
 
 def test_write_verdict_schema(tmp_path):
@@ -663,6 +681,23 @@ def test_cli_multiplicity_roundtrip(tmp_path):
     assert verdict["subcommand"] == "multiplicity"
     assert verdict["bound"] == 2 and verdict["s"] == 2 and verdict["simple"] is False
     assert len(verdict["config"]) == 64
+
+
+def test_cli_calls_in_one_process_parse_independently(tmp_path, capsys):
+    # the parser is built once per process; each call still parses only its own argv
+    assert cli.build_parser() is cli.build_parser()
+    cfg = write_cfg(tmp_path, MINIMAL + "run.r = 300\n")
+    assert cli.main(["cossum", "--p", "5,7", "--out", str(tmp_path / "c")]) == 0
+    assert cli.main(["partition", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+    assert (tmp_path / "c" / "cossum.csv").exists() and not (tmp_path / "c" / "partition.csv").exists()
+    assert (tmp_path / "p" / "partition.csv").exists() and not (tmp_path / "p" / "cossum.csv").exists()
+    first = cli.build_parser().parse_args(["cossum", "--p", "5"])
+    second = cli.build_parser().parse_args(["partition", "--config", cfg])
+    assert vars(first) == {"command": "cossum", "p": "5", "out": None}
+    assert vars(second) == {"command": "partition", "config": cfg, "out": None}
+    with pytest.raises(SystemExit):
+        cli.main(["partition", "--p", "5"])  # --p belongs to cossum only
+    capsys.readouterr()
 
 
 def test_cli_output_is_byte_identical_across_reruns(tmp_path):

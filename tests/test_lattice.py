@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxham.errors import VolumeError
+from boxham.errors import IncompleteSampleError, VolumeError
 from boxham.lattice import (
     DisorderSample,
     apply_laplacian,
@@ -153,6 +153,15 @@ def test_hamiltonian_diagonal_carries_box_potential_and_boost():
         elif n == (0, 1):
             expect += 5.0
         assert h[i, i] == pytest.approx(expect, abs=0.0)
+
+
+def test_hamiltonian_rejects_sample_missing_one_box():
+    part = build_partition(2, (2, 3), radius=1)
+    values = {n: 0.5 for n in part.boxes}
+    del values[(1, -1)]
+    sample = DisorderSample(values=values, distribution=(-1.0, 1.0), seed=0)
+    with pytest.raises(IncompleteSampleError, match=r"\(1, -1\)"):
+        build_hamiltonian(part, sample)
 
 
 def test_cached_laplacian_is_read_only():

@@ -23,8 +23,10 @@ from boxham.tridiag import (
     exact_spectrum,
     factor_specs,
     predicted_eigenvalue,
+    predicted_grid,
     sin_pi_frac,
 )
+from boxham.errors import ConvergenceError
 
 
 # ------------------------------------------------------------ trig helpers
@@ -124,6 +126,79 @@ def test_spectrum_is_lapack_stevd_bit_for_bit():
 def test_spectrum_rejects_non_finite_entries():
     with pytest.raises(ValueError):
         exact_spectrum(TridiagSpec(l=3, a=float("nan"), b=0.0, r=5.0))
+
+
+def test_batched_spectrum_equals_per_spec_dstevd_bit_for_bit():
+    from scipy.linalg.lapack import dstevd
+
+    rng = np.random.default_rng(7)
+    for l in (1, 2, 5, 12):
+        specs = [
+            TridiagSpec(l=l, a=float(rng.uniform(-2, 2)), b=float(rng.uniform(-2, 2)), r=r)
+            for r in (3.0, 50.0, float(rng.uniform(10, 3200)))
+        ]
+        batch = exact_spectrum(specs)
+        assert batch.shape == (len(specs), l)
+        for spec, row in zip(specs, batch):
+            diag = np.zeros(l)
+            diag[0] += spec.a + spec.r
+            diag[-1] += spec.b + spec.r
+            ref = diag if l == 1 else dstevd(diag, np.full(l - 1, spec.r**2))[0]
+            assert np.array_equal(row, ref), (l, spec)
+            assert np.array_equal(exact_spectrum(spec), ref), (l, spec)
+
+
+def test_batched_spectrum_rejects_mixed_l():
+    with pytest.raises(ValueError):
+        exact_spectrum([TridiagSpec(l=2, a=0.0, b=0.0, r=5.0), TridiagSpec(l=3, a=0.0, b=0.0, r=5.0)])
+
+
+def test_batch_with_one_corrupted_eigenpair_raises(monkeypatch):
+    import scipy.linalg.lapack as lapack
+
+    solve = lapack.dstevd
+    calls = []
+
+    def corrupt_second(diag, offdiag):
+        values, vectors, info = solve(diag, offdiag)
+        calls.append(len(calls))
+        if len(calls) == 2:
+            values = values.copy()
+            values[1] += 1e-6 * np.max(np.abs(values))
+        return values, vectors, info
+
+    specs = [TridiagSpec(l=4, a=0.1 * k, b=-0.2, r=40.0) for k in range(4)]
+    exact_spectrum(specs)  # clean batch passes
+    monkeypatch.setattr(lapack, "dstevd", corrupt_second)
+    with pytest.raises(ConvergenceError):
+        exact_spectrum(specs)
+    assert len(calls) == len(specs)  # every matrix was solved before the one check
+
+
+def test_predicted_grid_equals_scalar_predictions_bitwise():
+    rng = np.random.default_rng(19)
+    for l in (1, 2, 3, 6, 9):
+        specs = []
+        for _ in range(40):
+            r = float(rng.uniform(2.5, 5000.0))
+            a, b = (float(x) for x in rng.uniform(-0.99, 0.99, 2) * min(r, 2.4))
+            specs.append(TridiagSpec(l=l, a=a, b=b, r=r))
+        for order in ("r2", "r1", "const", "c_over_r"):
+            grid = predicted_grid(specs, order)
+            assert grid.shape == (len(specs), l)
+            want = [[predicted_eigenvalue(spec, n, order) for n in range(1, l + 1)] for spec in specs]
+            assert grid.tolist() == want, (l, order)
+            assert np.array_equal(grid.view(np.int64), np.array(want).view(np.int64)), (l, order)
+
+
+def test_predicted_grid_checks_every_spec():
+    ok = TridiagSpec(l=3, a=0.5, b=0.5, r=10.0)
+    with pytest.raises(ValueError):
+        predicted_grid([ok, TridiagSpec(l=3, a=0.5, b=20.0, r=10.0)])
+    with pytest.raises(ValueError):
+        predicted_grid([ok, TridiagSpec(l=4, a=0.5, b=0.5, r=10.0)])
+    with pytest.raises(ValueError):
+        predicted_grid([ok], "r3")
 
 
 def test_c_coefficient_memo_matches_direct_sum():
