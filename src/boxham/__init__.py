@@ -12,7 +12,6 @@ arithmetic (`compensated`), and the reproducible experiment harness + CLI
 
 from .cluster import (
     AdmissibilityReport,
-    ClusterPrediction,
     GapReport,
     admissibility,
     classify_pair,
@@ -69,7 +68,6 @@ __all__ = [
     "AdmissibilityReport",
     "BoxPartition",
     "BoxhamError",
-    "ClusterPrediction",
     "CombinatorialLimitError",
     "ConfigError",
     "ConvergenceError",

@@ -16,8 +16,9 @@ class ids instead of comparing floats.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,16 +40,9 @@ SAME_CLUSTER = "same_cluster"
 
 DEGENERACY_TOL = 1e-6
 
+GAP_MARGIN = 0.25
+
 _FALLBACK_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ClusterPrediction:
-    """Predicted energy of one mode tuple, and the exact eigenvalue matched to it."""
-
-    modes: tuple[int, ...]
-    predicted: float
-    matched_exact: float | None = None
 
 
 @dataclass(frozen=True)
@@ -89,18 +83,18 @@ def predicted_cluster_energy(
     omega_pairs,
     lams,
     r: float,
-) -> ClusterPrediction:
+) -> float:
     """Sum of the per-factor expansions (order const) for one mode tuple.
 
-    The factors come from ``tridiag.factor_specs``; each must be in the
-    expansion regime r > max(|a|, |b|, 1), or ValueError is raised.
+    A test oracle: the tests check the labelled spectrum and the expansion
+    against it.  The factors come from ``tridiag.factor_specs``; each must be
+    in the expansion regime r > max(|a|, |b|, 1), or ValueError is raised.
     """
     lengths = tuple(int(l) for l in lengths)
     modes = tuple(int(n) for n in modes)
     _check_modes(lengths, modes)
     specs = factor_specs(lengths, omega_pairs, lams, r)
-    predicted = sum(predicted_eigenvalue(spec, n, "const") for spec, n in zip(specs, modes))
-    return ClusterPrediction(modes=modes, predicted=predicted)
+    return sum(predicted_eigenvalue(spec, n, "const") for spec, n in zip(specs, modes))
 
 
 def all_mode_tuples(lengths) -> list[tuple[int, ...]]:
@@ -203,11 +197,23 @@ class ClassTable:
             return COS_SEPARATED
         if self.sine_ids[i] != self.sine_ids[j]:
             return SINE_SEPARATED
-        if not all(mi in (ni, l + 1 - ni) for mi, ni, l in zip(m, n, self.lengths)):
+        if not self._reflects(n, m):
             raise AssertionError(
                 f"labels {n} and {m} share both sums but are not reflections of each other"
             )
         return SAME_CLUSTER
+
+    def _reflects(self, n: tuple[int, ...], m: tuple[int, ...]) -> bool:
+        return all(mi in (ni, l + 1 - ni) for mi, ni, l in zip(m, n, self.lengths))
+
+    def permuted_tie(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """The first pair, in all_mode_tuples pair order, that ``classify`` rejects."""
+        groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for t, key in zip(self.tuples, zip(self.cos_ids, self.sine_ids)):
+            groups.setdefault(key, []).append(t)
+        pairs = (p for g in groups.values() for p in itertools.combinations(g, 2))
+        ties = [p for p in pairs if not self._reflects(*p)]
+        return min(ties, key=lambda p: (self.index[p[0]], self.index[p[1]]), default=None)
 
 
 @functools.lru_cache(maxsize=64)
@@ -322,80 +328,33 @@ def cluster_indices(values, tau: float) -> list[list[int]]:
     return groups
 
 
-def match_predictions(exact_values, predictions) -> list[ClusterPrediction]:
-    """Sorted assignment of exact eigenvalues to predictions, with repair.
-
-    Both lists are sorted and paired in order; a sweep then swaps adjacent
-    assignments whenever that lowers the larger of the two errors (relevant
-    only at ties).  The assignment is rejected as ambiguous when a pairing
-    error reaches half the clearance between distinct prediction clusters.
-    """
-    exact = np.sort(np.asarray(exact_values, dtype=np.float64))
-    preds = sorted(predictions, key=lambda p: p.predicted)
-    if exact.size != len(preds):
-        raise MatchingError(
-            f"{exact.size} exact eigenvalues vs {len(preds)} predictions", indices=()
-        )
-    assigned = list(exact)
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(preds) - 1):
-            cur = max(abs(preds[i].predicted - assigned[i]), abs(preds[i + 1].predicted - assigned[i + 1]))
-            alt = max(abs(preds[i].predicted - assigned[i + 1]), abs(preds[i + 1].predicted - assigned[i]))
-            if alt < cur:
-                assigned[i], assigned[i + 1] = assigned[i + 1], assigned[i]
-                improved = True
-
-    values = np.array([p.predicted for p in preds])
-    tau = degeneracy_tolerance(values)
-    bad = []
-    for i, p in enumerate(preds):
-        others = np.abs(values - values[i])
-        clearance = others[others > tau].min() if np.any(others > tau) else np.inf
-        if abs(p.predicted - assigned[i]) > 0.45 * clearance:
-            bad.append(i)
-    if bad:
-        raise MatchingError(f"ambiguous assignment at predictions {bad}", indices=tuple(bad))
-    return [replace(p, matched_exact=float(x)) for p, x in zip(preds, assigned)]
-
-
-def verify_gaps(
-    exact_values,
-    predictions,
-    lengths,
-    r: float,
-    margin: float = 0.25,
-    constants: tuple[float | None, float | None] | None = None,
-) -> list[GapReport]:
+def verify_gaps(spectrum, lengths, r: float) -> list[GapReport]:
     """Measure every label-pair gap against its class threshold.
 
-    cos_separated pairs must open at least 2*c*r^2*(1-margin), sine_separated
-    at least 4*s*r*(1-margin); same_cluster pairs are reported with their raw
-    gaps and never asserted.  Gaps are measured between matched exact
-    eigenvalues, so the input spectrum may come from either truncation route.
+    ``spectrum`` maps each mode tuple to its eigenvalue, as
+    ``mode_resolved_spectrum`` returns it, so every gap is taken between two
+    labelled values and no assignment is guessed.  Pairs (a, b) run over the
+    tuples in ascending eigenvalue order (ties in all_mode_tuples order).
+    cos_separated pairs must open at least 2*c*r^2*(1-GAP_MARGIN),
+    sine_separated at least 4*s*r*(1-GAP_MARGIN); same_cluster pairs are
+    reported with their raw gaps and never asserted.
     """
     lengths = tuple(int(l) for l in lengths)
-    matched = match_predictions(exact_values, predictions)
-    c_min, s_min = constants if constants is not None else min_nonzero_gaps(lengths)
+    c_min, s_min = min_nonzero_gaps(lengths)
+    # a class has no threshold only when all of its sums agree, and then
+    # classify never returns it
+    required: dict[str, float | None] = {SAME_CLUSTER: None}
+    if c_min is not None:
+        required[COS_SEPARATED] = 2.0 * c_min * r**2 * (1.0 - GAP_MARGIN)
+    if s_min is not None:
+        required[SINE_SEPARATED] = 4.0 * s_min * r * (1.0 - GAP_MARGIN)
     table = class_table(lengths)
+    ordered = sorted(table.tuples, key=spectrum.__getitem__)
     reports = []
-    for i in range(len(matched)):
-        for j in range(i + 1, len(matched)):
-            p, q = matched[i], matched[j]
-            kind = table.classify(p.modes, q.modes)
-            gap = abs(p.matched_exact - q.matched_exact)
-            if kind == COS_SEPARATED:
-                if c_min is None:
-                    raise AssertionError("cos_separated pair but all cosine sums agree")
-                required = 2.0 * c_min * r**2 * (1.0 - margin)
-            elif kind == SINE_SEPARATED:
-                if s_min is None:
-                    raise AssertionError("sine_separated pair but all sine sums agree")
-                required = 4.0 * s_min * r * (1.0 - margin)
-            else:
-                required = None
-            reports.append(GapReport(pair=(p.modes, q.modes), gap_class=kind, gap=gap, required=required))
+    for a, b in itertools.combinations(ordered, 2):
+        kind = table.classify(a, b)
+        gap = abs(spectrum[a] - spectrum[b])
+        reports.append(GapReport(pair=(a, b), gap_class=kind, gap=gap, required=required[kind]))
     return reports
 
 
@@ -443,31 +402,28 @@ def admissibility(lengths) -> AdmissibilityReport:
 
 
 def mode_resolved_spectrum(lengths, omega_pairs, lams, r: float) -> dict[tuple[int, ...], float]:
-    """Exact Kronecker-sum eigenvalue for every mode tuple.
+    """Exact Kronecker-sum eigenvalue of A_r for every mode tuple.
 
-    Each factor's spectrum is computed by the tridiagonal reference solver and
-    attached to its mode index through the descending-cosine order (checked to
-    be unambiguous at this r); tuple eigenvalues are the sums.  This route
-    keeps the tiny same-cluster splittings far above dense-solver noise.
+    The one labelled spectrum of the truncation: the cluster gaps and the
+    gap-growth fits are both measured on it.  Each factor's spectrum is
+    computed by the tridiagonal reference solver and attached to its mode
+    index through the descending-cosine order; MatchingError is raised when
+    two adjacent factor predictions sit within 4r, where that order is not
+    safe.  Tuple eigenvalues are the sums of their factors' eigenvalues, so
+    the tiny same-cluster splittings stay far above dense-solver noise.
     """
     lengths = tuple(int(l) for l in lengths)
-    factor_by_mode = []
+    by_mode = []
     for spec in factor_specs(lengths, omega_pairs, lams, r):
-        ascending = exact_spectrum(spec)
         predicted = [predicted_eigenvalue(spec, n, "r1") for n in range(1, spec.l + 1)]
         order = np.argsort(predicted)  # ascending predicted -> ascending exact
-        by_mode = {}
-        for rank, idx in enumerate(order):
-            by_mode[idx + 1] = float(ascending[rank])
-        gaps = np.diff(np.sort(predicted))
-        if spec.l > 1 and np.any(gaps < 4.0 * r):
+        if np.any(np.diff(np.sort(predicted)) < 4.0 * r):
             # adjacent factor modes closer than the r^1 scale: ordering unsafe
-            raise MatchingError(f"factor modes too close to order at r={r}", indices=())
-        factor_by_mode.append(by_mode)
-    out = {}
-    for t in all_mode_tuples(lengths):
-        out[t] = sum(factor_by_mode[i][n] for i, n in enumerate(t))
-    return out
+            raise MatchingError(f"factor modes too close to order at r={r}")
+        values = np.empty(spec.l)
+        values[order] = exact_spectrum(spec)
+        by_mode.append(values)
+    return dict(zip(all_mode_tuples(lengths), _over_tuples(by_mode).tolist()))
 
 
 def displayed_gap_constant(lengths) -> float:

@@ -46,11 +46,7 @@ class DegenerateInputError(BoxhamError):
 
 
 class MatchingError(BoxhamError):
-    """Sorted assignment between exact and predicted spectra is ambiguous."""
-
-    def __init__(self, message: str, indices: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.indices = indices
+    """Adjacent factor modes sit too close to attach labels by predicted order."""
 
 
 class ConfigError(BoxhamError):

@@ -21,14 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import (
+    ClassTable,
     admissibility,
-    all_mode_tuples,
     class_table,
     cluster_indices,
     degeneracy_tolerance,
-    min_nonzero_gaps,
     mode_resolved_spectrum,
-    predicted_cluster_energy,
     verify_gaps,
 )
 from .cyclotomic import verify_nonvanishing
@@ -47,7 +45,6 @@ from .lattice import (
 )
 from .resolvent import (
     PROXIMITY_FLOOR,
-    kronecker_truncation,
     precision_guard,
     restricted_resolvent,
     schur_reduced,
@@ -315,6 +312,25 @@ def boosts_for(config: ExperimentConfig, sample: DisorderSample) -> dict[int, fl
     return {
         i + 1: mids[i] / 2.0 - lo - hi for i, (lo, hi) in enumerate(pairs)
     }
+
+
+def _checked_table(config: ExperimentConfig) -> ClassTable:
+    """The geometry's class table; ConfigError when it has a permuted tie.
+
+    Labels such as (1,2)/(2,1) at lengths (3,3) share both sums without being
+    reflections, which the three-way pair classification cannot label.
+    """
+    table = class_table(config.lengths)
+    tie = table.permuted_tie()
+    if tie is not None:
+        key = _key_of("lengths")
+        raise ConfigError(
+            f"{key} = {config.lengths}: labels {tie[0]} and {tie[1]} share both the cosine "
+            "and the sine sum without being reflections, so the pair cannot be classified",
+            line=None,
+            field=key,
+        )
+    return table
 
 
 def _factor_inputs(config: ExperimentConfig):
@@ -634,6 +650,7 @@ def gap_growth_probe(config: ExperimentConfig):
             line=None,
             field=_key_of("r_values"),
         )
+    table = _checked_table(config)
     sample, opairs, lams = _factor_inputs(config)
 
     spectra = {}
@@ -652,7 +669,6 @@ def gap_growth_probe(config: ExperimentConfig):
     rows = []
     pairs = []
     curves = []
-    table = class_table(config.lengths)
     for a, b in itertools.combinations(table.tuples, 2):
         cls = table.classify(a, b)
         gaps = [abs(spectra[r][a] - spectra[r][b]) for r in r_values]
@@ -745,24 +761,20 @@ def expansion_sweep(config: ExperimentConfig):
 
 
 def cluster_sweep(config: ExperimentConfig):
-    """Gap verification against the truncation spectrum at each r.
+    """Gap verification on the labelled truncation spectrum at each r.
 
+    Every gap is taken between two values of ``mode_resolved_spectrum``, so
+    each eigenvalue carries its mode tuple from the factor that produced it.
     Returns (rows, failures): rows follow (r, pair_a, pair_b, class, gap,
     required, satisfied) with required empty for same_cluster pairs.
     """
+    _checked_table(config)
     sample, opairs, lams = _factor_inputs(config)
-    constants = min_nonzero_gaps(config.lengths)
     rows = []
     failures = []
     for r in config.r_values:
-        a_r = kronecker_truncation(config.lengths, opairs, lams, r)
-        exact = np.linalg.eigvalsh(a_r)
-        preds = [
-            predicted_cluster_energy(config.lengths, modes, opairs, lams, r)
-            for modes in all_mode_tuples(config.lengths)
-        ]
-        reports = verify_gaps(exact, preds, config.lengths, r, constants=constants)
-        for rep in reports:
+        spectrum = mode_resolved_spectrum(config.lengths, opairs, lams, r)
+        for rep in verify_gaps(spectrum, config.lengths, r):
             rows.append(
                 (
                     r,

@@ -64,7 +64,11 @@ class BoxPartition:
 
     @property
     def sites(self) -> tuple[tuple[int, ...], ...]:
-        """Every site, in lexicographic order (enumerated on each access)."""
+        """Every site, in lexicographic order (enumerated on each access).
+
+        An ordering oracle: the tests check the site order of the Laplacian,
+        the Hamiltonian and the box masks against it.
+        """
         axes = [range(-self.radius * l + 1, (self.radius + 1) * l + 1) for l in self.lengths]
         return tuple(itertools.product(*axes))
 

@@ -285,7 +285,9 @@ def kronecker_truncation(lengths, omega_pairs, lams, r: float) -> np.ndarray:
 
     Factor i is the boundary matrix of ``tridiag.factor_specs``' spec i.
     Coordinate 1 is the outermost factor, matching the lexicographic site
-    order of box 0.
+    order of box 0.  A dense oracle with no production caller: the tests
+    check the split-block truncation and ``cluster.mode_resolved_spectrum``
+    against it, and perfbench keeps it as a trace target.
     """
     specs = factor_specs(lengths, omega_pairs, lams, r)
     return kronecker_sum([boundary_matrix(spec) for spec in specs])

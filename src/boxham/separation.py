@@ -49,20 +49,6 @@ def sine_system(lengths) -> list[tuple[float, ...]]:
     return out
 
 
-def gap_profile(sets) -> dict[str, float]:
-    """Minimal element and minimal within-set gap: the two inputs of epsilon."""
-    elements = [x for s in sets for x in s]
-    within = [
-        b - a
-        for s in sets
-        for a, b in zip(sorted(s), sorted(s)[1:])
-    ]
-    return {
-        "min_element": min(elements),
-        "min_within_gap": min(within) if within else float("inf"),
-    }
-
-
 def epsilon_delta(sets, delta_hint: float | None = None) -> tuple[float, float]:
     """epsilon = min(all elements, all within-set gaps); delta from the hint.
 
@@ -74,14 +60,14 @@ def epsilon_delta(sets, delta_hint: float | None = None) -> tuple[float, float]:
     sets = [tuple(sorted(float(x) for x in s)) for s in sets]
     if not sets or any(not s for s in sets):
         raise DegenerateInputError("every set must be nonempty")
+    eps = min(s[0] for s in sets)
     for s in sets:
         if s[0] <= 0.0 or s[-1] >= 1.0:
             raise DegenerateInputError(f"set values must lie in (0,1), got {s}")
         for a, b in zip(s, s[1:]):
             if b - a == 0.0:
                 raise DegenerateInputError(f"coincident points {a} in a set")
-    profile = gap_profile(sets)
-    eps = min(profile["min_element"], profile["min_within_gap"])
+            eps = min(eps, b - a)
     sup = min(0.5, 1.0 / (1.0 + eps))
     if delta_hint is not None and 0.0 < delta_hint < sup:
         return eps, float(delta_hint)

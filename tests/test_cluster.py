@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from boxham import cluster
 from boxham.cluster import (
     AdmissibilityReport,
-    ClusterPrediction,
     admissibility,
     all_mode_tuples,
     classify_pair,
@@ -26,7 +25,6 @@ from boxham.cluster import (
     degeneracy_tolerance,
     displayed_gap_constant,
     flip_partners,
-    match_predictions,
     min_nonzero_gaps,
     mode_resolved_spectrum,
     predicted_cluster_energy,
@@ -67,8 +65,7 @@ def test_predicted_energy_zero_disorder_square():
     # terms are (+-r^2) + r exactly, no constant pieces
     for modes, want in [((1, 1), 20200.0), ((1, 2), 200.0), ((2, 1), 200.0), ((2, 2), -19800.0)]:
         p = predicted_cluster_energy((2, 2), modes, ZERO2, (0.0, 0.0), 100.0)
-        assert p.predicted == pytest.approx(want, rel=1e-12)
-        assert p.modes == modes
+        assert p == pytest.approx(want, rel=1e-12)
     assert constant_order_correction(2, 1) == constant_order_correction(2, 2) == 0.0
 
 
@@ -78,7 +75,7 @@ def test_predicted_energy_unit_boxes_are_exact():
     lams = (1.0, 0.5)
     p = predicted_cluster_energy((1, 1), (1, 1), pairs, lams, 50.0)
     want = (0.3 + (-0.2 + 1.0) + 100.0) + (0.1 + (0.4 + 0.5) + 100.0)
-    assert p.predicted == pytest.approx(want, rel=1e-15)
+    assert p == pytest.approx(want, rel=1e-15)
 
 
 def test_prediction_reduces_to_tridiagonal_in_one_dimension():
@@ -86,7 +83,7 @@ def test_prediction_reduces_to_tridiagonal_in_one_dimension():
     for n in range(1, 6):
         p = predicted_cluster_energy((5,), (n,), [(-0.7, 0.2)], (0.25,), 300.0)
         # b = omega_+ + lambda = 0.2 + 0.25
-        assert p.predicted == predicted_eigenvalue(spec, n, "const")
+        assert p == predicted_eigenvalue(spec, n, "const")
 
 
 def test_prediction_sums_the_factor_expansions():
@@ -96,7 +93,7 @@ def test_prediction_sums_the_factor_expansions():
     ]
     for modes in all_mode_tuples(lengths):
         p = predicted_cluster_energy(lengths, modes, pairs, lams, r)
-        assert p.predicted == sum(
+        assert p == sum(
             predicted_eigenvalue(spec, n, "const") for spec, n in zip(specs, modes)
         )
 
@@ -106,12 +103,6 @@ def test_prediction_requires_expansion_regime():
     predicted_cluster_energy((2, 2), (1, 1), ZERO2, (0.0, 0.0), 1.2)
     with pytest.raises(ValueError):
         predicted_cluster_energy((2, 2), (1, 1), [(0.0, 0.0), (0.0, 0.5)], (0.0, 1.0), 1.2)
-
-
-def test_prediction_is_frozen():
-    p = predicted_cluster_energy((2,), (1,), [(0.0, 0.0)], (0.0,), 100.0)
-    with pytest.raises(AttributeError):
-        p.predicted = 0.0
 
 
 # ------------------------------------------------------------ classification
@@ -325,53 +316,25 @@ def test_cluster_indices_groups_near_ties():
     assert sorted(merged) == [0, 2]
 
 
-def test_match_predictions_pairs_in_order():
-    preds = [
-        predicted_cluster_energy((2, 2), m, ZERO2, (0.0, 0.0), 100.0)
-        for m in all_mode_tuples((2, 2))
-    ]
-    exact = np.array([20200.001, 199.999, 200.0005, -19800.002])
-    matched = match_predictions(exact, preds)
-    by_mode = {p.modes: p.matched_exact for p in matched}
-    assert by_mode[(1, 1)] == pytest.approx(20200.001)
-    assert by_mode[(2, 2)] == pytest.approx(-19800.002)
-    # the two tied predictions at 200 absorb the two middle values
-    assert sorted([by_mode[(1, 2)], by_mode[(2, 1)]]) == [199.999, 200.0005]
-
-
-def test_match_predictions_rejects_count_mismatch():
-    preds = [predicted_cluster_energy((2,), (n,), [(0.0, 0.0)], (0.0,), 50.0) for n in (1, 2)]
-    with pytest.raises(MatchingError):
-        match_predictions([1.0, 2.0, 3.0], preds)
-
-
-def test_match_predictions_flags_ambiguity():
-    preds = [
-        predicted_cluster_energy((2,), (n,), [(0.0, 0.0)], (0.0,), 100.0) for n in (1, 2)
-    ]
-    # predictions sit at -9900 and 10100; exact values halfway between are
-    # not attributable to either
-    with pytest.raises(MatchingError) as info:
-        match_predictions([100.0, 101.0], preds)
-    assert info.value.indices
-
-
 def test_verify_gaps_on_kronecker_spectrum():
     lengths = (2, 3)
     pairs = [(0.31, -0.12), (0.44, 0.08)]
     lams = (0.6, 1.2)
     r = 500.0
-    exact = np.linalg.eigvalsh(kronecker_truncation(lengths, pairs, lams, r))
-    preds = [
-        predicted_cluster_energy(lengths, m, pairs, lams, r)
-        for m in all_mode_tuples(lengths)
-    ]
-    reports = verify_gaps(exact, preds, lengths, r)
+    spectrum = mode_resolved_spectrum(lengths, pairs, lams, r)
+    dense = np.linalg.eigvalsh(kronecker_truncation(lengths, pairs, lams, r))
+    assert np.max(np.abs(np.sort(list(spectrum.values())) - dense)) < 1e-9 * np.max(np.abs(dense))
+    reports = verify_gaps(spectrum, lengths, r)
     assert len(reports) == 6 * 5 // 2
     assert all(rep.satisfied for rep in reports)
     classes = {rep.gap_class for rep in reports}
     assert classes == {"cos_separated"}  # (2,3): all cosine sums distinct
+    # pairs (i < j) of the labels in ascending eigenvalue order
+    ordered = sorted(all_mode_tuples(lengths), key=spectrum.__getitem__)
+    assert [rep.pair for rep in reports] == list(itertools.combinations(ordered, 2))
     for rep in reports:
+        a, b = rep.pair
+        assert rep.gap == abs(spectrum[a] - spectrum[b])
         assert rep.required == pytest.approx(
             2.0 * min_nonzero_gaps(lengths)[0] * r**2 * 0.75, rel=1e-12
         )
@@ -380,14 +343,11 @@ def test_verify_gaps_on_kronecker_spectrum():
 def test_verify_gaps_same_cluster_reported_not_asserted():
     lengths = (2, 2)
     r = 400.0
-    exact = np.linalg.eigvalsh(kronecker_truncation(lengths, ZERO2, (0.0, 0.0), r))
-    preds = [
-        predicted_cluster_energy(lengths, m, ZERO2, (0.0, 0.0), r)
-        for m in all_mode_tuples(lengths)
-    ]
-    reports = verify_gaps(exact, preds, lengths, r)
+    spectrum = mode_resolved_spectrum(lengths, ZERO2, (0.0, 0.0), r)
+    reports = verify_gaps(spectrum, lengths, r)
     same = [rep for rep in reports if rep.gap_class == "same_cluster"]
     assert len(same) == 1
+    assert same[0].pair == ((1, 2), (2, 1))  # exact tie: all_mode_tuples order
     assert same[0].required is None
     assert same[0].satisfied  # vacuously
     assert same[0].gap < 1e-6  # the symmetric pair is near-degenerate
@@ -408,6 +368,13 @@ def test_mode_resolved_spectrum_matches_dense_diagonalization():
         ours = np.sort(list(by_mode.values()))
         dense = np.linalg.eigvalsh(kronecker_truncation(lengths, pairs, lams, r))
         assert np.max(np.abs(ours - dense)) < 1e-9 * np.max(np.abs(dense))
+        # each value is the left-to-right sum of its factors' labelled values
+        factors = [
+            mode_resolved_spectrum((l,), [pair], (lam,), r)
+            for l, pair, lam in zip(lengths, pairs, lams)
+        ]
+        for t, value in by_mode.items():
+            assert value == sum(f[(n,)] for f, n in zip(factors, t))
 
 
 def test_mode_resolved_spectrum_labels_follow_predictions():
@@ -419,8 +386,15 @@ def test_mode_resolved_spectrum_labels_follow_predictions():
     r = 500.0
     by_mode = mode_resolved_spectrum(lengths, pairs, lams, r)
     for modes, value in by_mode.items():
-        pred = predicted_cluster_energy(lengths, modes, pairs, lams, r).predicted
+        pred = predicted_cluster_energy(lengths, modes, pairs, lams, r)
         assert abs(value - pred) < 60.0  # O(1) error at r=500 vs O(r) spacing
+
+
+def test_mode_resolved_spectrum_rejects_unsafe_factor_order():
+    # l=3 at r=2: adjacent factor predictions sit closer than 4r, so the
+    # descending-cosine order cannot attach the labels
+    with pytest.raises(MatchingError, match="too close"):
+        mode_resolved_spectrum((3,), [(0.0, 0.0)], (0.0,), 2.0)
 
 
 # ------------------------------------------------------------ properties
@@ -455,7 +429,7 @@ def test_predictions_track_exact_spectrum(lengths, seed):
     r = 800.0
     exact = np.linalg.eigvalsh(kronecker_truncation(lengths, pairs, lams, r))
     preds = sorted(
-        predicted_cluster_energy(lengths, m, pairs, lams, r).predicted
+        predicted_cluster_energy(lengths, m, pairs, lams, r)
         for m in all_mode_tuples(lengths)
     )
     # worst-case per-coordinate bound from the residual sweeps, summed

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from boxham import cli, harness
+from boxham.cluster import mode_resolved_spectrum
 from boxham.errors import ConfigError, VolumeError
 from boxham.harness import (
     ExperimentConfig,
@@ -604,6 +605,16 @@ def test_cluster_sweep_rows_and_gaps():
             assert gap >= required > 0
 
 
+def test_cluster_sweep_gaps_are_labelled_spectrum_differences():
+    cfg = harness.load_config(Path(__file__).parent.parent / "configs" / "cluster_2x4.cfg")
+    _, opairs, lams = harness._factor_inputs(cfg)
+    spectra = {r: mode_resolved_spectrum(cfg.lengths, opairs, lams, r) for r in cfg.r_values}
+    rows, failures = harness.cluster_sweep(cfg)
+    assert rows and not failures
+    for r, a, b, cls, gap, required, satisfied in rows:
+        assert gap == abs(spectra[r][a] - spectra[r][b])
+
+
 def test_separation_sweep_draws_pass():
     cfg = make_config(lengths=(2, 4), n_seeds=3)
     rows, failures = harness.separation_sweep(cfg)
@@ -788,6 +799,32 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["cluster", "gapgrowth"])
+def test_cli_permuted_ties_are_a_config_error(tmp_path, capsys, command):
+    # at (3,3) the labels (1,2) and (2,1) share both sums without being
+    # reflections; at (2,2) every such permutation is a reflection
+    body = "geometry.d = 2\ngeometry.radius = 1\nrun.r = 100, 200, 400, 800\n"
+    out = tmp_path / "results"
+    cfg = write_cfg(tmp_path, body + "geometry.lengths = 3, 3\n", "tie.cfg")
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[field geometry.lengths]" in err and "(1, 2) and (2, 1)" in err
+    assert not out.exists()
+    cfg = write_cfg(tmp_path, body + "geometry.lengths = 2, 2\n", "flip.cfg")
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert (out / f"{command}.csv").exists()
+
+
+def test_cli_cluster_reports_unsafe_factor_order(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "geometry.d = 1\ngeometry.lengths = 3\ngeometry.radius = 1\n"
+        "disorder.lower = 0\ndisorder.upper = 0\nrun.r = 2\n",
+    )
+    assert cli.main(["cluster", "--config", cfg, "--out", str(tmp_path / "results")]) == 1
+    assert "run failed: factor modes too close to order" in capsys.readouterr().err
 
 
 def test_cli_gapgrowth_verdict_slopes(tmp_path):

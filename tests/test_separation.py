@@ -10,7 +10,6 @@ from boxham.separation import (
     design_intervals,
     draw_coefficients,
     epsilon_delta,
-    gap_profile,
     midpoint_coefficients,
     sine_system,
     verify_separation,
@@ -36,10 +35,10 @@ def test_sine_system_values_in_open_unit_interval():
             assert list(s) == sorted(set(s))
 
 
-def test_gap_profile_fields():
-    prof = gap_profile([(0.2, 0.5), (0.3,)])
-    assert prof["min_element"] == 0.2
-    assert prof["min_within_gap"] == pytest.approx(0.3)
+def test_epsilon_is_min_element_or_within_gap():
+    # the smallest element wins here, a within-set gap in the second case
+    assert epsilon_delta([(0.2, 0.5), (0.3,)])[0] == 0.2
+    assert epsilon_delta([(0.2, 0.3), (0.25,)])[0] == 0.3 - 0.2
 
 
 def test_epsilon_delta_default_and_hint():
