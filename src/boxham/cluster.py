@@ -37,6 +37,7 @@ TUPLE_CAP = 10_000
 COS_SEPARATED = "cos_separated"
 SINE_SEPARATED = "sine_separated"
 SAME_CLUSTER = "same_cluster"
+_CLASSES = (COS_SEPARATED, SINE_SEPARATED, SAME_CLUSTER)
 
 DEGENERACY_TOL = 1e-6
 
@@ -203,6 +204,22 @@ class ClassTable:
             )
         return SAME_CLUSTER
 
+    def classes(self, first: np.ndarray, second: np.ndarray) -> list[str]:
+        """``classify`` of every pair (tuples[first[k]], tuples[second[k]]).
+
+        The classes are read off the id arrays; only the pairs that share both
+        sums go through ``classify``, which asserts that they are reflections.
+        """
+        cos_ids, sine_ids = np.asarray(self.cos_ids), np.asarray(self.sine_ids)
+        kind = np.where(
+            cos_ids[first] != cos_ids[second],
+            0,
+            np.where(sine_ids[first] != sine_ids[second], 1, 2),
+        )
+        for k in np.flatnonzero(kind == 2).tolist():
+            self.classify(self.tuples[first[k]], self.tuples[second[k]])
+        return np.array(_CLASSES, dtype=object)[kind].tolist()
+
     def _reflects(self, n: tuple[int, ...], m: tuple[int, ...]) -> bool:
         return all(mi in (ni, l + 1 - ni) for mi, ni, l in zip(m, n, self.lengths))
 
@@ -334,7 +351,8 @@ def verify_gaps(spectrum, lengths, r: float) -> list[GapReport]:
     ``spectrum`` maps each mode tuple to its eigenvalue, as
     ``mode_resolved_spectrum`` returns it, so every gap is taken between two
     labelled values and no assignment is guessed.  Pairs (a, b) run over the
-    tuples in ascending eigenvalue order (ties in all_mode_tuples order).
+    tuples in ascending eigenvalue order (ties in all_mode_tuples order), in
+    ``itertools.combinations`` order.
     cos_separated pairs must open at least 2*c*r^2*(1-GAP_MARGIN),
     sine_separated at least 4*s*r*(1-GAP_MARGIN); same_cluster pairs are
     reported with their raw gaps and never asserted.
@@ -349,13 +367,18 @@ def verify_gaps(spectrum, lengths, r: float) -> list[GapReport]:
     if s_min is not None:
         required[SINE_SEPARATED] = 4.0 * s_min * r * (1.0 - GAP_MARGIN)
     table = class_table(lengths)
-    ordered = sorted(table.tuples, key=spectrum.__getitem__)
-    reports = []
-    for a, b in itertools.combinations(ordered, 2):
-        kind = table.classify(a, b)
-        gap = abs(spectrum[a] - spectrum[b])
-        reports.append(GapReport(pair=(a, b), gap_class=kind, gap=gap, required=required[kind]))
-    return reports
+    values = np.array([spectrum[t] for t in table.tuples])
+    order = np.argsort(values, kind="stable")
+    earlier, later = np.triu_indices(order.size, 1)
+    first, second = order[earlier], order[later]
+    gaps = np.abs(values[first] - values[second]).tolist()
+    pairs = zip(first.tolist(), second.tolist(), table.classes(first, second), gaps)
+    return [
+        GapReport(
+            pair=(table.tuples[i], table.tuples[j]), gap_class=kind, gap=gap, required=required[kind]
+        )
+        for i, j, kind, gap in pairs
+    ]
 
 
 def admissibility(lengths) -> AdmissibilityReport:

@@ -357,7 +357,7 @@ def _formatter(kind: type):
     if issubclass(kind, (float, np.floating)):
         return "%.17g".__mod__  # the text of f"{float(value):.17g}"
     if issubclass(kind, (tuple, list)):
-        return _sequence_text
+        return lambda value: "|".join(map(_fmt, value))
     return str
 
 
@@ -365,31 +365,49 @@ def _fmt(value) -> str:
     return _formatter(type(value))(value)
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _label(items: tuple, kinds: tuple) -> str | None:
-    """The text of a label of integers (bools included); None for any other label."""
-    if all(issubclass(kind, (int, np.integer)) for kind in kinds):
-        return "|".join(map(_fmt, items))
-    return None
+# Below this many rows a column is formatted field by field: the np.unique
+# call costs more than the repeated formatting it would save.
+_DEDUP_ROWS = 64
 
 
-def _sequence_text(value) -> str:
-    """A tuple or list field, "|"-joined; a label of integers is formatted once.
+def _column_texts(column: tuple) -> list[str]:
+    """``_fmt`` of every field of one CSV column, each distinct value formatted once.
 
-    The cache key holds the element types beside the values, because
-    (1, 2) == (True, 2) == (1.0, 2.0) while their texts differ.  A label with
-    any other element (a float, where 0.0 == -0.0, or a nested sequence whose
-    own element types the key would miss) is formatted every time.
+    A column of exact floats is keyed by bit pattern, any other column by
+    object identity; a column of one type uses that type's formatter.
     """
-    text = _label(tuple(value), tuple(map(type, value)))
-    return "|".join(map(_fmt, value)) if text is None else text
+    kinds = set(map(type, column))
+    fmt = _formatter(next(iter(kinds))) if len(kinds) == 1 else _fmt
+    if len(column) < _DEDUP_ROWS:
+        return list(map(fmt, column))
+    if kinds == {float}:
+        keys = np.array(column).view(np.int64)
+    else:
+        keys = np.fromiter(map(id, column), np.uint64, len(column))
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    # any field with a key stands for all of them; the scatter keeps the last
+    index_of = np.empty(distinct.size, dtype=np.intp)
+    index_of[inverse] = np.arange(len(column))
+    texts = np.array(list(map(fmt, map(column.__getitem__, index_of.tolist()))), dtype=object)
+    return texts[inverse].tolist()
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> Path:
+    """Write ``header`` and ``rows`` as CSV, formatted column by column.
+
+    The bytes are those of ``",".join(map(_fmt, row))`` for every row: floats
+    as ``%.17g``, bools as ``true``/``false``, tuples and lists ``|``-joined.
+    Each column's distinct values are formatted once, and "distinct" cannot
+    mean equal: 0.0 == -0.0 and (1, 2) == (True, 2), yet their texts differ.
+    So a column of exact floats is keyed by bit pattern and any other column
+    by object identity; the drivers share their label, class and ``r``
+    objects across rows, so those repeat.  Every row must have the same
+    number of fields.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines += [",".join(map(_fmt, row)) for row in rows]
+    columns = [_column_texts(column) for column in zip(*rows, strict=True)]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -607,28 +625,27 @@ def _fit_slope(r_values, gaps, floored) -> float | None:
 _FIT_BLOCK = 256
 
 
-def _fit_slopes(r_values, curves) -> list[float | None]:
-    """``_fit_slope`` of every (gaps, floored) curve over at least 3 r values.
+def _fit_slopes(r_values, gaps: np.ndarray, floored: np.ndarray) -> list[float | None]:
+    """``_fit_slope`` of every column of the (r, pair) arrays ``gaps`` and ``floored``.
 
     The curves whose points are all clean share the same abscissae, so they
     are fitted together, _FIT_BLOCK curves per polyfit; the slopes equal the
     per-curve fits bit for bit.  A curve with a floored or non-positive point
     keeps its own fit over its clean points.
     """
-    slopes: list[float | None] = []
-    clean = []
-    for gaps, floored in curves:
-        if any(floored) or not all(g > 0 for g in gaps):
-            slopes.append(_fit_slope(r_values, gaps, floored))
-        else:
-            slopes.append(None)
-            clean.append(len(slopes) - 1)
+    clean = ~floored.any(axis=0) & (gaps > 0).all(axis=0)
+    slopes: list[float | None] = [
+        None if ok else _fit_slope(r_values, gaps[:, k].tolist(), floored[:, k].tolist())
+        for k, ok in enumerate(clean.tolist())
+    ]
+    columns = np.flatnonzero(clean)
     xs = [math.log(r) for r in r_values]
-    for start in range(0, len(clean), _FIT_BLOCK):
-        block = clean[start : start + _FIT_BLOCK]
-        ys = [[math.log(curves[i][0][k]) for i in block] for k in range(len(r_values))]
-        for i, slope in zip(block, np.polyfit(xs, ys, 1)[0].tolist()):
-            slopes[i] = slope
+    logs = [list(map(math.log, row)) for row in gaps[:, columns].tolist()]
+    for start in range(0, columns.size, _FIT_BLOCK):
+        ys = [row[start : start + _FIT_BLOCK] for row in logs]
+        block = columns[start : start + _FIT_BLOCK].tolist()
+        for k, slope in zip(block, np.polyfit(xs, ys, 1)[0].tolist()):
+            slopes[k] = slope
     return slopes
 
 
@@ -640,8 +657,9 @@ def gap_growth_probe(config: ExperimentConfig):
     rounding floor are excluded from fits; a curve with fewer than three clean
     points is reported floor-limited (slope None) instead of fitted.  Returns
     (rows, failures, extras): rows are (pair_a, pair_b, gap_class, r, gap,
-    floored) pair by pair over every mode-tuple pair, and extras hold the
-    slope per ``n1|n2:m1|m2`` pair label and the slope of the minimum gap.
+    floored) pair by pair over every mode-tuple pair, in
+    ``itertools.combinations`` order, and extras hold the slope per
+    ``n1|n2:m1|m2`` pair label and the slope of the minimum gap.
     """
     r_values = tuple(sorted(config.r_values))
     if len(r_values) < 3 or max(r_values) / min(r_values) < 8:
@@ -653,34 +671,35 @@ def gap_growth_probe(config: ExperimentConfig):
     table = _checked_table(config)
     sample, opairs, lams = _factor_inputs(config)
 
-    spectra = {}
-    floors = {}
-    for r in r_values:
-        spectra[r] = mode_resolved_spectrum(config.lengths, opairs, lams, r)
-        floors[r] = 8.0 * np.finfo(float).eps * max(abs(v) for v in spectra[r].values())
+    # spectra[k, t]: the eigenvalue of mode tuple t at r_values[k]
+    by_r = [mode_resolved_spectrum(config.lengths, opairs, lams, r) for r in r_values]
+    spectra = np.array([[spectrum[t] for t in table.tuples] for spectrum in by_r])
+    floors = 8.0 * np.finfo(float).eps * np.abs(spectra).max(axis=1)
 
     # Rounded subtraction is monotone, so the closest pair is adjacent in sorted order.
-    min_gaps = tuple(
-        float(np.diff(np.sort(list(spectra[r].values()))).min()) for r in r_values
+    min_gaps = np.diff(np.sort(spectra, axis=1), axis=1).min(axis=1)
+    min_pair_slope = _fit_slope(r_values, min_gaps.tolist(), (min_gaps <= floors).tolist())
+
+    first, second = np.triu_indices(len(table.tuples), 1)
+    gaps = np.abs(spectra[:, first] - spectra[:, second])
+    floored = gaps <= floors[:, None]
+    pairs = list(zip(first.tolist(), second.tolist(), table.classes(first, second)))
+    rows = list(
+        zip(
+            [table.tuples[i] for i, _, _ in pairs for _ in r_values],
+            [table.tuples[j] for _, j, _ in pairs for _ in r_values],
+            [cls for _, _, cls in pairs for _ in r_values],
+            r_values * len(pairs),
+            gaps.T.ravel().tolist(),
+            floored.T.ravel().tolist(),
+        )
     )
-    min_floored = tuple(g <= floors[r] for g, r in zip(min_gaps, r_values))
-    min_pair_slope = _fit_slope(r_values, min_gaps, min_floored)
 
-    rows = []
-    pairs = []
-    curves = []
-    for a, b in itertools.combinations(table.tuples, 2):
-        cls = table.classify(a, b)
-        gaps = [abs(spectra[r][a] - spectra[r][b]) for r in r_values]
-        floored = [g <= floors[r] for g, r in zip(gaps, r_values)]
-        rows += [(a, b, cls, r, g, f) for r, g, f in zip(r_values, gaps, floored)]
-        pairs.append((a, b, cls))
-        curves.append((gaps, floored))
-
+    names = ["|".join(map(str, t)) for t in table.tuples]
     failures = []
     slopes = {}
-    for (a, b, cls), slope in zip(pairs, _fit_slopes(r_values, curves)):
-        slopes["|".join(map(str, a)) + ":" + "|".join(map(str, b))] = slope
+    for (i, j, cls), slope in zip(pairs, _fit_slopes(r_values, gaps, floored)):
+        slopes[names[i] + ":" + names[j]] = slope
         bad = slope is not None and (
             (cls == "cos_separated" and slope < 1.8)
             or (cls == "sine_separated" and not 0.8 <= slope <= 1.2)
@@ -692,7 +711,7 @@ def gap_growth_probe(config: ExperimentConfig):
                     "check": "gap_growth_slope",
                     "lengths": list(config.lengths),
                     "seed": sample.seed,
-                    "pair": [list(a), list(b)],
+                    "pair": [list(table.tuples[i]), list(table.tuples[j])],
                     "class": cls,
                     "slope": slope,
                 }
@@ -775,18 +794,10 @@ def cluster_sweep(config: ExperimentConfig):
     for r in config.r_values:
         spectrum = mode_resolved_spectrum(config.lengths, opairs, lams, r)
         for rep in verify_gaps(spectrum, config.lengths, r):
-            rows.append(
-                (
-                    r,
-                    rep.pair[0],
-                    rep.pair[1],
-                    rep.gap_class,
-                    rep.gap,
-                    "" if rep.required is None else rep.required,
-                    rep.satisfied,
-                )
-            )
-            if not rep.satisfied:
+            satisfied = rep.satisfied
+            required = "" if rep.required is None else rep.required
+            rows.append((r, *rep.pair, rep.gap_class, rep.gap, required, satisfied))
+            if not satisfied:
                 failures.append(
                     {
                         "check": "cluster_gap",

@@ -204,6 +204,25 @@ def test_cached_geometry_rows_agree_with_per_pair_reduction(lengths):
         classify_pair((1, 2), (2, 1), (3, 3))
 
 
+@pytest.mark.parametrize("lengths", [(3, 4, 5), (2, 2), (2, 4), (5,)])
+def test_class_table_classes_equal_per_pair_classify(lengths):
+    table = cluster.class_table(lengths)
+    first, second = np.triu_indices(len(table.tuples), 1)
+    pairs = itertools.combinations(table.tuples, 2)
+    assert table.classes(first, second) == [table.classify(n, m) for n, m in pairs]
+    # reversed pairs classify the same
+    assert table.classes(second, first) == table.classes(first, second)
+
+
+def test_class_table_classes_assert_permuted_ties():
+    table = cluster.class_table((3, 3))
+    i, j = table.index[(1, 2)], table.index[(2, 1)]
+    with pytest.raises(AssertionError, match="not reflections"):
+        table.classes(np.array([i]), np.array([j]))
+    flips = np.array([table.index[(1, 3)]]), np.array([table.index[(3, 1)]])
+    assert table.classes(*flips) == ["same_cluster"]
+
+
 def test_exact_ids_split_vectors_whose_probe_keys_collide():
     # rows (p1, 0) and (0, p0) share the key p0 * p1 but are different vectors
     p0, p1 = cluster._probe(2).tolist()

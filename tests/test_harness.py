@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxham import cli, harness
-from boxham.cluster import mode_resolved_spectrum
+from boxham.cluster import all_mode_tuples, classify_pair, mode_resolved_spectrum
 from boxham.errors import ConfigError, VolumeError
 from boxham.harness import (
     ExperimentConfig,
@@ -33,6 +35,8 @@ from boxham.separation import (
     midpoint_coefficients,
     sine_system,
 )
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 MINIMAL = """
 geometry.d = 2
@@ -294,6 +298,87 @@ def test_write_csv_formats_and_determinism(tmp_path):
     for ordered in (labels, labels[::-1]):
         path = write_csv(tmp_path / "d.csv", ["label"], [(value,) for value, _ in ordered] * 2)
         assert path.read_text().splitlines()[1:] == [text for _, text in ordered] * 2
+
+
+def _per_field_csv(header, rows) -> str:
+    """The CSV text of formatting every field on its own: write_csv's byte contract."""
+    lines = [",".join(header)] + [",".join(map(harness._fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_tells_values_apart_by_bits_and_identity(tmp_path):
+    # each column is long enough to be deduplicated, and holds values that are
+    # equal (or bit-different) while their texts differ (or agree)
+    columns = [
+        [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1.0, -0.0],
+        [0.0, -0.0, np.float64(-0.0), float("nan"), float("inf")],
+        [1, True, 1.0, np.int64(1), np.bool_(True), np.float64(1.0)],
+        [(1, 2), (True, 2), (1.0, 2), (np.int64(1), 2), (-0.0, 2), (0.0, 2), [1, 2]],
+        ["", 0.5, "", 0.25, -0.0],
+    ]
+    header = ["f", "z", "one", "label", "required"]
+    rows = [tuple(column[k % len(column)] for column in columns) for k in range(3 * harness._DEDUP_ROWS)]
+    path = write_csv(tmp_path / "a.csv", header, rows)
+    assert path.read_text() == _per_field_csv(header, rows)
+    assert path.read_text().splitlines()[1:8] == [
+        "0,0,1,1|2,",
+        "-0,-0,true,true|2,0.5",
+        "nan,-0,1,1|2,",
+        "inf,nan,1,1|2,0.25",
+        "-inf,inf,true,-0|2,-0",
+        "1,0,1,0|2,",
+        "-0,-0,1,1|2,0.5",
+    ]
+    assert write_csv(tmp_path / "b.csv", ["x", "y"], []).read_text() == "x,y\n"
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "c.csv", ["x", "y"], [(1, 2), (3,)])
+
+
+# values that are equal (or bit-different) while their texts differ (or agree)
+_COLLIDING = [0.0, -0.0, np.float64(-0.0), 0, False, 1, True, 1.0, np.int64(1), (1, 2), (True, 2)]
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, float("nan"), float("inf")]), st.floats())
+_ATOMS = st.one_of(
+    st.sampled_from(_COLLIDING),
+    _FLOATS,
+    st.integers(),
+    st.booleans(),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.text(alphabet="ab|", max_size=3),
+)
+_FIELDS = st.one_of(
+    _ATOMS,
+    st.lists(_ATOMS, max_size=3).map(tuple),
+    st.lists(st.one_of(_ATOMS, st.tuples(_ATOMS, _ATOMS)), max_size=3),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_write_csv_matches_per_field_formatting_on_random_tables(tmp_path_factory, data):
+    n_rows = data.draw(st.integers(0, 2 * harness._DEDUP_ROWS), label="rows")
+    columns = []
+    for _ in range(data.draw(st.integers(1, 4), label="columns")):
+        # rows draw from a small pool, so objects repeat; an all-float pool
+        # takes the bit-pattern key
+        values = _FIELDS if data.draw(st.booleans()) else _FLOATS
+        pool = data.draw(st.lists(values, min_size=1, max_size=6), label="pool")
+        picks = st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows)
+        columns.append(data.draw(picks, label="column"))
+    header = [f"c{k}" for k in range(len(columns))]
+    rows = list(zip(*columns))
+    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", header, rows)
+    assert path.read_text() == _per_field_csv(header, rows)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_config_csv_bytes_match_per_field_formatting(tmp_path, path):
+    header, driver = cli._EXPERIMENTS[path.stem.partition("_")[0]]
+    rows = driver(harness.load_config(path))[0]
+    assert rows
+    written = write_csv(tmp_path / "out.csv", header, rows)
+    assert written.read_text() == _per_field_csv(header, rows)
 
 
 def test_write_verdict_schema(tmp_path):
@@ -613,6 +698,24 @@ def test_cluster_sweep_gaps_are_labelled_spectrum_differences():
     assert rows and not failures
     for r, a, b, cls, gap, required, satisfied in rows:
         assert gap == abs(spectra[r][a] - spectra[r][b])
+
+
+def test_gap_growth_gaps_are_labelled_spectrum_differences():
+    cfg = harness.load_config(CONFIGS / "gapgrowth_2x4.cfg")
+    _, opairs, lams = harness._factor_inputs(cfg)
+    r_values = sorted(cfg.r_values)
+    spectra = {r: mode_resolved_spectrum(cfg.lengths, opairs, lams, r) for r in r_values}
+    eps = np.finfo(float).eps
+    floors = {r: 8.0 * eps * max(abs(v) for v in s.values()) for r, s in spectra.items()}
+    rows, failures, _ = gap_growth_probe(cfg)
+    assert rows and not failures
+    # pair-major in combinations order, r ascending within a pair
+    pairs = itertools.combinations(all_mode_tuples(cfg.lengths), 2)
+    assert [(a, b, r) for a, b, _, r, _, _ in rows] == [(a, b, r) for a, b in pairs for r in r_values]
+    for a, b, cls, r, gap, floored in rows:
+        assert gap == abs(spectra[r][a] - spectra[r][b])  # bit for bit
+        assert floored == (gap <= floors[r])
+        assert cls == classify_pair(a, b, cfg.lengths)
 
 
 def test_separation_sweep_draws_pass():
