@@ -402,11 +402,18 @@ def write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> Path:
     So a column of exact floats is keyed by bit pattern and any other column
     by object identity; the drivers share their label, class and ``r``
     objects across rows, so those repeat.  Every row must have the same
-    number of fields.
+    number of fields: a ragged table is a driver fault, not a config error,
+    so it raises RuntimeError rather than the ValueError the CLI reports as
+    one.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    columns = [_column_texts(column) for column in zip(*rows, strict=True)]
+    try:
+        columns = [_column_texts(column) for column in zip(*rows, strict=True)]
+    except ValueError:
+        if len(set(map(len, rows))) > 1:
+            raise RuntimeError(f"ragged row table for {path.name}") from None
+        raise
     lines = [",".join(header), *map(",".join, zip(*columns))]
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -13,9 +13,18 @@ site by site: the Laplacian is the Kronecker sum of path-graph adjacencies,
 a box mask is the Kronecker product of per-axis interval indicators, and the
 potential is the omega grid repeated l_i times along axis i.  The Laplacian is
 built once per partition and cached on it, read-only.  ``apply_laplacian``
-applies the same Kronecker sum to columns laid out on the site grid, as
-shifted slices, without forming the n x n matrix; the origin-box coupling
-(box-0 block, Delta_00 and B^T on the grid) is cached per partition too.
+applies the same Kronecker sum to columns laid out on the site grid without
+forming the n x n matrix; the origin-box coupling (box-0 block, Delta_00 and
+B^T on the grid) is cached per partition too.
+
+The stencil runs on a flat ghost-padded layout: the site grid gets one ghost
+layer at the end of every axis after the first, and is stored in C order as a
+``(padded sites, columns)`` array.  The +-e_i neighbours of every site are
+then the whole array shifted by axis i's stride, one contiguous slice per
+shift, so applying L costs 2d contiguous adds over the padded array whatever
+the axis.  A site on the low or high face of axis i finds a ghost there (or,
+on axis 1, the end of the array), so the ghosts must hold zeros when read;
+the sums written into them are junk.
 
 All structural objects are integer matrices so identity checks are exact.
 """
@@ -182,19 +191,53 @@ def kronecker_sum(factors: list[np.ndarray]) -> np.ndarray:
     return total
 
 
+def ghost_grid(sizes) -> tuple[tuple[int, ...], tuple[slice, ...], tuple[int, ...]]:
+    """(padded shape, real sites, flat strides) of a site grid with ghost layers.
+
+    One ghost layer ends every axis but the first: stepping off either end of
+    axis 1 steps off the flat array, which the shifted slices skip.  The real
+    sites are the leading ``sizes`` block of the padded grid; the strides
+    count padded sites.
+    """
+    padded = (sizes[0], *(n + 1 for n in sizes[1:]))
+    strides = [math.prod(padded[a + 1 :]) for a in range(len(padded))]
+    return padded, tuple(map(slice, sizes)), tuple(strides)
+
+
+def laplacian_into(out: np.ndarray, x: np.ndarray, strides: tuple[int, ...]) -> np.ndarray:
+    """out = L x on the flat ghost-padded layout; x must be zero on the ghosts.
+
+    Each site sums its neighbours in the order -e_1, +e_1, -e_2, +e_2, ...,
+    starting from ``0 + first`` as a zero-filled sum would, so a -0.0 never
+    survives into the sum and the zeros read from ghosts add nothing: the
+    result is bit for bit the shifted-slice sum on the unpadded grid.  The
+    ghost rows of ``out`` receive junk.
+    """
+    s = strides[0]
+    out[:s] = 0
+    np.add(x[:-s], 0, out=out[s:])
+    out[:-s] += x[s:]
+    for s in strides[1:]:
+        out[s:] += x[:-s]
+        out[:-s] += x[s:]
+    return out
+
+
 def apply_laplacian(x: np.ndarray, d: int) -> np.ndarray:
     """L x for x laid out on the site grid: its first d axes are the lattice axes.
 
-    The Kronecker sum of path adjacencies as shifted slices: along each axis
-    every site adds its two neighbours, and Dirichlet truncation drops the
-    neighbours past either end.  Trailing axes index columns.
+    The Kronecker sum of path adjacencies: along each axis every site adds
+    its two neighbours, and Dirichlet truncation drops the neighbours past
+    either end.  Trailing axes index columns.  Pads x with ghosts, runs
+    ``laplacian_into`` and returns the real sites, in x's dtype.
     """
-    out = np.zeros_like(x)
-    for axis in range(d):
-        head = (slice(None),) * axis
-        out[head + (slice(1, None),)] += x[head + (slice(None, -1),)]
-        out[head + (slice(None, -1),)] += x[head + (slice(1, None),)]
-    return out
+    padded, real, strides = ghost_grid(x.shape[:d])
+    tail = x.shape[d:]
+    src = np.zeros(padded + tail, dtype=x.dtype)
+    src[real] = x
+    flat = src.reshape(math.prod(padded), math.prod(tail))
+    out = laplacian_into(np.empty_like(flat), flat, strides)
+    return out.reshape(padded + tail)[real].copy()
 
 
 def _check_box(partition: BoxPartition, n: tuple[int, ...]) -> None:

@@ -27,6 +27,7 @@ tractable coordinate by coordinate.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,9 +39,10 @@ from .lattice import (
     DisorderSample,
     LatticeOperator,
     _box_potential,
-    apply_laplacian,
     box_mask,
+    ghost_grid,
     kronecker_sum,
+    laplacian_into,
 )
 from .tridiag import boundary_matrix, factor_specs
 
@@ -179,21 +181,38 @@ def _jacobi_series(
     only the largest, and the support of X has not grown over two steps
     (one per sublattice of the bipartite lattice), so no entry the walk has
     yet to reach is still zero.
+
+    The terms live on the flat ghost-padded layout of ``lattice.ghost_grid``,
+    ``(padded sites, columns)``, in two buffers that swap each step.  The
+    step -1/D is broadcast to that full shape once and is zero on box 0 and
+    on the ghosts, so multiplying by it both finishes a term and clears the
+    junk the stencil wrote into the ghosts before the next step reads them.
+    A term costs 2d contiguous shifted adds, one multiply, one add into X
+    and one support count, with no allocation; each value is bit for bit
+    the one the unpadded grid gives.
     """
-    d = len(block)
-    step = -inv_d[..., None]
-    term = inv_d[..., None] * bt
+    padded, real, strides = ghost_grid(inv_d.shape)
+    flat = (math.prod(padded), bt.shape[-1])
+    step = np.zeros(padded + flat[1:])
+    step[real] = inv_d[..., None]
+    term = np.zeros_like(step)
+    term[real] = bt
+    step, term = step.reshape(flat), term.reshape(flat)
+    term *= step
+    np.negative(step, out=step)
     x = term.copy()
+    grid = x.reshape(padded + flat[1:])[real]
+    spare = np.empty_like(term)
     support = [np.count_nonzero(x)]
     floor = np.finfo(np.float64).eps / 16.0
     k = 0
     while True:
         if k >= 2 and support[k] == support[k - 2]:
-            bx = _origin_rows(x, block)
+            bx = _origin_rows(grid, block)
             smallest = np.min(np.abs(bx[bx != 0.0]), initial=np.inf)
             if q ** (k + 2) / (1.0 - q) <= floor * smallest:
                 return bx
-        term = apply_laplacian(term, d)
+        term, spare = laplacian_into(spare, term, strides), term
         term *= step
         x += term
         support.append(np.count_nonzero(x))
@@ -223,7 +242,9 @@ def schur_reduced(
     D = diag(V_cc - r).  When q = 2d max|1/D| <= 1/2, D + L_cc is strictly
     diagonally dominant, so r is provably off the complement spectrum, and
     the solve is ``_jacobi_series`` on the lattice stencil, using only the
-    partition's cached ``origin_coupling``.  Otherwise the solve is
+    partition's cached ``origin_coupling``; its terms run on the flat
+    ghost-padded layout, 2d contiguous shifted adds and one full-shape
+    multiply per term.  Otherwise the solve is
     ``_solve_refined``'s dense LU, which raises SpectralProximityError near
     the spectrum.  The eigensolve of r^2 H_r, not the solve, limits the
     accuracy (see ``precision_guard``).

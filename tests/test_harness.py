@@ -1,6 +1,7 @@
 """Config parsing, experiment drivers, output files, and the CLI."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import subprocess
@@ -330,7 +331,7 @@ def test_write_csv_tells_values_apart_by_bits_and_identity(tmp_path):
         "-0,-0,1,1|2,0.5",
     ]
     assert write_csv(tmp_path / "b.csv", ["x", "y"], []).read_text() == "x,y\n"
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="ragged row table for c.csv"):
         write_csv(tmp_path / "c.csv", ["x", "y"], [(1, 2), (3,)])
 
 
@@ -852,6 +853,38 @@ def test_cli_non_finite_config_number_exit_two(tmp_path, capsys):
     assert cli.main(["multiplicity", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "not a finite number" in err and "disorder.upper" in err and "line 5" in err
+
+
+def test_ragged_driver_table_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    # a driver that returns rows of unequal length is a program fault: it
+    # must surface as one, never as "config error" with exit 2
+    def ragged(config):
+        return [(0, 1.0), (1,)], []
+
+    header, _ = cli._EXPERIMENTS["partition"]
+    monkeypatch.setitem(cli._EXPERIMENTS, "partition", (header, ragged))
+    cfg = write_cfg(tmp_path, MINIMAL)
+    with pytest.raises(RuntimeError, match="ragged row table"):
+        cli.main(["partition", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert "config error" not in capsys.readouterr().err
+
+
+# sha256 of the shipped multiplicity CSVs; a change to their bytes must be
+# deliberate, and shows up here before it reaches scripts/run_all.py
+_MULTIPLICITY_SHA256 = {
+    "multiplicity_2x2": "c2215645d7382db532a0bc3ce2c455490491b922514f2969fd50dacae605b441",
+    "multiplicity_2x4": "8761020a08f0bc35e9db4f9ea0ad543ddb513d2fa17ea04bab485f9a66737773",
+    "multiplicity_3d": "fb43de1a9245d3be6ee3e147a481c4364899500c4ecec9a08b40c9d86e7cce65",
+}
+
+
+@pytest.mark.parametrize("stem", sorted(_MULTIPLICITY_SHA256))
+def test_shipped_multiplicity_csv_digest(tmp_path, stem):
+    out = tmp_path / stem
+    cfg = str(CONFIGS / f"{stem}.cfg")
+    assert cli.main(["multiplicity", "--config", cfg, "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "multiplicity.csv").read_bytes()).hexdigest()
+    assert digest == _MULTIPLICITY_SHA256[stem]
 
 
 def test_cli_assertion_failure_exit_one(tmp_path, capsys):

@@ -17,6 +17,8 @@ from boxham.lattice import (
     build_laplacian,
     build_partition,
     face_product,
+    ghost_grid,
+    laplacian_into,
     neighbor_sum_identity,
     partition_of_unity_holds,
     projection,
@@ -195,6 +197,36 @@ def test_stencil_and_origin_coupling_match_dense_laplacian():
             assert np.array_equal(bt.reshape(part.n_sites, -1), lap[:, m0] * ~m0[:, None])
             assert not delta00.flags.writeable and not bt.flags.writeable
             assert part.origin_coupling[2] is bt
+
+
+@pytest.mark.parametrize(
+    "d, lengths", [(1, (1,)), (1, (3,)), (2, (1, 3)), (3, (2, 1, 2)), (4, (1, 2, 1, 2))]
+)
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_flat_stencil_matches_dense_laplacian_on_float_columns(d, lengths, radius):
+    # dyadic floats of at most 31 bits sum exactly in any order, so the
+    # stencil must equal the dense product; -0.0 inputs must not leave a
+    # -0.0 in the sums, which start from 0 like a zero-filled array
+    part = build_partition(d, lengths, radius)
+    lap = build_laplacian(part).entries.astype(np.float64)
+    rng = np.random.default_rng(d * 10 + radius)
+    x = rng.integers(-2**20, 2**20, size=tuple(part.axis_sizes) + (3,)) / 1024.0
+    x[rng.random(x.shape) < 0.3] = -0.0
+    want = lap @ x.reshape(part.n_sites, 3)
+    got = apply_laplacian(x, d)
+    assert got.shape == x.shape and got.dtype == x.dtype
+    assert np.array_equal(got.reshape(part.n_sites, 3), want)
+    assert not np.any(np.signbit(got[got == 0.0]))
+
+    # the flat kernel itself: zeros on the ghosts in, junk on the ghosts out
+    padded, real, strides = ghost_grid(tuple(part.axis_sizes))
+    src = np.zeros(padded + (3,))
+    src[real] = x
+    flat = src.reshape(-1, 3)
+    out = np.full_like(flat, np.nan)
+    assert laplacian_into(out, flat, strides) is out
+    assert np.array_equal(out.reshape(padded + (3,))[real], got)
+    assert np.array_equal(np.signbit(out.reshape(padded + (3,))[real]), np.signbit(got))
 
 
 def test_zero_disorder_covers_all_boxes():

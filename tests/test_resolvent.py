@@ -15,6 +15,8 @@ from boxham.lattice import (
     zero_disorder,
 )
 from boxham.resolvent import (
+    _jacobi_series,
+    _origin_rows,
     _origin_split,
     _solve_refined,
     kronecker_truncation,
@@ -189,6 +191,86 @@ def test_series_route_matches_dense_lu():
             ref = r**2 * _dense_reduction(part, sample, boosts, r)
             assert np.array_equal(got == 0.0, ref == 0.0)
             assert np.all(np.abs(got - ref) <= 16 * eps * np.abs(ref))
+
+
+# A deliberate oracle: the stencil and series as they stood on the unpadded
+# site grid, one shifted slice per neighbour along each axis, before the
+# series moved to the flat ghost-padded layout.  Kept verbatim so the padded
+# kernel is pinned bit for bit, signed zeros included, to the code it
+# replaced; ``_origin_rows`` is shared because it did not change.
+def _grid_apply_laplacian(x: np.ndarray, d: int) -> np.ndarray:
+    out = np.zeros_like(x)
+    for axis in range(d):
+        head = (slice(None),) * axis
+        out[head + (slice(1, None),)] += x[head + (slice(None, -1),)]
+        out[head + (slice(None, -1),)] += x[head + (slice(1, None),)]
+    return out
+
+
+def _grid_jacobi_series(
+    inv_d: np.ndarray, bt: np.ndarray, block: tuple[slice, ...], q: float
+) -> np.ndarray:
+    d = len(block)
+    step = -inv_d[..., None]
+    term = inv_d[..., None] * bt
+    x = term.copy()
+    support = [np.count_nonzero(x)]
+    floor = np.finfo(np.float64).eps / 16.0
+    k = 0
+    while True:
+        if k >= 2 and support[k] == support[k - 2]:
+            bx = _origin_rows(x, block)
+            smallest = np.min(np.abs(bx[bx != 0.0]), initial=np.inf)
+            if q ** (k + 2) / (1.0 - q) <= floor * smallest:
+                return bx
+        term = _grid_apply_laplacian(term, d)
+        term *= step
+        x += term
+        support.append(np.count_nonzero(x))
+        k += 1
+
+
+@pytest.mark.parametrize(
+    "d, lengths",
+    [(1, (3,)), (2, (2, 3)), (3, (1, 2, 2)), (4, (1, 2, 1, 2))],
+)
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_padded_series_matches_grid_oracle_bit_for_bit(d, lengths, radius):
+    # r < 0 and small |r| put D = V - r > 0, so the terms alternate in sign
+    cfg = ExperimentConfig(d=d, lengths=lengths, radius=radius, base_seed=d + radius)
+    part = cfg.partition()
+    sample = sample_disorder(cfg, 0)
+    boosts = {1: 0.7} if radius else None
+    block, delta00, bt = part.origin_coupling
+    potential = _box_potential(part, sample, boosts).reshape(part.axis_sizes)
+    for r in (300.0, -300.0, 3e4, 3e6, 40.0, -25.0):
+        inv_d = 1.0 / (potential - r)
+        inv_d[block] = 0.0
+        q = 2 * d * float(np.max(np.abs(inv_d)))
+        assert q <= 0.5
+        want = _grid_jacobi_series(inv_d, bt, block, q)
+        got = _jacobi_series(inv_d, bt, block, q)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        matrix = schur_reduced(part, sample, boosts, r).matrix
+        assert np.array_equal(np.signbit(matrix), np.signbit(delta00 - want))
+        assert np.array_equal(matrix, delta00 - want)
+
+
+@pytest.mark.parametrize(
+    "d, lengths", [(1, (1,)), (1, (3,)), (2, (1, 3)), (3, (2, 1, 2))]
+)
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_origin_rows_are_box0_rows_of_dense_product(d, lengths, radius):
+    # neighbours of box 0 past the grid (radius 0, length-1 axes) are skipped
+    part = build_partition(d, lengths, radius)
+    block = part.origin_coupling[0]
+    rng = np.random.default_rng(radius)
+    x = rng.integers(-2**20, 2**20, size=tuple(part.axis_sizes) + (3,)) / 1024.0
+    x[block] = 0.0
+    m0 = box_mask(part, (0,) * d)
+    dense = part.laplacian.astype(np.float64) @ x.reshape(part.n_sites, 3)
+    assert np.array_equal(_origin_rows(x, block), dense[m0])
 
 
 def test_dense_route_when_series_cannot_converge():
