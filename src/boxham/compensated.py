@@ -95,22 +95,19 @@ def dd_matmul(a_hi, a_lo, b_hi, b_lo):
 def refined_solve(m: np.ndarray, rhs: np.ndarray):
     """Solve m @ X = rhs with dd-accurate iterative refinement.
 
-    One LU factorization; each of REFINEMENT_PASSES passes computes the
-    residual rhs - m @ X in dd (so the subtraction does not lose the small
-    part) and folds the correction into a dd-carried X.  The factorization's
-    conditioning limits the correction direction, not the achievable residual
-    accuracy.
+    One ``numpy.linalg.solve`` for X; each of REFINEMENT_PASSES passes
+    computes the residual rhs - m @ X in dd (so the subtraction does not lose
+    the small part), solves once more for the correction and folds it into a
+    dd-carried X.  The factorization's conditioning limits the correction
+    direction, not the achievable residual accuracy.
     """
-    from scipy.linalg import lu_factor, lu_solve  # scipy loads on the first solve only
-
     m = np.asarray(m, dtype=np.float64)
     rhs = np.atleast_2d(np.asarray(rhs, dtype=np.float64))
-    lu = lu_factor(m)
-    x_hi = lu_solve(lu, rhs)
+    x_hi = np.linalg.solve(m, rhs)
     x_lo = np.zeros_like(x_hi)
     for _ in range(REFINEMENT_PASSES):
         mx_hi, mx_lo = dd_matmul(m, None, x_hi, x_lo)
         r_hi, r_lo = dd_add(rhs, np.zeros_like(rhs), -mx_hi, -mx_lo)
-        delta = lu_solve(lu, r_hi + r_lo)
+        delta = np.linalg.solve(m, r_hi + r_lo)
         x_hi, x_lo = dd_add(x_hi, x_lo, delta, np.zeros_like(delta))
     return x_hi, x_lo

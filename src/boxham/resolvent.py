@@ -85,6 +85,9 @@ class SchurReduced:
 def _solve_refined(m: np.ndarray, rhs: np.ndarray, z_scale: float):
     """Dense LU solve with one refinement pass and per-column residual checks.
 
+    ``numpy.linalg.solve`` runs twice, once for the solve and once for the
+    refinement step, each with its own LU factorization; an exactly singular
+    ``m`` (a zero pivot) raises SpectralProximityError with residual 0.0.
     Two inspections of the solve guard the spectral-parameter precondition:
 
     * the ordinary residual must stay below SOLVER_TOL * (1 + |z|) * ||x_col||
@@ -100,12 +103,14 @@ def _solve_refined(m: np.ndarray, rhs: np.ndarray, z_scale: float):
     to the second probe; for sampled disorder that configuration has measure
     zero.
     """
-    from scipy.linalg import lu_factor, lu_solve  # scipy loads on the first solve only
-
     rhs = np.atleast_2d(rhs)
-    lu = lu_factor(m)
-    x = lu_solve(lu, rhs)
-    x += lu_solve(lu, rhs - m @ x)
+    try:
+        x = np.linalg.solve(m, rhs)
+        x += np.linalg.solve(m, rhs - m @ x)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralProximityError(
+            f"spectral parameter is an eigenvalue: {exc}", residual=0.0
+        ) from exc
     x_norms = np.linalg.norm(x, axis=0)
     rhs_norms = np.linalg.norm(rhs, axis=0)
     live = rhs_norms > 0.0

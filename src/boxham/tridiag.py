@@ -7,8 +7,9 @@ The object of study is the l x l symmetric tridiagonal matrix
 with A_l the 0/1 path-graph adjacency.  For large r its eigenvalues follow the
 unperturbed modes 2 r^2 cos(pi n/(l+1)) with corrections of order r, 1 and 1/r;
 this module provides that expansion with its correction coefficients, a
-LAPACK-backed reference spectrum with a residual check, and the factor
-description of each coordinate of the Kronecker-sum truncation.
+reference spectrum from one batched ``numpy.linalg.eigh`` with a residual
+check, and the factor description of each coordinate of the Kronecker-sum
+truncation.
 
 Trigonometric quantities are always evaluated as functions of pi*n/(l+1)
 directly (never by recurrence), through helpers that make the reflection
@@ -150,13 +151,13 @@ def exact_spectrum(specs) -> np.ndarray:
 
     ``specs`` is one TridiagSpec, answered by a 1-D array, or a sequence of
     specs sharing one l, answered by one row per spec; a single spec is a
-    batch of one.  Each matrix is solved by LAPACK ``dstevd`` (divide and
-    conquer, called directly).  Every eigenpair of the batch is then checked
+    batch of one.  The batch is stacked as dense (batch, l, l) matrices and
+    solved by one ``numpy.linalg.eigh`` call (LAPACK ``dsyevd``, whose
+    reduction leaves a tridiagonal matrix as it is, so the eigenvalues equal
+    ``dstevd``'s bit for bit).  Every eigenpair of the batch is then checked
     against its matrix at once: ||D v - lam v|| must stay below
     1e-10 * ||D||; a violation (or a solver failure) raises ConvergenceError.
     """
-    from scipy.linalg.lapack import dstevd  # scipy loads on the first solve only
-
     single = isinstance(specs, TridiagSpec)
     batch = [specs] if single else list(specs)
     l = batch[0].l
@@ -172,12 +173,15 @@ def exact_spectrum(specs) -> np.ndarray:
     if l == 1:
         return diag[0] if single else diag  # the 1 x 1 matrix is its own eigenvalue
     offdiag = np.repeat(r2[:, None], l - 1, axis=1)
-    values = np.empty_like(diag)
-    vectors = np.empty((len(batch), l, l))
-    for k in range(len(batch)):
-        values[k], vectors[k], info = dstevd(diag[k], offdiag[k])
-        if info != 0:
-            raise ConvergenceError(f"tridiagonal eigensolver failed on order {l}: dstevd info={info}")
+    stack = np.zeros((len(batch), l, l))
+    i = np.arange(l)
+    stack[:, i, i] = diag
+    stack[:, i[1:], i[:-1]] = offdiag
+    stack[:, i[:-1], i[1:]] = offdiag
+    try:
+        values, vectors = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"tridiagonal eigensolver failed on order {l}: {exc}") from exc
 
     # residual check via tridiagonal matvec, every matrix at once
     norm = np.maximum(np.abs(values).max(axis=1), np.abs(diag).max(axis=1) + 2.0 * r2)

@@ -927,7 +927,8 @@ def test_cli_entry_point_installed(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported by the dense LU and tridiagonal solves on first use
+    # every solve runs through numpy.linalg, so neither the import nor a run
+    # of any shipped config may load scipy
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, boxham.cli; print('scipy' in sys.modules)"],
         capture_output=True,
@@ -935,6 +936,26 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_runs_of_every_config_load_no_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from boxham import cli\n"
+        "for path in sorted(Path(sys.argv[1]).glob('*.cfg')):\n"
+        "    command = path.stem.partition('_')[0]\n"
+        "    out = Path(sys.argv[2]) / path.stem\n"
+        "    assert cli.main([command, '--config', str(path), '--out', str(out)]) == 0, path\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(CONFIGS), str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("command", ["cluster", "gapgrowth"])

@@ -78,6 +78,13 @@ def test_z_on_spectrum_raises_spectral_proximity():
     assert info.value.residual > 0
 
 
+def test_exactly_singular_solve_raises_spectral_proximity():
+    # the second pivot of [[1, 1], [1, 1]] is an exact zero
+    with pytest.raises(SpectralProximityError) as info:
+        _solve_refined(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2), 0.0)
+    assert info.value.residual == 0.0
+
+
 def test_rank_one_perturbation_identity():
     # G^lam_00 = G_00 - lam * G_0n (I + lam G_nn)^-1 G_n0 with the
     # perturbation lam * P_n placed on the box n = e_1

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under scripts/, each in a fresh interpreter."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,3 +34,28 @@ def test_scripts_run_clean(tmp_path):
     for name in ("remainder_routes.py", "literal_constants_demo.py"):
         proc = run_script(name)
         assert proc.returncode == 0, (name, proc.stderr)
+
+
+RUN_OUTPUT = """\
+host {"git_sha": "abc123", "nproc": 2}
+== volume3d seed 0: 212 passes x 8 jobs, 8 of 8 jobs have a reference at this seed
+  wall_s                                             0.0612 s
+  fail_frac                                               0 (0/1696 jobs)
+  wall_s over 212 passes: min 0.0551, max 0.1410; tail p95 = 0.0800 s
+  median wall_s per job: a 0.0100
+{"correct": true, "attempted": 1696, "failed": 0, "metrics": {"wall_s": {"value": 0.0612, "unit": "s"}}}
+"""
+
+
+def test_bench_record_parses_run_output():
+    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "scripts" / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    parsed = bench_record.parse(RUN_OUTPUT)
+    assert parsed["host"] == {"git_sha": "abc123", "nproc": 2}
+    assert parsed["summary"] == [
+        "== volume3d seed 0: 212 passes x 8 jobs, 8 of 8 jobs have a reference at this seed",
+        "wall_s over 212 passes: min 0.0551, max 0.1410; tail p95 = 0.0800 s",
+    ]
+    assert parsed["result"]["correct"] is True
+    assert parsed["result"]["metrics"]["wall_s"]["value"] == 0.0612

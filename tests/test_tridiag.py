@@ -109,8 +109,8 @@ def test_spectrum_matches_dense_eigensolver():
 
 
 def test_spectrum_is_lapack_stevd_bit_for_bit():
-    # exact_spectrum calls dstevd itself; scipy's eigh_tridiagonal with the
-    # same driver must give the same bits, whatever scipy's default becomes
+    # exact_spectrum solves the dense stack with numpy's eigh; scipy's
+    # eigh_tridiagonal with the dstevd driver is the oracle for its bits
     from scipy.linalg import eigh_tridiagonal
 
     for l in (1, 2, 3, 7, 12, 30):
@@ -154,25 +154,31 @@ def test_batched_spectrum_rejects_mixed_l():
 
 
 def test_batch_with_one_corrupted_eigenpair_raises(monkeypatch):
-    import scipy.linalg.lapack as lapack
-
-    solve = lapack.dstevd
+    solve = np.linalg.eigh
     calls = []
 
-    def corrupt_second(diag, offdiag):
-        values, vectors, info = solve(diag, offdiag)
-        calls.append(len(calls))
-        if len(calls) == 2:
-            values = values.copy()
-            values[1] += 1e-6 * np.max(np.abs(values))
-        return values, vectors, info
+    def corrupt_second(stack):
+        values, vectors = solve(stack)
+        calls.append(stack.shape)
+        values = values.copy()
+        values[1, 1] += 1e-6 * np.max(np.abs(values[1]))
+        return values, vectors
 
     specs = [TridiagSpec(l=4, a=0.1 * k, b=-0.2, r=40.0) for k in range(4)]
     exact_spectrum(specs)  # clean batch passes
-    monkeypatch.setattr(lapack, "dstevd", corrupt_second)
+    monkeypatch.setattr(np.linalg, "eigh", corrupt_second)
     with pytest.raises(ConvergenceError):
         exact_spectrum(specs)
-    assert len(calls) == len(specs)  # every matrix was solved before the one check
+    assert calls == [(len(specs), 4, 4)]  # the whole batch was solved in one call
+
+
+def test_eigensolver_failure_is_a_convergence_error(monkeypatch):
+    def fail(stack):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceError):
+        exact_spectrum(TridiagSpec(l=3, a=0.0, b=0.0, r=5.0))
 
 
 def test_predicted_grid_equals_scalar_predictions_bitwise():
