@@ -88,6 +88,8 @@ def _solve_refined(m: np.ndarray, rhs: np.ndarray, z_scale: float):
     ``numpy.linalg.solve`` runs twice, once for the solve and once for the
     refinement step, each with its own LU factorization; an exactly singular
     ``m`` (a zero pivot) raises SpectralProximityError with residual 0.0.
+    Non-finite entries raise ValueError up front, since NaN would pass every
+    check below.
     Two inspections of the solve guard the spectral-parameter precondition:
 
     * the ordinary residual must stay below SOLVER_TOL * (1 + |z|) * ||x_col||
@@ -104,6 +106,8 @@ def _solve_refined(m: np.ndarray, rhs: np.ndarray, z_scale: float):
     zero.
     """
     rhs = np.atleast_2d(rhs)
+    if not (np.isfinite(m).all() and np.isfinite(rhs).all()):
+        raise ValueError("non-finite entries in a dense solve")
     try:
         x = np.linalg.solve(m, rhs)
         x += np.linalg.solve(m, rhs - m @ x)

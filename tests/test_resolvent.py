@@ -85,6 +85,12 @@ def test_exactly_singular_solve_raises_spectral_proximity():
     assert info.value.residual == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_solve_raises_value_error(bad):
+    with pytest.raises(ValueError):
+        _solve_refined(np.array([[bad, 0.0], [0.0, 1.0]]), np.eye(2), 0.0)
+
+
 def test_rank_one_perturbation_identity():
     # G^lam_00 = G_00 - lam * G_0n (I + lam G_nn)^-1 G_n0 with the
     # perturbation lam * P_n placed on the box n = e_1
