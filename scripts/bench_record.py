@@ -53,6 +53,8 @@ def main() -> int:
     args = ap.parse_args(argv[:split])
     run_args = argv[split + 1 :]
     checkouts = [c.split("=", 1) for c in args.checkout or [f"change={ROOT}"]]
+    if any(len(c) != 2 for c in checkouts):
+        ap.error("--checkout takes NAME=DIR")
     runs = [record(name, Path(path), run_args) for name, path in checkouts]
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({"label": args.label, "runs": runs}, indent=1) + "\n")

@@ -90,6 +90,7 @@ def _solve_refined(m: np.ndarray, rhs: np.ndarray, z_scale: float):
     ``m`` (a zero pivot) raises SpectralProximityError with residual 0.0.
     Non-finite entries raise ValueError up front, since NaN would pass every
     check below.
+
     Two inspections of the solve guard the spectral-parameter precondition:
 
     * the ordinary residual must stay below SOLVER_TOL * (1 + |z|) * ||x_col||
