@@ -869,22 +869,68 @@ def test_ragged_driver_table_is_not_a_config_error(tmp_path, monkeypatch, capsys
     assert "config error" not in capsys.readouterr().err
 
 
-# sha256 of the shipped multiplicity CSVs; a change to their bytes must be
-# deliberate, and shows up here before it reaches scripts/run_all.py
-_MULTIPLICITY_SHA256 = {
-    "multiplicity_2x2": "c2215645d7382db532a0bc3ce2c455490491b922514f2969fd50dacae605b441",
-    "multiplicity_2x4": "8761020a08f0bc35e9db4f9ea0ad543ddb513d2fa17ea04bab485f9a66737773",
-    "multiplicity_3d": "fb43de1a9245d3be6ee3e147a481c4364899500c4ecec9a08b40c9d86e7cce65",
+# sha256 of the CSV and the verdict of every shipped config; a change to
+# their bytes must be deliberate, and shows up here before it reaches
+# scripts/run_all.py
+_SHIPPED_SHA256 = {
+    "cluster_2x4": (
+        "a0cba775fff0c6eeaf46067ba43e8989fbd9a50005ab24aee534b08efdc3bc07",
+        "25967267f329c96e24552f4bb1805494ed4a96809cc2c6dd9273a697883114b7",
+    ),
+    "constancy_2x2": (
+        "3f718a06186764f0ab6e28dba3b49fbdae9fc9efa642d46e375bd77d0881d0a8",
+        "c83d09a532105f6fcdc0aa53a2c5a5d741af0fedd8bc08103ee91ca159966c26",
+    ),
+    "expansion_grid": (
+        "8df338d308f75e1b1d86aa64cbf67cba92226ae28edd4352cb86a4ae765689ad",
+        "9128d12c519789a7fb0e6af96bf7d8ca619f0f4a01c1b10ef212afb6ff3bae8b",
+    ),
+    "gapgrowth_2x2": (
+        "2e8edd682b61e2902b886726d021ae345e12b6e47edfcb58bf31bfac75368e31",
+        "48a9f4e1b915c65e2f65efcc747fc227b7eb005108460e70d90ef8bde3363e15",
+    ),
+    "gapgrowth_2x4": (
+        "8006bbcf41e4e49cd3adae1b32eaec169c7e15c0b26d19111951d9b62ce2b455",
+        "541394aa7ae474a495221b6cd739e3dd231f62cd26bd688f3d5f82a35cf6d8ce",
+    ),
+    "multiplicity_2x2": (
+        "c2215645d7382db532a0bc3ce2c455490491b922514f2969fd50dacae605b441",
+        "ff4af1fea2999830b0906c072561e0766002820b450183f860dc78e952be05d5",
+    ),
+    "multiplicity_2x4": (
+        "8761020a08f0bc35e9db4f9ea0ad543ddb513d2fa17ea04bab485f9a66737773",
+        "4f9a366de4306342f4cdebe4ed428d334159b2888afac07e096dea0636c0f6fe",
+    ),
+    "multiplicity_3d": (
+        "fb43de1a9245d3be6ee3e147a481c4364899500c4ecec9a08b40c9d86e7cce65",
+        "0a735447e84b1a49bb7ad9ebe637414567073bb431f42172fca57bb8bdc537b1",
+    ),
+    "partition_2x3": (
+        "848d34b566f2a11ece980db5a19566a5a95aa99ac6352f2e4b951f573b631c32",
+        "c26f210eaf37567e4d8227d1bab9d6a6406be9e8fa637ca82f30f911e6c3312c",
+    ),
+    "rankcheck_2x2": (
+        "997d9382590d47f0df3b012f80162c876fa48bd96d2d635f730b21c8b3bc35e2",
+        "753267e2ab7d255d43b4dee23cd9800d20386a490efe053ab2b8237ec25e75db",
+    ),
+    "separation_2x4": (
+        "0f724d79bf8f5d3a8393b234dc37088f17bf1d2243c214628c3d425b9b4dc8db",
+        "50fdde194d6c8a1522d7a53b982d2a92b63c78f9aab0b6935cf2ffe53bafcc14",
+    ),
 }
 
 
-@pytest.mark.parametrize("stem", sorted(_MULTIPLICITY_SHA256))
+@pytest.mark.parametrize("stem", sorted(_SHIPPED_SHA256))
 def test_shipped_multiplicity_csv_digest(tmp_path, stem):
+    command = stem.partition("_")[0]
     out = tmp_path / stem
     cfg = str(CONFIGS / f"{stem}.cfg")
-    assert cli.main(["multiplicity", "--config", cfg, "--out", str(out)]) == 0
-    digest = hashlib.sha256((out / "multiplicity.csv").read_bytes()).hexdigest()
-    assert digest == _MULTIPLICITY_SHA256[stem]
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in (f"{command}.csv", f"{command}_verdict.json")
+    )
+    assert digests == _SHIPPED_SHA256[stem]
 
 
 def test_cli_assertion_failure_exit_one(tmp_path, capsys):
