@@ -1,9 +1,11 @@
 """Command-line driver for the experiment harness.
 
 Nine subcommands, each reading an experiment config (except ``cossum``, which
-takes its moduli on the command line), writing a fixed-schema CSV plus a JSON
-verdict into the output directory, and exiting 0 when every assertion passed,
-1 on an assertion failure, 2 on a configuration problem.
+takes its moduli on the command line) and running one ``harness`` driver.
+The driver's columns become a fixed-schema CSV, and its checks the failure
+records of a JSON verdict, both written into the output directory; the exit
+code is 0 when every check passed, 1 on a check failure, 2 on a
+configuration problem.
 """
 
 from __future__ import annotations
@@ -11,8 +13,11 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import harness
 from .errors import BoxhamError, ConfigError, VolumeError
@@ -28,40 +33,49 @@ def _moduli(text: str) -> tuple[int, ...]:
     return ps
 
 
-# Subcommand -> (CSV header, driver).  A driver takes the loaded config (the
-# moduli for cossum) and returns (rows, failures) or (rows, failures, extras),
-# the extras being merged into the verdict.
+# Subcommand -> driver.  A driver takes the loaded config (the moduli for
+# cossum) and returns a harness.Result: the CSV columns by header, the checks
+# that failure_records turns into the verdict's failures, and the verdict
+# extras.
 _EXPERIMENTS = {
-    "partition": (["box", "sites", "first_site", "last_site"], harness.partition_survey),
-    "expansion": (
-        ["l", "a", "b", "r", "n", "exact", "predicted", "residual"],
-        harness.expansion_sweep,
-    ),
-    "cluster": (
-        ["r", "pair_a", "pair_b", "gap_class", "gap", "required", "satisfied"],
-        harness.cluster_sweep,
-    ),
-    "separation": (
-        ["draw", "epsilon", "delta", "min_gap", "threshold", "passed"],
-        harness.separation_sweep,
-    ),
-    "cossum": (["ps", "ns"], harness.nonvanishing_survey),
-    "multiplicity": (
-        ["seed", "r", "max_multiplicity", "histogram", "escalated"],
-        harness.multiplicity_scan,
-    ),
-    "constancy": (["z", "lambda", "max_multiplicity", "note"], harness.constancy_scan),
-    "rankcheck": (["seed", "rank", "expected", "full"], harness.rank_sweep),
-    "gapgrowth": (
-        ["pair_a", "pair_b", "gap_class", "r", "gap", "floored"],
-        harness.gap_growth_probe,
-    ),
+    "partition": harness.partition_survey,
+    "expansion": harness.expansion_sweep,
+    "cluster": harness.cluster_sweep,
+    "separation": harness.separation_sweep,
+    "cossum": harness.nonvanishing_survey,
+    "multiplicity": harness.multiplicity_scan,
+    "constancy": harness.constancy_scan,
+    "rankcheck": harness.rank_sweep,
+    "gapgrowth": harness.gap_growth_probe,
 }
+
+
+def _plain(value):
+    """``value`` as the verdict JSON holds it: numpy scalars as Python ones, tuples as lists."""
+    if isinstance(value, np.generic):
+        return value.item()
+    return list(map(_plain, value)) if isinstance(value, (tuple, list)) else value
+
+
+def failure_records(checks: list[harness.Check]) -> list[dict]:
+    """The verdict's failure records, one per failing case of ``checks``.
+
+    Consecutive checks over equally many cases are read case by case, so a
+    multiplicity cell that breaks both its bound and simplicity lists both
+    records together; otherwise checks follow in declared order.
+    """
+    records = []
+    for _, run in itertools.groupby(checks, key=lambda check: len(check.passed)):
+        failing = [(k, c) for c in run for k in np.flatnonzero(np.logical_not(c.passed))]
+        for k, c in sorted(failing, key=lambda pair: pair[0]):
+            fields = {**c.shared, **{key: column[k] for key, column in c.per_case.items()}}
+            records.append({"check": c.name, **{key: _plain(v) for key, v in fields.items()}})
+    return records
 
 
 def _run(args) -> int:
     name = args.command
-    header, driver = _EXPERIMENTS[name]
+    driver = _EXPERIMENTS[name]
     if name == "cossum":
         subject = _moduli(args.p)
         config_hash = hashlib.sha256(",".join(str(p) for p in subject).encode()).hexdigest()
@@ -70,12 +84,14 @@ def _run(args) -> int:
         subject = harness.load_config(args.config)
         config_hash = subject.config_hash()
         out = args.out or subject.output_dir
-    rows, failures, *extra = driver(subject)
+    result = driver(subject)
     out = Path(out or "results")
-    csv_path = harness.write_csv(out / f"{name}.csv", header, rows)
-    harness.write_verdict(out / f"{name}_verdict.json", name, config_hash, failures, *extra)
+    csv_path = harness.write_csv(out / f"{name}.csv", result.columns)
+    failures = failure_records(result.checks)
+    harness.write_verdict(out / f"{name}_verdict.json", name, config_hash, failures, result.extras)
     status = "PASS" if not failures else f"FAIL ({len(failures)} failure(s))"
-    print(f"{name}: {status}; {len(rows)} rows -> {csv_path}")
+    rows = len(next(iter(result.columns.values())))
+    print(f"{name}: {status}; {rows} rows -> {csv_path}")
     for failure in failures:
         print(f"  {failure}", file=sys.stderr)
     return 0 if not failures else 1

@@ -4,8 +4,11 @@ Everything here is deterministic plumbing around the math modules: a flat
 key-value config format, seeded disorder sampling, the multiplicity /
 constancy / rank / gap-growth scans, and fixed-schema CSV + JSON output whose
 bytes depend only on the config (17-significant-digit float formatting,
-ordered rows, sorted JSON keys).  Every scan is one serial loop over seeds
-(and r values), so rows come out in (seed, r) order.
+ordered rows, sorted JSON keys).  Every driver returns a ``Result``: its CSV
+columns by header, the ``Check`` of each claim it tests, and the extra
+verdict fields; the CLI derives the failure records from the checks.  Every scan
+is one serial loop over seeds (and r values), so rows come out in (seed, r)
+order.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -315,19 +320,21 @@ def boosts_for(config: ExperimentConfig, sample: DisorderSample) -> dict[int, fl
 
 
 def _checked_table(config: ExperimentConfig) -> ClassTable:
-    """The geometry's class table; ConfigError when it has a permuted tie.
+    """The geometry's class table; ConfigError unless its pairs can be classified.
 
-    Labels such as (1,2)/(2,1) at lengths (3,3) share both sums without being
-    reflections, which the three-way pair classification cannot label.
+    A geometry with a single mode tuple has no pair at all.  Labels such as
+    (1,2)/(2,1) at lengths (3,3) share both sums without being reflections,
+    which the three-way pair classification cannot label.
     """
     table = class_table(config.lengths)
+    key = _key_of("lengths")
+    if len(table.tuples) < 2:
+        raise ConfigError(f"{key} = {config.lengths}: a single mode tuple has no pair", field=key)
     tie = table.permuted_tie()
     if tie is not None:
-        key = _key_of("lengths")
         raise ConfigError(
             f"{key} = {config.lengths}: labels {tie[0]} and {tie[1]} share both the cosine "
             "and the sine sum without being reflections, so the pair cannot be classified",
-            line=None,
             field=key,
         )
     return table
@@ -342,6 +349,32 @@ def _factor_inputs(config: ExperimentConfig):
     boosts = boosts_for(config, sample)
     lams = tuple(boosts.get(i + 1, 0.0) for i in range(config.d))
     return sample, omega_pairs(sample, config.d), lams
+
+
+# ------------------------------------------------------------ check table
+
+
+@dataclass(frozen=True)
+class Check:
+    """One claim over its cases: case k holds exactly when ``passed[k]``.
+
+    A failing case k is recorded with every ``shared`` field and entry k of
+    every ``per_case`` column (``cli.failure_records``).
+    """
+
+    name: str
+    passed: Sequence[bool]
+    per_case: dict = field(default_factory=dict)
+    shared: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Result:
+    """A driver's output: CSV ``columns`` by header in CSV order, ``checks``, verdict ``extras``."""
+
+    columns: dict[str, Sequence]
+    checks: list[Check]
+    extras: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------- formatting
@@ -370,7 +403,7 @@ def _fmt(value) -> str:
 _DEDUP_ROWS = 64
 
 
-def _column_texts(column: tuple) -> list[str]:
+def _column_texts(column: Sequence) -> list[str]:
     """``_fmt`` of every field of one CSV column, each distinct value formatted once.
 
     A column of exact floats is keyed by bit pattern, any other column by
@@ -392,29 +425,25 @@ def _column_texts(column: tuple) -> list[str]:
     return texts[inverse].tolist()
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> Path:
-    """Write ``header`` and ``rows`` as CSV, formatted column by column.
+def write_csv(path: str | Path, columns: dict[str, Sequence]) -> Path:
+    """Write ``columns`` (header -> column, in CSV order; an array as its ``tolist()``).
 
     The bytes are those of ``",".join(map(_fmt, row))`` for every row: floats
     as ``%.17g``, bools as ``true``/``false``, tuples and lists ``|``-joined.
     Each column's distinct values are formatted once, and "distinct" cannot
     mean equal: 0.0 == -0.0 and (1, 2) == (True, 2), yet their texts differ.
-    So a column of exact floats is keyed by bit pattern and any other column
-    by object identity; the drivers share their label, class and ``r``
-    objects across rows, so those repeat.  Every row must have the same
-    number of fields: a ragged table is a driver fault, not a config error,
-    so it raises RuntimeError rather than the ValueError the CLI reports as
-    one.
+    So floats are told apart by bits and other values by object identity; the
+    drivers share their label, class and ``r`` objects across rows.  Ragged
+    columns are a driver fault, not a config error, so they raise
+    RuntimeError rather than the ValueError the CLI reports as one.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        columns = [_column_texts(column) for column in zip(*rows, strict=True)]
-    except ValueError:
-        if len(set(map(len, rows))) > 1:
-            raise RuntimeError(f"ragged row table for {path.name}") from None
-        raise
-    lines = [",".join(header), *map(",".join, zip(*columns))]
+    if len(set(map(len, columns.values()))) > 1:
+        raise RuntimeError(f"ragged row table for {path.name}")
+    arrays = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
+    texts = [_column_texts(column) for column in arrays]
+    lines = [",".join(columns), *map(",".join, zip(*texts))]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -443,113 +472,107 @@ def write_verdict(
 # ------------------------------------------------------------- multiplicity
 
 
-def multiplicity_scan(config: ExperimentConfig):
+def multiplicity_scan(config: ExperimentConfig) -> Result:
     """Histogram eigenvalue clusters of r^2 * H_r across seeds and r values.
 
-    Asserts the cluster-size bound 2^s - s whenever s >= 2, and simplicity at
+    Checks the cluster-size bound 2^s - s whenever s >= 2, and simplicity at
     the largest r for admissible-simple geometries.  A ``precision_guard``
     trip is recorded on its row as ``escalated``; the cell is not re-solved.
-    Returns (rows, failures, extras): rows are (seed, r, max_multiplicity,
-    histogram, escalated) with the histogram written ``size:count|...``, and
-    extras are the admissibility fields s, bound and simple.
+    One row per (seed, r) cell, the histogram written ``size:count|...``;
+    the extras are the admissibility fields s, bound and simple.
     """
     if config.radius < 2:
         raise VolumeError(f"multiplicity scan needs radius >= 2, got {config.radius}")
     part = config.partition()
     adm = admissibility(config.lengths)
-    total = math.prod(config.lengths)
-    largest_r = max(config.r_values)
-    size_cap = 2**adm.s - adm.s
-    rows = []
-    failures = []
+    maxima, censuses, escalated = [], [], []
     for seed in range(config.n_seeds):
         sample = sample_disorder(config, seed)
         boosts = boosts_for(config, sample)
         for r in config.r_values:
-            sr = schur_reduced(part, sample, boosts, r)
-            eigs = np.linalg.eigvalsh(r**2 * sr.matrix)
+            eigs = np.linalg.eigvalsh(r**2 * schur_reduced(part, sample, boosts, r).matrix)
             tau = degeneracy_tolerance(eigs)
-            escalated = precision_guard(r, tau, context="multiplicity clustering")
-            groups = cluster_indices(eigs, tau)
-            histogram: dict[int, int] = {}
-            for g in groups:
-                histogram[len(g)] = histogram.get(len(g), 0) + len(g)
-            assert sum(histogram.values()) == total
-            mx = max(len(g) for g in groups)
-            assert mx <= total
-            census = "|".join(f"{size}:{count}" for size, count in sorted(histogram.items()))
-            rows.append((seed, r, mx, census, escalated))
-            cell = {"lengths": list(config.lengths), "seed": seed, "r": r, "max_multiplicity": mx}
-            if adm.s >= 2 and mx > size_cap:
-                failures.append({"check": "cluster_size_bound", **cell, "bound": size_cap})
-            if adm.simple and r == largest_r and mx != 1:
-                failures.append({"check": "simple_spectrum", **cell})
-    return rows, failures, {"s": adm.s, "bound": adm.bound, "simple": adm.simple}
+            escalated.append(precision_guard(r, tau, context="multiplicity clustering"))
+            sizes = sorted(Counter(map(len, cluster_indices(eigs, tau))).items())
+            assert sum(size * count for size, count in sizes) == math.prod(config.lengths)
+            maxima.append(sizes[-1][0])
+            censuses.append("|".join(f"{size}:{size * count}" for size, count in sizes))
+    seeds = [seed for seed in range(config.n_seeds) for _ in config.r_values]
+    rs = list(config.r_values) * config.n_seeds
+    cells = {"seed": seeds, "r": rs, "max_multiplicity": maxima}
+    mx, cap, lengths = np.array(maxima), 2**adm.s - adm.s, list(config.lengths)
+    bound_holds = (adm.s < 2) | (mx <= cap)
+    simple_holds = ~(adm.simple & (np.array(rs) == max(rs))) | (mx == 1)
+    checks = [
+        Check("cluster_size_bound", bound_holds, cells, {"lengths": lengths, "bound": cap}),
+        Check("simple_spectrum", simple_holds, cells, {"lengths": lengths}),
+    ]
+    columns = {**cells, "histogram": censuses, "escalated": escalated}
+    return Result(columns, checks, {"s": adm.s, "bound": adm.bound, "simple": adm.simple})
 
 
 # ---------------------------------------------------------------- constancy
 
 
-def constancy_scan(config: ExperimentConfig):
+def constancy_scan(config: ExperimentConfig) -> Result:
     """Max eigenvalue multiplicity of G_00 under a boost lambda on one box.
 
     Sweeps the (z, lambda) grid, clustering the eigenvalues of the origin
-    resolvent block at tolerance tau; asserts the value is the same at every
+    resolvent block at tolerance tau; checks the value is the same at every
     usable grid point.  Grid points with z inside (or hugging) the spectrum
-    are skipped with a note rather than failed.  Each lambda's Hamiltonian
-    and spectrum are built once and shared by every z.  Returns (rows,
-    failures, extras): rows are (z, lambda, max_multiplicity, note), with an
-    empty multiplicity on skipped points, and extras are box, constant and
-    the common value (None unless exactly one value was seen).
+    are skipped with a note and an empty multiplicity rather than failed.
+    Each lambda's Hamiltonian and spectrum are built once and shared by every
+    z.  The extras are box, constant and the common value (None unless
+    exactly one value was seen).
     """
     box = config.constancy_box or tuple(1 if k == 0 else 0 for k in range(config.d))
     if config.lambda_mode != "explicit":
         key = _key_of("lambda_mode")
-        raise ConfigError(
-            f"constancy scan needs an explicit {key} grid", line=None, field=key
-        )
+        raise ConfigError(f"constancy scan needs an explicit {key} grid", field=key)
     part = config.partition()
-    sample = sample_disorder(config, 0)
-    base = build_hamiltonian(part, sample)
+    base = build_hamiltonian(part, sample_disorder(config, 0))
     mask = box_mask(part, box)
     origin = (0,) * config.d
     boosted = []
     for lam in config.lambda_values:
         h = base.entries.copy()
         h[np.diag_indices_from(h)] += lam * mask
-        boosted.append((lam, LatticeOperator(entries=h, partition=part), np.linalg.eigvalsh(h)))
-    rows = []
-    grid = []
+        boosted.append((LatticeOperator(entries=h, partition=part), np.linalg.eigvalsh(h)))
+    maxima, notes = [], []
     for z in config.z_values:
-        for lam, op, spectrum in boosted:
+        for op, spectrum in boosted:
+            mx, note = "", ""
             if np.min(np.abs(spectrum - z)) < PROXIMITY_FLOOR:
-                rows.append((z, lam, "", "z inside spectrum; skipped"))
-                continue
-            try:
-                rr = restricted_resolvent(op, z, origin, origin)
-            except SpectralProximityError as exc:
-                note = f"solver near-singular (residual {exc.residual:.3g}); skipped"
-                rows.append((z, lam, "", note))
-                continue
-            block = (rr.block + rr.block.T) / 2.0
-            eigs = np.linalg.eigvalsh(block)
-            tau = degeneracy_tolerance(eigs)
-            mx = max(len(g) for g in cluster_indices(eigs, tau))
-            rows.append((z, lam, mx, ""))
-            grid.append({"z": z, "lambda": lam, "max_multiplicity": mx})
+                note = "z inside spectrum; skipped"
+            else:
+                try:
+                    rr = restricted_resolvent(op, z, origin, origin)
+                except SpectralProximityError as exc:
+                    note = f"solver near-singular (residual {exc.residual:.3g}); skipped"
+                else:
+                    eigs = np.linalg.eigvalsh((rr.block + rr.block.T) / 2.0)
+                    mx = max(len(g) for g in cluster_indices(eigs, degeneracy_tolerance(eigs)))
+            maxima.append(mx)
+            notes.append(note)
+    columns = {
+        "z": [z for z in config.z_values for _ in boosted],
+        "lambda": list(config.lambda_values) * len(config.z_values),
+        "max_multiplicity": maxima,
+        "note": notes,
+    }
+    grid = [
+        {"z": z, "lambda": lam, "max_multiplicity": mx}
+        for z, lam, mx in zip(columns["z"], columns["lambda"], maxima)
+        if mx != ""
+    ]
     observed = sorted({cell["max_multiplicity"] for cell in grid})
-    constant = len(observed) <= 1
-    failures = []
-    if not constant:
-        failures.append(
-            {"check": "constancy", "box": list(box), "observed_values": observed, "grid": grid}
-        )
-    if not observed:
-        failures.append(
-            {"check": "constancy_grid_empty", "box": list(box), "note": "every grid point skipped"}
-        )
+    constant, empty_note = len(observed) <= 1, "every grid point skipped"
+    checks = [
+        Check("constancy", [constant], {}, {"box": box, "observed_values": observed, "grid": grid}),
+        Check("constancy_grid_empty", [bool(observed)], {}, {"box": box, "note": empty_note}),
+    ]
     value = observed[0] if len(observed) == 1 else None
-    return rows, failures, {"box": list(box), "constant": constant, "value": value}
+    return Result(columns, checks, {"box": list(box), "constant": constant, "value": value})
 
 
 # -------------------------------------------------------------- cyclic rank
@@ -656,25 +679,21 @@ def _fit_slopes(r_values, gaps: np.ndarray, floored: np.ndarray) -> list[float |
     return slopes
 
 
-def gap_growth_probe(config: ExperimentConfig):
+def gap_growth_probe(config: ExperimentConfig) -> Result:
     """Fit log-log growth exponents of labeled eigenvalue gaps in r.
 
     Uses the per-factor tridiagonal route for the exact spectrum, so the tiny
     same-cluster splittings stay far above dense-solver noise.  Gaps under the
     rounding floor are excluded from fits; a curve with fewer than three clean
-    points is reported floor-limited (slope None) instead of fitted.  Returns
-    (rows, failures, extras): rows are (pair_a, pair_b, gap_class, r, gap,
-    floored) pair by pair over every mode-tuple pair, in
-    ``itertools.combinations`` order, and extras hold the slope per
+    points is reported floor-limited (slope None) instead of fitted.  Rows
+    run pair by pair over every mode-tuple pair, in ``itertools.combinations``
+    order, and by r within a pair; the extras hold the slope per
     ``n1|n2:m1|m2`` pair label and the slope of the minimum gap.
     """
     r_values = tuple(sorted(config.r_values))
     if len(r_values) < 3 or max(r_values) / min(r_values) < 8:
-        raise ConfigError(
-            "gap growth needs >= 3 r values spanning a factor >= 8",
-            line=None,
-            field=_key_of("r_values"),
-        )
+        message = "gap growth needs >= 3 r values spanning a factor >= 8"
+        raise ConfigError(message, field=_key_of("r_values"))
     table = _checked_table(config)
     sample, opairs, lams = _factor_inputs(config)
 
@@ -690,40 +709,35 @@ def gap_growth_probe(config: ExperimentConfig):
     first, second = np.triu_indices(len(table.tuples), 1)
     gaps = np.abs(spectra[:, first] - spectra[:, second])
     floored = gaps <= floors[:, None]
-    pairs = list(zip(first.tolist(), second.tolist(), table.classes(first, second)))
-    rows = list(
-        zip(
-            [table.tuples[i] for i, _, _ in pairs for _ in r_values],
-            [table.tuples[j] for _, j, _ in pairs for _ in r_values],
-            [cls for _, _, cls in pairs for _ in r_values],
-            r_values * len(pairs),
-            gaps.T.ravel().tolist(),
-            floored.T.ravel().tolist(),
-        )
-    )
-
-    names = ["|".join(map(str, t)) for t in table.tuples]
-    failures = []
-    slopes = {}
-    for (i, j, cls), slope in zip(pairs, _fit_slopes(r_values, gaps, floored)):
-        slopes[names[i] + ":" + names[j]] = slope
-        bad = slope is not None and (
+    classes = table.classes(first, second)
+    slopes = _fit_slopes(r_values, gaps, floored)
+    pairs = [(table.tuples[i], table.tuples[j]) for i, j in zip(first.tolist(), second.tolist())]
+    columns = {
+        "pair_a": [a for a, _ in pairs for _ in r_values],
+        "pair_b": [b for _, b in pairs for _ in r_values],
+        "gap_class": [cls for cls in classes for _ in r_values],
+        "r": list(r_values) * len(pairs),
+        "gap": gaps.T.ravel(),
+        "floored": floored.T.ravel(),
+    }
+    holds = [
+        slope is None
+        or not (
             (cls == "cos_separated" and slope < 1.8)
             or (cls == "sine_separated" and not 0.8 <= slope <= 1.2)
             or (cls == "same_cluster" and slope > 0.1)
         )
-        if bad:
-            failures.append(
-                {
-                    "check": "gap_growth_slope",
-                    "lengths": list(config.lengths),
-                    "seed": sample.seed,
-                    "pair": [list(table.tuples[i]), list(table.tuples[j])],
-                    "class": cls,
-                    "slope": slope,
-                }
-            )
-    return rows, failures, {"slopes": slopes, "min_pair_slope": min_pair_slope}
+        for cls, slope in zip(classes, slopes)
+    ]
+    check = Check(
+        "gap_growth_slope",
+        holds,
+        {"pair": pairs, "class": classes, "slope": slopes},
+        {"lengths": list(config.lengths), "seed": sample.seed},
+    )
+    labels = ["|".join(map(str, a)) + ":" + "|".join(map(str, b)) for a, b in pairs]
+    extras = {"slopes": dict(zip(labels, slopes)), "min_pair_slope": min_pair_slope}
+    return Result(columns, [check], extras)
 
 
 # ----------------------------------------------------- expansion / cluster
@@ -734,20 +748,18 @@ def expansion_bound(l: int, a: float, b: float, r: float) -> float:
     return (40.0 * (l + 1) * abs(a + b) + 16.0 * (l + 1) ** 3 + 1.0) / r
 
 
-def expansion_sweep(config: ExperimentConfig):
+def expansion_sweep(config: ExperimentConfig) -> Result:
     """Exact-vs-predicted residuals over the (l, a, b, r) grid.
 
-    Returns (rows, failures, extras): rows follow the CSV schema
-    (l, a, b, r, n, exact, predicted, residual); the per-cell bound is checked
-    everywhere, and extras hold the aggregate slope fitted to the per-r worst
-    residual (None when fewer than four r values span a factor of 8).
+    One row per eigenvalue, cell by cell.  The per-cell bound is checked
+    everywhere, and the aggregate slope is fitted to the per-r worst
+    residual, a zero worst residual left out (None when fewer than four r
+    values span a factor of 8, or fewer than three points remain).
     """
-    rows = []
-    failures = []
-    worst_by_r: dict[float, float] = {}
+    cells, rows = [], []  # per l: the cell columns l, a, b, r, worst; the row columns
     for l in config.expansion_l:
-        cells = list(itertools.product(config.expansion_ab, config.expansion_ab, config.r_values))
-        specs = [TridiagSpec(l=l, a=a, b=b, r=r) for a, b, r in cells]
+        grid = list(itertools.product(config.expansion_ab, config.expansion_ab, config.r_values))
+        specs = [TridiagSpec(l=l, a=a, b=b, r=r) for a, b, r in grid]
         predicted = predicted_grid(specs, "c_over_r")
         # Pair the ascending spectrum with the predictions in ascending
         # (value, mode) order; the stable sort breaks ties by mode.
@@ -755,188 +767,159 @@ def expansion_sweep(config: ExperimentConfig):
         exact = np.empty_like(predicted)
         np.put_along_axis(exact, order, exact_spectrum(specs), axis=1)
         residual = np.abs(exact - predicted)
-        cell_worst = residual.max(axis=1).tolist()
-        for (a, b, r), ex, pred, res, worst in zip(
-            cells, exact.tolist(), predicted.tolist(), residual.tolist(), cell_worst
-        ):
-            rows += [(l, a, b, r, n + 1, ex[n], pred[n], res[n]) for n in range(l)]
-            worst_by_r[r] = max(worst_by_r.get(r, 0.0), worst)
-            allowance = expansion_bound(l, a, b, r)
-            if worst > allowance:
-                failures.append(
-                    {
-                        "check": "expansion_bound",
-                        "l": l,
-                        "a": a,
-                        "b": b,
-                        "r": r,
-                        "worst_residual": worst,
-                        "allowance": allowance,
-                    }
-                )
+        cells.append((np.full(len(grid), l), *np.array(grid).T, residual.max(axis=1)))
+        rows.append((np.tile(np.arange(1, l + 1), len(grid)), exact, predicted, residual))
+    l, a, b, r, worst = (np.concatenate(column) for column in zip(*cells))
+    n, exact, predicted, residual = (np.concatenate(column, axis=None) for column in zip(*rows))
+    per_row = np.repeat(np.arange(l.size), l)
+    columns = {"l": l[per_row], "a": a[per_row], "b": b[per_row], "r": r[per_row], "n": n}
+    columns.update(exact=exact, predicted=predicted, residual=residual)
+    allowance = expansion_bound(l, a, b, r)
+    per_cell = {"l": l, "a": a, "b": b, "r": r, "worst_residual": worst, "allowance": allowance}
+    rs = sorted(set(config.r_values))
     slope = None
-    if len(worst_by_r) >= 4 and max(worst_by_r) / min(worst_by_r) >= 8:
-        rs = sorted(worst_by_r)
-        worst = [max(worst_by_r[r], 1e-300) for r in rs]
-        slope = _fit_slope(rs, worst, [False] * len(rs))
-        if slope > -0.7:
-            failures.append(
-                {"check": "expansion_aggregate_slope", "slope": slope, "limit": -0.7}
-            )
-    return rows, failures, {"aggregate_slope": slope}
+    if len(rs) >= 4 and rs[-1] / rs[0] >= 8:
+        worst_by_r = [float(worst[r == value].max()) for value in rs]
+        slope = _fit_slope(rs, worst_by_r, [w == 0.0 for w in worst_by_r])
+    slope_holds = slope is None or not slope > -0.7
+    checks = [
+        Check("expansion_bound", ~(worst > allowance), per_cell),
+        Check("expansion_aggregate_slope", [slope_holds], {}, {"slope": slope, "limit": -0.7}),
+    ]
+    return Result(columns, checks, {"aggregate_slope": slope})
 
 
-def cluster_sweep(config: ExperimentConfig):
+def cluster_sweep(config: ExperimentConfig) -> Result:
     """Gap verification on the labelled truncation spectrum at each r.
 
     Every gap is taken between two values of ``mode_resolved_spectrum``, so
     each eigenvalue carries its mode tuple from the factor that produced it.
-    Returns (rows, failures): rows follow (r, pair_a, pair_b, class, gap,
-    required, satisfied) with required empty for same_cluster pairs.
+    One row per r and pair; required is empty for same_cluster pairs.
     """
     _checked_table(config)
     sample, opairs, lams = _factor_inputs(config)
-    rows = []
-    failures = []
+    rs, reports = [], []
     for r in config.r_values:
         spectrum = mode_resolved_spectrum(config.lengths, opairs, lams, r)
-        for rep in verify_gaps(spectrum, config.lengths, r):
-            satisfied = rep.satisfied
-            required = "" if rep.required is None else rep.required
-            rows.append((r, *rep.pair, rep.gap_class, rep.gap, required, satisfied))
-            if not satisfied:
-                failures.append(
-                    {
-                        "check": "cluster_gap",
-                        "lengths": list(config.lengths),
-                        "seed": sample.seed,
-                        "r": r,
-                        "pair": [list(rep.pair[0]), list(rep.pair[1])],
-                        "class": rep.gap_class,
-                        "gap": rep.gap,
-                        "required": rep.required,
-                    }
-                )
-    return rows, failures
+        reports += verify_gaps(spectrum, config.lengths, r)
+        rs += [r] * (len(reports) - len(rs))
+    pairs = [rep.pair for rep in reports]
+    required = [rep.required for rep in reports]
+    columns = {
+        "r": rs,
+        "pair_a": [a for a, _ in pairs],
+        "pair_b": [b for _, b in pairs],
+        "gap_class": [rep.gap_class for rep in reports],
+        "gap": [rep.gap for rep in reports],
+        "required": ["" if q is None else q for q in required],
+        "satisfied": [rep.satisfied for rep in reports],
+    }
+    per_case = {"r": rs, "pair": pairs, "class": columns["gap_class"], "gap": columns["gap"]}
+    check = Check(
+        "cluster_gap",
+        columns["satisfied"],
+        {**per_case, "required": required},
+        {"lengths": list(config.lengths), "seed": sample.seed},
+    )
+    return Result(columns, [check])
 
 
-def separation_sweep(config: ExperimentConfig):
+def separation_sweep(config: ExperimentConfig) -> Result:
     """Design intervals for the sine systems and brute-force verify draws.
 
     Draw 0 uses interval midpoints; draws 1..n_seeds sample uniformly from the
-    intervals.  Returns (rows, failures) with rows (draw, epsilon, delta,
-    min_gap, threshold, passed).
+    intervals.  One row per draw.
     """
     sets = sine_system(config.lengths)
     eps, delta = epsilon_delta(sets, config.lem4_delta)
     intervals = design_intervals(eps, delta, config.d)
-    rows = []
-    failures = []
-    coeff_lists = [(0, midpoint_coefficients(intervals))]
-    for i in range(1, config.n_seeds + 1):
-        rng = np.random.default_rng(config.base_seed + i)
-        coeff_lists.append((i, draw_coefficients(intervals, rng)))
-    for draw, coeffs in coeff_lists:
-        check = verify_separation(sets, coeffs, delta)
-        rows.append(
-            (draw, eps, delta, check.min_gap, check.threshold, check.passed)
-        )
-        if not check.passed:
-            failures.append(
-                {
-                    "check": "separation",
-                    "lengths": list(config.lengths),
-                    "draw": draw,
-                    "coefficients": [float(c) for c in coeffs],
-                    "min_gap": check.min_gap,
-                    "threshold": check.threshold,
-                }
-            )
-    return rows, failures
+    coefficients = [midpoint_coefficients(intervals)] + [
+        draw_coefficients(intervals, np.random.default_rng(config.base_seed + i))
+        for i in range(1, config.n_seeds + 1)
+    ]
+    checks = [verify_separation(sets, coeffs, delta) for coeffs in coefficients]
+    columns = {
+        "draw": list(range(len(checks))),
+        "epsilon": [eps] * len(checks),
+        "delta": [delta] * len(checks),
+        "min_gap": [check.min_gap for check in checks],
+        "threshold": [check.threshold for check in checks],
+        "passed": [check.passed for check in checks],
+    }
+    per_case = {
+        "draw": columns["draw"],
+        "coefficients": [[float(c) for c in coeffs] for coeffs in coefficients],
+        "min_gap": columns["min_gap"],
+        "threshold": columns["threshold"],
+    }
+    check = Check("separation", columns["passed"], per_case, {"lengths": list(config.lengths)})
+    return Result(columns, [check])
 
 
-def partition_survey(config: ExperimentConfig):
-    """Structural identity checks plus a per-box census.
+def partition_survey(config: ExperimentConfig) -> Result:
+    """Structural identity checks plus a per-box census, one row per box.
 
-    Returns (rows, failures): rows are (box, sites, first_site, last_site).
-    All three identity families are exact integer comparisons.
+    All three identity families are exact integer comparisons; at radius 0
+    there is no neighbor box, and only the partition of unity is checked.
     """
     part = config.partition()
-    failures = []
-    if not partition_of_unity_holds(part):
-        failures.append({"check": "partition_of_unity", "lengths": list(config.lengths)})
+    directions = [sign * axis for axis in range(1, config.d + 1) for sign in (1, -1)]
+    neighbor_ok, face_ok = [], []
     if part.radius >= 1:
-        lhs, rhs = neighbor_sum_identity(part)
-        if not np.array_equal(lhs, rhs):
-            failures.append({"check": "neighbor_sum_identity", "lengths": list(config.lengths)})
-        for axis in range(1, config.d + 1):
-            for direction in (axis, -axis):
-                product, indicator = face_product(part, direction)
-                if not np.array_equal(product, indicator):
-                    failures.append(
-                        {
-                            "check": "face_product",
-                            "direction": direction,
-                            "lengths": list(config.lengths),
-                        }
-                    )
-    rows = []
-    for n in part.boxes:
-        sites = box_sites(part, n)
-        rows.append((n, len(sites), sites[0], sites[-1]))
-    return rows, failures
+        neighbor_ok = [np.array_equal(*neighbor_sum_identity(part))]
+        face_ok = [np.array_equal(*face_product(part, direction)) for direction in directions]
+    lengths = {"lengths": list(config.lengths)}
+    checks = [
+        Check("partition_of_unity", [partition_of_unity_holds(part)], {}, lengths),
+        Check("neighbor_sum_identity", neighbor_ok, {}, lengths),
+        Check("face_product", face_ok, {"direction": directions}, lengths),
+    ]
+    sites = [box_sites(part, n) for n in part.boxes]
+    columns = {
+        "box": list(part.boxes),
+        "sites": [len(s) for s in sites],
+        "first_site": [s[0] for s in sites],
+        "last_site": [s[-1] for s in sites],
+    }
+    return Result(columns, checks)
 
 
-def rank_sweep(config: ExperimentConfig):
-    """cyclic_rank_check across seeds; rows are (seed, rank, expected, full)."""
+def rank_sweep(config: ExperimentConfig) -> Result:
+    """cyclic_rank_check across seeds, one row per seed."""
     part = config.partition()
     n = config.rank_n or (0,) * config.d
     m = config.rank_m if config.rank_m is not None else (1,) * config.d
-    rows = []
-    failures = []
+    results = []
     for seed in range(config.n_seeds):
         sample = sample_disorder(config, seed)
         h = build_hamiltonian(part, sample, boosts_for(config, sample))
-        res = cyclic_rank_check(h, n, m, config.rank_k)
-        rows.append((seed, res.rank, res.expected, res.full))
-        if not res.full:
-            failures.append(
-                {
-                    "check": "cyclic_rank",
-                    "lengths": list(config.lengths),
-                    "seed": seed,
-                    "n": list(res.n),
-                    "m": list(res.m),
-                    "k": res.k,
-                    "rank": res.rank,
-                    "expected": res.expected,
-                }
-            )
-    return rows, failures
+        results.append(cyclic_rank_check(h, n, m, config.rank_k))
+    columns = {
+        "seed": list(range(config.n_seeds)),
+        "rank": [res.rank for res in results],
+        "expected": [res.expected for res in results],
+        "full": [res.full for res in results],
+    }
+    first = results[0]
+    shared = {"lengths": list(config.lengths), "n": first.n, "m": first.m, "k": first.k}
+    per_case = {key: columns[key] for key in ("seed", "rank", "expected")}
+    return Result(columns, [Check("cyclic_rank", columns["full"], per_case, shared)])
 
 
-def nonvanishing_survey(ps: tuple[int, ...]):
-    """Exact cosine-sum scan over the moduli ``ps``.
+def nonvanishing_survey(ps: tuple[int, ...]) -> Result:
+    """Exact cosine-sum scan over the moduli ``ps``, one row per zero witness.
 
-    Returns (rows, failures, extras): rows are (ps, ns) per zero witness, and
-    extras carry the admissibility verdict, tuple and zero counts and reasons.
+    The extras carry the admissibility verdict, tuple and zero counts and
+    reasons; inadmissible moduli are controls, whose zeros do not fail.
     """
     report = verify_nonvanishing(ps)
-    rows = [(ps, ns) for ns in report.witnesses]
-    failures = []
-    if report.admissible and report.zeros:
-        failures.append(
-            {
-                "check": "cosine_sum_nonvanishing",
-                "ps": list(ps),
-                "zeros": report.zeros,
-                "witnesses": [list(w) for w in report.witnesses],
-            }
-        )
+    columns = {"ps": [ps] * len(report.witnesses), "ns": list(report.witnesses)}
+    shared = {"ps": ps, "zeros": report.zeros, "witnesses": report.witnesses}
+    check = Check("cosine_sum_nonvanishing", [not (report.admissible and report.zeros)], {}, shared)
     extras = {
         "admissible": report.admissible,
         "tuples": report.tuples,
         "zeros": report.zeros,
         "reasons": list(report.reasons),
     }
-    return rows, failures, extras
+    return Result(columns, [check], extras)

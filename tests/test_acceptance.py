@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from boxham.cli import failure_records
 from boxham.cluster import min_nonzero_gaps
 from boxham.cyclotomic import cos_sum_is_zero, verify_nonvanishing
 from boxham.harness import (
@@ -77,11 +78,11 @@ def test_criterion_02_expansion_residual_bound_and_decay():
         radius=2,
         r_values=tuple(50.0 * 2**k for k in range(7)),
     )
-    rows, failures, extras = expansion_sweep(cfg)
-    assert failures == []
+    result = expansion_sweep(cfg)
+    assert failure_records(result.checks) == []
     # 35 modes over l in 2..8, 16 (a,b) pairs, 7 r values
-    assert len(rows) == 35 * 16 * 7
-    slope = extras["aggregate_slope"]
+    assert len(result.columns["residual"]) == 35 * 16 * 7
+    slope = result.extras["aggregate_slope"]
     assert slope is not None and slope <= -0.7
     assert time.perf_counter() - start < 30.0
 
@@ -178,10 +179,13 @@ def test_criterion_08_cluster_gaps_open_at_designed_scales():
         r_values=(500.0,),
         lambda_values=(2.0, 3.0),
     )
-    rows, failures = cluster_sweep(cfg)
-    assert failures == []
-    assert len(rows) == 8 * 7 // 2
-    for r, pa, pb, cls, gap, required, satisfied in rows:
+    result = cluster_sweep(cfg)
+    assert failure_records(result.checks) == []
+    columns = result.columns
+    assert len(columns["r"]) == 8 * 7 // 2
+    for cls, gap, required, satisfied in zip(
+        columns["gap_class"], columns["gap"], columns["required"], columns["satisfied"]
+    ):
         assert satisfied
         if cls == "cos_separated":
             assert required == pytest.approx(2.0 * c_min * 500.0**2 * 0.75, rel=1e-12)
@@ -195,20 +199,21 @@ def test_criterion_08_cluster_gaps_open_at_designed_scales():
 def test_criterion_09_gap_growth_contrast_between_geometries():
     start = time.perf_counter()
     shared = dict(d=2, radius=2, base_seed=3, r_values=R_LADDER)
-    rows, failures, extras = gap_growth_probe(ExperimentConfig(lengths=(2, 2), **shared))
-    assert not failures
+    result = gap_growth_probe(ExperimentConfig(lengths=(2, 2), **shared))
+    assert not failure_records(result.checks)
+    columns = result.columns
     same = {
         "|".join(map(str, a)) + ":" + "|".join(map(str, b))
-        for a, b, cls, *_ in rows
+        for a, b, cls in zip(columns["pair_a"], columns["pair_b"], columns["gap_class"])
         if cls == "same_cluster"
     }
     assert same
     for label in same:
-        slope = extras["slopes"][label]
+        slope = result.extras["slopes"][label]
         assert slope is None or slope <= 0.1  # None: floor-limited
-    rows, failures, extras = gap_growth_probe(ExperimentConfig(lengths=(2, 4), **shared))
-    assert not failures
-    min_pair_slope = extras["min_pair_slope"]
+    result = gap_growth_probe(ExperimentConfig(lengths=(2, 4), **shared))
+    assert not failure_records(result.checks)
+    min_pair_slope = result.extras["min_pair_slope"]
     assert min_pair_slope is not None and min_pair_slope >= 0.8
     assert time.perf_counter() - start < 60.0
 
@@ -216,28 +221,27 @@ def test_criterion_09_gap_growth_contrast_between_geometries():
 def test_criterion_10_multiplicity_bounds_across_seeds():
     start = time.perf_counter()
     lem4 = dict(lambda_mode="from_lem4", lambda_values=(), lem4_delta=None)
-    # rows are (seed, r, max_multiplicity, histogram, escalated)
-    rows, failures, extras = multiplicity_scan(
+    result = multiplicity_scan(
         ExperimentConfig(
             d=2, lengths=(2, 2), radius=2, n_seeds=100, r_values=(300.0,), **lem4
         )
     )
-    assert not failures and extras["bound"] == 2
-    assert all(row[2] <= 2 for row in rows)
-    rows, failures, extras = multiplicity_scan(
+    assert not failure_records(result.checks) and result.extras["bound"] == 2
+    assert all(mx <= 2 for mx in result.columns["max_multiplicity"])
+    result = multiplicity_scan(
         ExperimentConfig(
             d=2, lengths=(2, 4), radius=2, n_seeds=100, r_values=(300.0,), **lem4
         )
     )
-    assert not failures and extras["simple"]
-    assert all(row[2] == 1 for row in rows)
-    rows, failures, extras = multiplicity_scan(
+    assert not failure_records(result.checks) and result.extras["simple"]
+    assert all(mx == 1 for mx in result.columns["max_multiplicity"])
+    result = multiplicity_scan(
         ExperimentConfig(
             d=3, lengths=(2, 2, 2), radius=2, n_seeds=25, r_values=(300.0,), **lem4
         )
     )
-    assert not failures and extras["bound"] == 5
-    assert all(row[2] <= 5 for row in rows)
+    assert not failure_records(result.checks) and result.extras["bound"] == 5
+    assert all(mx <= 5 for mx in result.columns["max_multiplicity"])
     assert time.perf_counter() - start < 300.0
 
 
@@ -249,11 +253,11 @@ def test_criterion_11_resolvent_multiplicity_constant_on_grid():
         radius=2,
         lambda_values=(0.0, 1.0, 2.5),  # z grid keeps its 5 default points
     )
-    rows, failures, extras = constancy_scan(cfg)
-    assert len(rows) == 15
-    assert all(note == "" for z, lam, mx, note in rows)
-    assert extras["constant"] and not failures
-    assert extras["value"] == 2
+    result = constancy_scan(cfg)
+    assert len(result.columns["z"]) == 15
+    assert all(note == "" for note in result.columns["note"])
+    assert result.extras["constant"] and not failure_records(result.checks)
+    assert result.extras["value"] == 2
     assert time.perf_counter() - start < 30.0
 
 
@@ -267,9 +271,10 @@ def test_criterion_12_cyclic_rank_full_across_seeds():
         rank_m=(1, 1),
         rank_k=10,
     )
-    rows, failures = rank_sweep(cfg)
-    assert failures == []
-    assert len(rows) == 50
-    assert all(full for _, rank, expected, full in rows)
-    assert all(rank == expected == 4 for _, rank, expected, full in rows)
+    result = rank_sweep(cfg)
+    assert failure_records(result.checks) == []
+    columns = result.columns
+    assert len(columns["seed"]) == 50
+    assert all(columns["full"])
+    assert all(rank == expected == 4 for rank, expected in zip(columns["rank"], columns["expected"]))
     assert time.perf_counter() - start < 60.0

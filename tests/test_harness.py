@@ -51,6 +51,16 @@ def make_config(**overrides) -> ExperimentConfig:
     return dataclasses.replace(base, **overrides)
 
 
+def _unpack(result):
+    """(rows, failures, extras) of a driver's Result, rows in CSV column order."""
+    return list(zip(*result.columns.values())), cli.failure_records(result.checks), result.extras
+
+
+def _columns(header, rows) -> dict:
+    """The header -> column table of ``rows``."""
+    return {name: [row[k] for row in rows] for k, name in enumerate(header)}
+
+
 # ------------------------------------------------------------------ parsing
 
 
@@ -252,8 +262,8 @@ def test_boosts_from_separation_design_hit_midpoints():
 
 def test_write_csv_formats_and_determinism(tmp_path):
     rows = [(1, 0.1, True, (1, 2)), (2, -3.0, False, (0, 0))]
-    p1 = write_csv(tmp_path / "a.csv", ["i", "x", "ok", "box"], rows)
-    p2 = write_csv(tmp_path / "b.csv", ["i", "x", "ok", "box"], rows)
+    p1 = write_csv(tmp_path / "a.csv", _columns(["i", "x", "ok", "box"], rows))
+    p2 = write_csv(tmp_path / "b.csv", _columns(["i", "x", "ok", "box"], rows))
     text = p1.read_text()
     assert p1.read_bytes() == p2.read_bytes()
     lines = text.splitlines()
@@ -279,8 +289,8 @@ def test_write_csv_formats_and_determinism(tmp_path):
         ((np.int64(4),), "4"),
         ([7, 11, 13], "7|11|13"),
     ]
-    path = write_csv(tmp_path / "c.csv", ["v"], [tuple(value for value, _ in fields)])
-    assert path.read_text() == "v\n" + ",".join(text for _, text in fields) + "\n"
+    path = write_csv(tmp_path / "c.csv", {f"v{k}": [value] for k, (value, _) in enumerate(fields)})
+    assert path.read_text().splitlines()[1:] == [",".join(text for _, text in fields)]
     # labels equal as values but of other element types keep their own text,
     # in one file and in either order
     labels = [
@@ -297,7 +307,7 @@ def test_write_csv_formats_and_determinism(tmp_path):
         (((True, 2), 3), "true|2|3"),
     ]
     for ordered in (labels, labels[::-1]):
-        path = write_csv(tmp_path / "d.csv", ["label"], [(value,) for value, _ in ordered] * 2)
+        path = write_csv(tmp_path / "d.csv", {"label": [value for value, _ in ordered] * 2})
         assert path.read_text().splitlines()[1:] == [text for _, text in ordered] * 2
 
 
@@ -319,7 +329,7 @@ def test_write_csv_tells_values_apart_by_bits_and_identity(tmp_path):
     ]
     header = ["f", "z", "one", "label", "required"]
     rows = [tuple(column[k % len(column)] for column in columns) for k in range(3 * harness._DEDUP_ROWS)]
-    path = write_csv(tmp_path / "a.csv", header, rows)
+    path = write_csv(tmp_path / "a.csv", _columns(header, rows))
     assert path.read_text() == _per_field_csv(header, rows)
     assert path.read_text().splitlines()[1:8] == [
         "0,0,1,1|2,",
@@ -330,9 +340,9 @@ def test_write_csv_tells_values_apart_by_bits_and_identity(tmp_path):
         "1,0,1,0|2,",
         "-0,-0,1,1|2,0.5",
     ]
-    assert write_csv(tmp_path / "b.csv", ["x", "y"], []).read_text() == "x,y\n"
+    assert write_csv(tmp_path / "b.csv", {"x": [], "y": []}).read_text() == "x,y\n"
     with pytest.raises(RuntimeError, match="ragged row table for c.csv"):
-        write_csv(tmp_path / "c.csv", ["x", "y"], [(1, 2), (3,)])
+        write_csv(tmp_path / "c.csv", {"x": [1, 3], "y": [2]})
 
 
 # values that are equal (or bit-different) while their texts differ (or agree)
@@ -369,17 +379,18 @@ def test_write_csv_matches_per_field_formatting_on_random_tables(tmp_path_factor
         columns.append(data.draw(picks, label="column"))
     header = [f"c{k}" for k in range(len(columns))]
     rows = list(zip(*columns))
-    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", header, rows)
+    path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", dict(zip(header, columns)))
     assert path.read_text() == _per_field_csv(header, rows)
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
 def test_shipped_config_csv_bytes_match_per_field_formatting(tmp_path, path):
-    header, driver = cli._EXPERIMENTS[path.stem.partition("_")[0]]
-    rows = driver(harness.load_config(path))[0]
+    driver = cli._EXPERIMENTS[path.stem.partition("_")[0]]
+    columns = driver(harness.load_config(path)).columns
+    rows = list(zip(*columns.values()))
     assert rows
-    written = write_csv(tmp_path / "out.csv", header, rows)
-    assert written.read_text() == _per_field_csv(header, rows)
+    written = write_csv(tmp_path / "out.csv", columns)
+    assert written.read_text() == _per_field_csv(list(columns), rows)
 
 
 def test_write_verdict_schema(tmp_path):
@@ -405,7 +416,7 @@ def test_write_verdict_schema(tmp_path):
 
 def test_multiplicity_scan_small():
     cfg = make_config(n_seeds=2, r_values=(300.0,), lambda_values=(2.0, 3.0))
-    rows, failures, extras = harness.multiplicity_scan(cfg)
+    rows, failures, extras = _unpack(harness.multiplicity_scan(cfg))
     assert extras == {"s": 2, "bound": 2, "simple": False}
     assert len(rows) == 2
     for seed, r, max_multiplicity, histogram, escalated in rows:
@@ -424,7 +435,7 @@ def test_multiplicity_scan_draws_each_seed_once(monkeypatch):
 
     monkeypatch.setattr(harness, "sample_disorder", counting)
     cfg = make_config(n_seeds=2, r_values=(300.0, 600.0), lambda_values=(2.0, 3.0))
-    rows, failures, extras = harness.multiplicity_scan(cfg)
+    rows, failures, extras = _unpack(harness.multiplicity_scan(cfg))
     assert draws == [0, 1]
     cells = [(row[0], row[1]) for row in rows]
     assert cells == [(0, 300.0), (0, 600.0), (1, 300.0), (1, 600.0)]
@@ -443,7 +454,7 @@ def test_multiplicity_scan_four_dimensions_on_the_stencil(monkeypatch):
         d=4, lengths=(2, 2, 2, 2), n_seeds=2, r_values=(300.0,),
         lambda_mode="from_lem4", lambda_values=(), lem4_delta=0.4,
     )
-    rows, failures, extras = harness.multiplicity_scan(cfg)
+    rows, failures, extras = _unpack(harness.multiplicity_scan(cfg))
     assert failures == []
     assert len(rows) == 2
     assert all(row[2] <= 2**4 - 4 for row in rows)
@@ -467,7 +478,7 @@ def test_constancy_scan_skips_spectral_z():
     h[np.diag_indices_from(h)] += 1.5 * mask
     hot = float(np.linalg.eigvalsh(h)[0])  # a point of the spectrum itself
     cfg = dataclasses.replace(cfg, z_values=(hot, 45.0))
-    rows, failures, extras = harness.constancy_scan(cfg)
+    rows, failures, extras = _unpack(harness.constancy_scan(cfg))
     notes = [note for z, lam, mx, note in rows]
     assert any("skipped" in note for note in notes)
     skipped = [row for row in rows if row[3]]
@@ -482,7 +493,7 @@ def test_constancy_lambda_zero_column_matches_plain_resolvent():
     from boxham.cluster import cluster_indices, degeneracy_tolerance
 
     cfg = make_config(lambda_values=(0.0, 1.0, 2.5), z_values=(30.0, 45.0, 60.0))
-    rows, failures, extras = harness.constancy_scan(cfg)
+    rows, failures, extras = _unpack(harness.constancy_scan(cfg))
     assert extras["constant"] and not failures
     part = cfg.partition()
     sample = sample_disorder(cfg, 0)
@@ -510,14 +521,14 @@ def test_constancy_scan_solves_each_lambda_once(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    rows, failures, extras = harness.constancy_scan(cfg)
+    rows, failures, extras = _unpack(harness.constancy_scan(cfg))
     assert len(rows) == 9
     assert len(full_solves) == 3
 
 
 def test_constancy_one_dimension_is_simple():
     cfg = make_config(d=1, lengths=(2,), lambda_values=(0.0, 1.0, 2.5))
-    rows, failures, extras = harness.constancy_scan(cfg)
+    rows, failures, extras = _unpack(harness.constancy_scan(cfg))
     assert extras["constant"] and extras["value"] == 1
     assert extras["box"] == [1]
 
@@ -564,14 +575,14 @@ def test_rank_check_reaches_neighbor_in_one_dimension():
 
 def test_multiplicity_one_dimension_always_simple():
     cfg = make_config(d=1, lengths=(3,), n_seeds=3, r_values=(200.0, 300.0))
-    rows, failures, extras = harness.multiplicity_scan(cfg)
+    rows, failures, extras = _unpack(harness.multiplicity_scan(cfg))
     assert not failures and extras["simple"]
     assert all(row[2] == 1 for row in rows)
 
 
 def test_rank_sweep_full_across_seeds():
     cfg = make_config(n_seeds=3, rank_m=(1, 1), rank_k=10, lambda_values=(2.0, 3.0))
-    rows, failures = harness.rank_sweep(cfg)
+    rows, failures, _ = _unpack(harness.rank_sweep(cfg))
     assert not failures
     assert [(r[1], r[2], r[3]) for r in rows] == [(4, 4, True)] * 3
 
@@ -588,7 +599,7 @@ def test_gap_growth_one_dimension_quadratic():
     cfg = make_config(
         d=1, lengths=(2,), r_values=(100.0, 200.0, 400.0, 800.0, 1600.0)
     )
-    rows, failures, extras = gap_growth_probe(cfg)
+    rows, failures, extras = _unpack(gap_growth_probe(cfg))
     assert list(extras["slopes"]) == ["1:2"]
     assert len(rows) == 5
     assert all(row[2] == "cos_separated" for row in rows)
@@ -604,7 +615,7 @@ def test_gap_growth_floor_limited_curve():
     cfg = make_config(
         lower=0.0, upper=0.0, r_values=(100.0, 200.0, 400.0, 800.0, 1600.0)
     )
-    rows, failures, extras = gap_growth_probe(cfg)
+    rows, failures, extras = _unpack(gap_growth_probe(cfg))
     by_class = {}
     for a, b, cls, r, gap, floored in rows:
         label = "|".join(map(str, a)) + ":" + "|".join(map(str, b))
@@ -629,7 +640,7 @@ def test_gap_growth_floor_limited_curve():
 )
 def test_gap_growth_batched_slopes_equal_per_curve_fits(overrides):
     cfg = make_config(**overrides)
-    rows, _, extras = gap_growth_probe(cfg)
+    rows, _, extras = _unpack(gap_growth_probe(cfg))
     r_values = sorted(cfg.r_values)
     curves = {}
     for a, b, _, r, gap, floored in rows:
@@ -658,7 +669,7 @@ def test_expansion_sweep_small_grid():
         expansion_ab=(0.0, 1.0),
         r_values=(50.0, 100.0, 200.0, 400.0, 800.0),
     )
-    rows, failures, extras = harness.expansion_sweep(cfg)
+    rows, failures, extras = _unpack(harness.expansion_sweep(cfg))
     assert not failures
     slope = extras["aggregate_slope"]
     # (2 + 3 modes) x 4 (a,b) combos x 5 r values
@@ -671,14 +682,14 @@ def test_expansion_sweep_small_grid():
 
 def test_expansion_sweep_single_r_has_no_slope():
     cfg = make_config(d=1, lengths=(2,), expansion_l=(2,), expansion_ab=(0.0,))
-    rows, failures, extras = harness.expansion_sweep(cfg)
+    rows, failures, extras = _unpack(harness.expansion_sweep(cfg))
     assert not failures and extras["aggregate_slope"] is None
     assert len(rows) == 2
 
 
 def test_cluster_sweep_rows_and_gaps():
     cfg = make_config(r_values=(300.0,), lambda_values=(0.5, 0.8))
-    rows, failures = harness.cluster_sweep(cfg)
+    rows, failures, _ = _unpack(harness.cluster_sweep(cfg))
     assert not failures
     assert len(rows) == 6  # 4 modes -> 6 pairs
     classes = {row[3] for row in rows}
@@ -695,7 +706,7 @@ def test_cluster_sweep_gaps_are_labelled_spectrum_differences():
     cfg = harness.load_config(Path(__file__).parent.parent / "configs" / "cluster_2x4.cfg")
     _, opairs, lams = harness._factor_inputs(cfg)
     spectra = {r: mode_resolved_spectrum(cfg.lengths, opairs, lams, r) for r in cfg.r_values}
-    rows, failures = harness.cluster_sweep(cfg)
+    rows, failures, _ = _unpack(harness.cluster_sweep(cfg))
     assert rows and not failures
     for r, a, b, cls, gap, required, satisfied in rows:
         assert gap == abs(spectra[r][a] - spectra[r][b])
@@ -708,7 +719,7 @@ def test_gap_growth_gaps_are_labelled_spectrum_differences():
     spectra = {r: mode_resolved_spectrum(cfg.lengths, opairs, lams, r) for r in r_values}
     eps = np.finfo(float).eps
     floors = {r: 8.0 * eps * max(abs(v) for v in s.values()) for r, s in spectra.items()}
-    rows, failures, _ = gap_growth_probe(cfg)
+    rows, failures, _ = _unpack(gap_growth_probe(cfg))
     assert rows and not failures
     # pair-major in combinations order, r ascending within a pair
     pairs = itertools.combinations(all_mode_tuples(cfg.lengths), 2)
@@ -721,7 +732,7 @@ def test_gap_growth_gaps_are_labelled_spectrum_differences():
 
 def test_separation_sweep_draws_pass():
     cfg = make_config(lengths=(2, 4), n_seeds=3)
-    rows, failures = harness.separation_sweep(cfg)
+    rows, failures, _ = _unpack(harness.separation_sweep(cfg))
     assert not failures
     assert len(rows) == 4  # midpoints + 3 random draws
     eps, delta = epsilon_delta(sine_system((2, 4)))
@@ -732,7 +743,7 @@ def test_separation_sweep_draws_pass():
 
 def test_partition_survey_census():
     cfg = make_config()
-    rows, failures = harness.partition_survey(cfg)
+    rows, failures, _ = _unpack(harness.partition_survey(cfg))
     assert not failures
     assert len(rows) == 25
     assert sum(row[1] for row in rows) == 100
@@ -741,9 +752,9 @@ def test_partition_survey_census():
 
 
 def test_nonvanishing_survey_control_vs_admissible():
-    rows, failures, extras = harness.nonvanishing_survey((5, 7))
+    rows, failures, extras = _unpack(harness.nonvanishing_survey((5, 7)))
     assert extras["admissible"] and extras["zeros"] == 0 and not failures and not rows
-    rows, failures, extras = harness.nonvanishing_survey((3, 3))
+    rows, failures, extras = _unpack(harness.nonvanishing_survey((3, 3)))
     assert not extras["admissible"]
     assert extras["zeros"] > 0 and rows
     assert not failures  # inadmissible inputs are controls, not failures
@@ -751,7 +762,7 @@ def test_nonvanishing_survey_control_vs_admissible():
 
 @pytest.mark.parametrize("name", sorted(cli._EXPERIMENTS))
 def test_every_driver_returns_rows_failures_and_extras(name):
-    header, driver = cli._EXPERIMENTS[name]
+    driver = cli._EXPERIMENTS[name]
     assert getattr(harness, driver.__name__) is driver
     if name == "cossum":
         subject = (5, 7)
@@ -760,13 +771,13 @@ def test_every_driver_returns_rows_failures_and_extras(name):
     else:
         subject = make_config()
     result = driver(subject)
-    assert isinstance(result, tuple) and len(result) in (2, 3)
-    rows, failures, *extras = result
-    assert all(len(row) == len(header) for row in rows)
+    assert isinstance(result, harness.Result)
+    assert len({len(column) for column in result.columns.values()}) == 1
+    failures = cli.failure_records(result.checks)
     assert isinstance(failures, list)
-    for extra in extras:
-        assert isinstance(extra, dict)
-        json.dumps(extra)
+    assert isinstance(result.extras, dict)
+    json.dumps(result.extras)
+    json.dumps(failures)
 
 
 # --------------------------------------------------------------------- CLI
@@ -856,13 +867,12 @@ def test_cli_non_finite_config_number_exit_two(tmp_path, capsys):
 
 
 def test_ragged_driver_table_is_not_a_config_error(tmp_path, monkeypatch, capsys):
-    # a driver that returns rows of unequal length is a program fault: it
+    # a driver that returns columns of unequal length is a program fault: it
     # must surface as one, never as "config error" with exit 2
     def ragged(config):
-        return [(0, 1.0), (1,)], []
+        return harness.Result({"box": [0, 1], "sites": [1.0]}, [])
 
-    header, _ = cli._EXPERIMENTS["partition"]
-    monkeypatch.setitem(cli._EXPERIMENTS, "partition", (header, ragged))
+    monkeypatch.setitem(cli._EXPERIMENTS, "partition", ragged)
     cfg = write_cfg(tmp_path, MINIMAL)
     with pytest.raises(RuntimeError, match="ragged row table"):
         cli.main(["partition", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -1010,6 +1020,36 @@ def test_cli_permuted_ties_are_a_config_error(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path, body + "geometry.lengths = 2, 2\n", "flip.cfg")
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
     assert (out / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "gapgrowth"])
+@pytest.mark.parametrize("lengths", ["1", "1, 1"])
+def test_cli_one_mode_geometry_is_a_config_error(tmp_path, capsys, command, lengths):
+    # a single mode tuple has no pair: no gap to check and no slope to fit
+    body = (
+        f"geometry.d = {lengths.count(',') + 1}\ngeometry.lengths = {lengths}\n"
+        "geometry.radius = 1\nrun.r = 100, 200, 400, 800\n"
+    )
+    out = tmp_path / "results"
+    assert cli.main([command, "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 2
+    assert "config error [field geometry.lengths]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_exactly_predicted_expansion_grid_has_no_slope(tmp_path):
+    # at l = 1 the prediction is exact, so every worst residual is 0 and no
+    # point is left to fit a slope through
+    cfg = write_cfg(
+        tmp_path,
+        "geometry.d = 1\ngeometry.lengths = 2\ngeometry.radius = 2\n"
+        "run.r = 50, 100, 200, 400\nexpansion.l = 1\n",
+    )
+    out = tmp_path / "results"
+    assert cli.main(["expansion", "--config", cfg, "--out", str(out)]) == 0
+    residuals = {line.rsplit(",", 1)[1] for line in (out / "expansion.csv").read_text().splitlines()[1:]}
+    assert residuals == {"0"}
+    verdict = json.loads((out / "expansion_verdict.json").read_text())
+    assert verdict["aggregate_slope"] is None and verdict["failures"] == []
 
 
 def test_cli_cluster_reports_unsafe_factor_order(tmp_path, capsys):
