@@ -14,6 +14,7 @@ import argparse
 import functools
 import hashlib
 import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -50,26 +51,22 @@ _EXPERIMENTS = {
 }
 
 
-def _plain(value):
-    """``value`` as the verdict JSON holds it: numpy scalars as Python ones, tuples as lists."""
-    if isinstance(value, np.generic):
-        return value.item()
-    return list(map(_plain, value)) if isinstance(value, (tuple, list)) else value
-
-
 def failure_records(checks: list[harness.Check]) -> list[dict]:
     """The verdict's failure records, one per failing case of ``checks``.
 
     Consecutive checks over equally many cases are read case by case, so a
     multiplicity cell that breaks both its bound and simplicity lists both
-    records together; otherwise checks follow in declared order.
+    records together; otherwise checks follow in declared order.  Fields are
+    held as the verdict JSON holds them: numpy scalars as Python ones, tuples
+    as lists.
     """
     records = []
     for _, run in itertools.groupby(checks, key=lambda check: len(check.passed)):
         failing = [(k, c) for c in run for k in np.flatnonzero(np.logical_not(c.passed))]
         for k, c in sorted(failing, key=lambda pair: pair[0]):
             fields = {**c.shared, **{key: column[k] for key, column in c.per_case.items()}}
-            records.append({"check": c.name, **{key: _plain(v) for key, v in fields.items()}})
+            fields = json.loads(json.dumps(fields, default=np.generic.item))
+            records.append({"check": c.name, **fields})
     return records
 
 

@@ -4,11 +4,9 @@ Everything here is deterministic plumbing around the math modules: a flat
 key-value config format, seeded disorder sampling, the multiplicity /
 constancy / rank / gap-growth scans, and fixed-schema CSV + JSON output whose
 bytes depend only on the config (17-significant-digit float formatting,
-ordered rows, sorted JSON keys).  Every driver returns a ``Result``: its CSV
-columns by header, the ``Check`` of each claim it tests, and the extra
-verdict fields; the CLI derives the failure records from the checks.  Every scan
-is one serial loop over seeds (and r values), so rows come out in (seed, r)
-order.
+ordered rows, sorted JSON keys).  A driver returns its CSV columns, checks
+and verdict extras as one ``Result``.  Every scan is one serial loop over
+seeds (and r values), so rows come out in (seed, r) order.
 """
 
 from __future__ import annotations
@@ -407,8 +405,11 @@ def _column_texts(column: Sequence) -> list[str]:
     """``_fmt`` of every field of one CSV column, each distinct value formatted once.
 
     A column of exact floats is keyed by bit pattern, any other column by
-    object identity; a column of one type uses that type's formatter.
+    object identity; a column of one type uses that type's formatter.  An
+    array column is formatted as its ``tolist()``.
     """
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
     kinds = set(map(type, column))
     fmt = _formatter(next(iter(kinds))) if len(kinds) == 1 else _fmt
     if len(column) < _DEDUP_ROWS:
@@ -426,7 +427,7 @@ def _column_texts(column: Sequence) -> list[str]:
 
 
 def write_csv(path: str | Path, columns: dict[str, Sequence]) -> Path:
-    """Write ``columns`` (header -> column, in CSV order; an array as its ``tolist()``).
+    """Write ``columns`` (header -> column, in CSV order) as CSV, column by column.
 
     The bytes are those of ``",".join(map(_fmt, row))`` for every row: floats
     as ``%.17g``, bools as ``true``/``false``, tuples and lists ``|``-joined.
@@ -441,8 +442,7 @@ def write_csv(path: str | Path, columns: dict[str, Sequence]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     if len(set(map(len, columns.values()))) > 1:
         raise RuntimeError(f"ragged row table for {path.name}")
-    arrays = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
-    texts = [_column_texts(column) for column in arrays]
+    texts = [_column_texts(column) for column in columns.values()]
     lines = [",".join(columns), *map(",".join, zip(*texts))]
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -566,10 +566,11 @@ def constancy_scan(config: ExperimentConfig) -> Result:
         if mx != ""
     ]
     observed = sorted({cell["max_multiplicity"] for cell in grid})
-    constant, empty_note = len(observed) <= 1, "every grid point skipped"
+    constant = len(observed) <= 1
+    empty = {"box": box, "note": "every grid point skipped"}
     checks = [
         Check("constancy", [constant], {}, {"box": box, "observed_values": observed, "grid": grid}),
-        Check("constancy_grid_empty", [bool(observed)], {}, {"box": box, "note": empty_note}),
+        Check("constancy_grid_empty", [bool(observed)], {}, empty),
     ]
     value = observed[0] if len(observed) == 1 else None
     return Result(columns, checks, {"box": list(box), "constant": constant, "value": value})
@@ -756,7 +757,7 @@ def expansion_sweep(config: ExperimentConfig) -> Result:
     residual, a zero worst residual left out (None when fewer than four r
     values span a factor of 8, or fewer than three points remain).
     """
-    cells, rows = [], []  # per l: the cell columns l, a, b, r, worst; the row columns
+    cell_blocks, row_blocks = [], []  # per l: cell columns l, a, b, r, worst; row columns
     for l in config.expansion_l:
         grid = list(itertools.product(config.expansion_ab, config.expansion_ab, config.r_values))
         specs = [TridiagSpec(l=l, a=a, b=b, r=r) for a, b, r in grid]
@@ -767,10 +768,10 @@ def expansion_sweep(config: ExperimentConfig) -> Result:
         exact = np.empty_like(predicted)
         np.put_along_axis(exact, order, exact_spectrum(specs), axis=1)
         residual = np.abs(exact - predicted)
-        cells.append((np.full(len(grid), l), *np.array(grid).T, residual.max(axis=1)))
-        rows.append((np.tile(np.arange(1, l + 1), len(grid)), exact, predicted, residual))
-    l, a, b, r, worst = (np.concatenate(column) for column in zip(*cells))
-    n, exact, predicted, residual = (np.concatenate(column, axis=None) for column in zip(*rows))
+        cell_blocks.append((np.full(len(grid), l), *np.array(grid).T, residual.max(axis=1)))
+        row_blocks.append((np.tile(np.arange(1, l + 1), len(grid)), exact, predicted, residual))
+    l, a, b, r, worst = (np.concatenate(parts) for parts in zip(*cell_blocks))
+    n, exact, predicted, residual = (np.concatenate(parts, axis=None) for parts in zip(*row_blocks))
     per_row = np.repeat(np.arange(l.size), l)
     columns = {"l": l[per_row], "a": a[per_row], "b": b[per_row], "r": r[per_row], "n": n}
     columns.update(exact=exact, predicted=predicted, residual=residual)
@@ -801,8 +802,9 @@ def cluster_sweep(config: ExperimentConfig) -> Result:
     rs, reports = [], []
     for r in config.r_values:
         spectrum = mode_resolved_spectrum(config.lengths, opairs, lams, r)
-        reports += verify_gaps(spectrum, config.lengths, r)
-        rs += [r] * (len(reports) - len(rs))
+        at_r = verify_gaps(spectrum, config.lengths, r)
+        reports += at_r
+        rs += [r] * len(at_r)
     pairs = [rep.pair for rep in reports]
     required = [rep.required for rep in reports]
     columns = {
@@ -814,14 +816,15 @@ def cluster_sweep(config: ExperimentConfig) -> Result:
         "required": ["" if q is None else q for q in required],
         "satisfied": [rep.satisfied for rep in reports],
     }
-    per_case = {"r": rs, "pair": pairs, "class": columns["gap_class"], "gap": columns["gap"]}
-    check = Check(
-        "cluster_gap",
-        columns["satisfied"],
-        {**per_case, "required": required},
-        {"lengths": list(config.lengths), "seed": sample.seed},
-    )
-    return Result(columns, [check])
+    per_case = {
+        "r": rs,
+        "pair": pairs,
+        "class": columns["gap_class"],
+        "gap": columns["gap"],
+        "required": required,
+    }
+    shared = {"lengths": list(config.lengths), "seed": sample.seed}
+    return Result(columns, [Check("cluster_gap", columns["satisfied"], per_case, shared)])
 
 
 def separation_sweep(config: ExperimentConfig) -> Result:
@@ -837,14 +840,14 @@ def separation_sweep(config: ExperimentConfig) -> Result:
         draw_coefficients(intervals, np.random.default_rng(config.base_seed + i))
         for i in range(1, config.n_seeds + 1)
     ]
-    checks = [verify_separation(sets, coeffs, delta) for coeffs in coefficients]
+    results = [verify_separation(sets, coeffs, delta) for coeffs in coefficients]
     columns = {
-        "draw": list(range(len(checks))),
-        "epsilon": [eps] * len(checks),
-        "delta": [delta] * len(checks),
-        "min_gap": [check.min_gap for check in checks],
-        "threshold": [check.threshold for check in checks],
-        "passed": [check.passed for check in checks],
+        "draw": list(range(len(results))),
+        "epsilon": [eps] * len(results),
+        "delta": [delta] * len(results),
+        "min_gap": [res.min_gap for res in results],
+        "threshold": [res.threshold for res in results],
+        "passed": [res.passed for res in results],
     }
     per_case = {
         "draw": columns["draw"],
