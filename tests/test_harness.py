@@ -1046,8 +1046,8 @@ def test_cli_exactly_predicted_expansion_grid_has_no_slope(tmp_path):
     )
     out = tmp_path / "results"
     assert cli.main(["expansion", "--config", cfg, "--out", str(out)]) == 0
-    residuals = {line.rsplit(",", 1)[1] for line in (out / "expansion.csv").read_text().splitlines()[1:]}
-    assert residuals == {"0"}
+    rows = (out / "expansion.csv").read_text().splitlines()[1:]
+    assert {row.rsplit(",", 1)[1] for row in rows} == {"0"}  # every residual
     verdict = json.loads((out / "expansion_verdict.json").read_text())
     assert verdict["aggregate_slope"] is None and verdict["failures"] == []
 

@@ -144,8 +144,8 @@ _CASES = {
     "cossum_truncated_reduction": ("cossum", "5,7", _truncated_reduction),
 }
 
-# sha256 of each case's verdict JSON, recorded before the drivers declared
-# their checks as tables; the table must reproduce the hand-built records
+# sha256 of each case's verdict JSON: the fields, values and order of its
+# failure records are all pinned
 _VERDICT_SHA256 = {
     "cluster_halved_spectrum": "dfa9264c04d898816ea585d85e1ecc9bba29863d215d2e9cdbaf57613b925662",
     "constancy_absolute_tau": "861771651bc1501f07cb0abe79dcb252bf422599b6e8803e930f0aa5bc33a7b9",
