@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
 """Run perfbench on one or more checkouts and record the runs in BENCH_<label>.json.
 
-    python3 scripts/bench_record.py LABEL [--checkout NAME=DIR ...] -- RUN_ARGS...
+    python3 scripts/bench_record.py LABEL [--checkout NAME=DIR ...] [--rounds N] -- RUN_ARGS...
 
 Each checkout (by default this repository, named "change") runs
-``python3 perfbench/run.py RUN_ARGS`` from its own root, in the order given.
-Per run the file keeps the checkout's name, its git SHA, whether ``src/`` or
-``perfbench/`` differ from that SHA, the command, the ``host`` line, the
+``python3 perfbench/run.py RUN_ARGS`` from its own root, once per round: in
+the order given on even rounds (the first is round 0) and in reverse order
+on odd ones, so that a drift in the host's speed favours no side.  Per run
+the file keeps the round, the checkout's name, its git SHA, whether ``src/``
+or ``perfbench/`` differ from that SHA, the command, the ``host`` line, the
 summary lines (pass count, wall_s min and max per workload) and the final
-result JSON.  The file lands in this repository.
+result JSON; ``medians`` holds, per checkout and metric, the median over its
+runs.  The file lands in this repository.
 """
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +30,19 @@ def parse(text: str) -> dict:
     host = next(json.loads(line[5:]) for line in lines if line.startswith("host "))
     summary = [line.strip() for line in lines if line.startswith("== ") or "wall_s over" in line]
     return {"host": host, "summary": summary, "result": json.loads(lines[-1])}
+
+
+def medians(runs: list[dict]) -> dict[str, dict[str, float]]:
+    """Per checkout name and metric, the median of the metric's values over the runs."""
+    values: dict[str, dict[str, list[float]]] = {}
+    for run in runs:
+        side = values.setdefault(run["name"], {})
+        for metric, entry in run["result"]["metrics"].items():
+            side.setdefault(metric, []).append(entry["value"])
+    return {
+        name: {metric: statistics.median(v) for metric, v in side.items()}
+        for name, side in values.items()
+    }
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -50,14 +67,21 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label")
     ap.add_argument("--checkout", action="append", metavar="NAME=DIR", help="default: change=<this repo>")
+    ap.add_argument("--rounds", type=int, default=1, help="runs per checkout, alternating the order")
     args = ap.parse_args(argv[:split])
     run_args = argv[split + 1 :]
     checkouts = [c.split("=", 1) for c in args.checkout or [f"change={ROOT}"]]
     if any(len(c) != 2 for c in checkouts):
         ap.error("--checkout takes NAME=DIR")
-    runs = [record(name, Path(path), run_args) for name, path in checkouts]
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    runs = []
+    for round_ in range(args.rounds):
+        for name, path in checkouts[:: -1 if round_ % 2 else 1]:
+            runs.append({"round": round_, **record(name, Path(path), run_args)})
     out = ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps({"label": args.label, "runs": runs}, indent=1) + "\n")
+    doc = {"label": args.label, "rounds": args.rounds, "runs": runs, "medians": medians(runs)}
+    out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)
     return 0
 

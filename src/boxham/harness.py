@@ -272,7 +272,7 @@ def sample_disorder(config: ExperimentConfig, index: int) -> DisorderSample:
     boxes = list(itertools.product(span, repeat=config.d))
     draws = rng.uniform(config.lower, config.upper, size=len(boxes))
     return DisorderSample(
-        values={n: float(v) for n, v in zip(boxes, draws)},
+        values=dict(zip(boxes, draws.tolist())),
         distribution=(config.lower, config.upper),
         seed=config.base_seed + index,
     )
@@ -288,13 +288,29 @@ def omega_pairs(sample: DisorderSample, d: int) -> list[tuple[float, float]]:
     return out
 
 
-def boosts_for(config: ExperimentConfig, sample: DisorderSample) -> dict[int, float]:
+def lem4_midpoints(config: ExperimentConfig) -> list[float] | None:
+    """Midpoints of the from_lem4 design intervals; None for explicit boosts.
+
+    The design depends only on lengths, lem4_delta and d, not on the seed,
+    so a driver computes it once and hands it to ``boosts_for``.
+    """
+    if config.lambda_mode == "explicit":
+        return None
+    sets = sine_system(config.lengths)
+    eps, delta = epsilon_delta(sets, config.lem4_delta)
+    return midpoint_coefficients(design_intervals(eps, delta, config.d))
+
+
+def boosts_for(
+    config: ExperimentConfig, sample: DisorderSample, mids: list[float] | None = None
+) -> dict[int, float]:
     """The boost vector: explicit values, or derived from the separation design.
 
     In from_lem4 mode the boost on +e_i is chosen so that the full potential
     coefficient 2*(omega_-i + omega_+i + lambda_i) sits at the midpoint of the
     i-th design interval, which is what makes distinct sine selections
-    1/delta-separated.
+    1/delta-separated.  ``mids`` is ``lem4_midpoints(config)``, computed
+    here when not given.
     """
     if config.lambda_mode == "explicit":
         vals = config.lambda_values
@@ -308,9 +324,8 @@ def boosts_for(config: ExperimentConfig, sample: DisorderSample) -> dict[int, fl
                 field=key,
             )
         return {i + 1: float(v) for i, v in enumerate(vals)}
-    sets = sine_system(config.lengths)
-    eps, delta = epsilon_delta(sets, config.lem4_delta)
-    mids = midpoint_coefficients(design_intervals(eps, delta, config.d))
+    if mids is None:
+        mids = lem4_midpoints(config)
     pairs = omega_pairs(sample, config.d)
     return {
         i + 1: mids[i] / 2.0 - lo - hi for i, (lo, hi) in enumerate(pairs)
@@ -486,9 +501,10 @@ def multiplicity_scan(config: ExperimentConfig) -> Result:
     part = config.partition()
     adm = admissibility(config.lengths)
     maxima, censuses, escalated = [], [], []
+    mids = lem4_midpoints(config)
     for seed in range(config.n_seeds):
         sample = sample_disorder(config, seed)
-        boosts = boosts_for(config, sample)
+        boosts = boosts_for(config, sample, mids)
         for r in config.r_values:
             eigs = np.linalg.eigvalsh(r**2 * schur_reduced(part, sample, boosts, r).matrix)
             tau = degeneracy_tolerance(eigs)
@@ -892,10 +908,10 @@ def rank_sweep(config: ExperimentConfig) -> Result:
     part = config.partition()
     n = config.rank_n or (0,) * config.d
     m = config.rank_m if config.rank_m is not None else (1,) * config.d
-    results = []
+    results, mids = [], lem4_midpoints(config)
     for seed in range(config.n_seeds):
         sample = sample_disorder(config, seed)
-        h = build_hamiltonian(part, sample, boosts_for(config, sample))
+        h = build_hamiltonian(part, sample, boosts_for(config, sample, mids))
         results.append(cyclic_rank_check(h, n, m, config.rank_k))
     columns = {
         "seed": list(range(config.n_seeds)),

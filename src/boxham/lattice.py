@@ -15,7 +15,9 @@ potential is the omega grid repeated l_i times along axis i.  The Laplacian is
 built once per partition and cached on it, read-only.  ``apply_laplacian``
 applies the same Kronecker sum to columns laid out on the site grid without
 forming the n x n matrix; the origin-box coupling (box-0 block, Delta_00 and
-B^T on the grid) is cached per partition too.
+B^T on the grid) is cached per partition too, and so is its sublattice
+packing (B^T at two columns of opposite parity per column, with the tables
+that unpack B X).
 
 The stencil runs on a flat ghost-padded layout: the site grid gets one ghost
 layer at the end of every axis after the first, and is stored in C order as a
@@ -116,6 +118,42 @@ class BoxPartition:
             a.setflags(write=False)
         return block, delta00, bt
 
+    @functools.cached_property
+    def sublattice_packing(self) -> SublatticePacking:
+        """B^T packed by sublattice with its unpacking tables, built on first use.
+
+        Derived from ``origin_coupling``'s B^T and shared read-only; see
+        ``SublatticePacking`` for the layout.
+        """
+        block, _, bt = self.origin_coupling
+        grid = padded, real, strides = ghost_grid(self.axis_sizes)
+        size = math.prod(self.lengths)
+        coords = np.indices(self.lengths).reshape(self.d, size)
+        parity = coords.sum(axis=0) % 2
+        even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+        column = np.empty(size, dtype=np.intp)
+        column[even], column[odd] = np.arange(even.size), np.arange(odd.size)
+        packed = np.zeros(padded + (even.size,))
+        packed[real] = bt[..., even]
+        packed[real + (slice(odd.size),)] += bt[..., odd]
+        # flat padded index of every box-0 site; a direction is left out when
+        # its neighbours of box 0 fall off the grid, which only radius 0 does
+        origin = np.array([s.start for s in block])[:, None]
+        sites = np.array(strides) @ (coords + origin)
+        neighbours = [
+            sites + step * stride
+            for s, n, stride in zip(block, self.axis_sizes, strides)
+            for step in (-1, 1)
+            if 0 <= s.start + step and s.stop + step <= n
+        ]
+        neighbours = np.array(neighbours, dtype=np.intp).reshape(-1, size)
+        plane = parity[:, None] != parity[None, :]
+        pick = (plane * size + np.arange(size)[:, None]) * even.size + column
+        packed = packed.reshape(math.prod(padded), even.size)
+        for a in (packed, neighbours, pick):
+            a.setflags(write=False)
+        return SublatticePacking(grid=grid, bt=packed, neighbours=neighbours, pick=pick)
+
     def box_of(self, site: tuple[int, ...]) -> tuple[int, ...]:
         """Box index of a site: n_i = floor((x_i - 1) / l_i).
 
@@ -123,6 +161,33 @@ class BoxPartition:
         Hamiltonian's diagonal against it.
         """
         return tuple((x - 1) // l for x, l in zip(site, self.lengths))
+
+
+@dataclass(frozen=True)
+class SublatticePacking:
+    """B^T of box 0 at half its columns, and the tables that unpack B X.
+
+    Z^d is bipartite.  Column j of B^T lives on the sublattice opposite box-0
+    site j, and every stencil step moves a column to the other sublattice, so
+    an even-parity column and an odd-parity one have disjoint supports after
+    any number of steps.  ``bt`` therefore holds the c-th even and the c-th
+    odd box-0 site's columns (lexicographic order within each parity) summed
+    in column c; an odd |box 0| leaves the last even column unpaired.  It is
+    laid out as ``(padded sites, columns)`` on ``grid``, the
+    ``ghost_grid(axis_sizes)`` triple (padded shape, real sites, strides).
+
+    ``neighbours[t, i]`` is the flat padded index of box-0 site i's neighbour
+    in direction t, in the stencil's order -e_1, +e_1, -e_2, ...; directions
+    off the grid (radius 0) are left out.  ``pick[i, j]`` is the flat index
+    of B X[i, j] in neighbour sums of shape ``(2, |box 0|, columns)``: plane
+    0, the even-k terms of the series, when sites i and j have the same
+    parity and plane 1, the odd-k terms, otherwise; row i; site j's column.
+    """
+
+    grid: tuple[tuple[int, ...], tuple[slice, ...], tuple[int, ...]]
+    bt: np.ndarray
+    neighbours: np.ndarray
+    pick: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -297,15 +362,15 @@ def _box_potential(
     except KeyError as exc:
         raise IncompleteSampleError(f"disorder sample has no value for box {exc.args[0]}") from None
     grid = np.array(values, dtype=np.float64).reshape((2 * partition.radius + 1,) * partition.d)
-    for axis, l in enumerate(partition.lengths):
-        grid = np.repeat(grid, l, axis=axis)
-    diag = grid.ravel()
     for direction, lam in (boosts or {}).items():
         if not 1 <= direction <= partition.d:
             raise VolumeError(f"boost direction {direction} outside 1..{partition.d}")
         e = tuple(1 if k == direction - 1 else 0 for k in range(partition.d))
-        diag[box_mask(partition, e)] += lam
-    return diag
+        _check_box(partition, e)
+        grid[tuple(partition.radius + ek for ek in e)] += lam
+    for axis, l in enumerate(partition.lengths):
+        grid = np.repeat(grid, l, axis=axis)
+    return grid.ravel()
 
 
 def build_hamiltonian(

@@ -12,7 +12,11 @@ complement by the series itself: H~_cc - r = D + L_cc with D = diag(V_cc - r)
 the potential minus r, and when q = 2d max|1/D| <= 1/2 the sum
 (D + L_cc)^{-1} = sum_k (-D^{-1} L_cc)^k D^{-1} runs on the lattice stencil
 of the partition, with an a-priori tail bound that decides where it stops.
-Only for larger q does the refined dense LU solve the complement.
+Each term moves every column of B^T to the other sublattice of the
+bipartite lattice, so the walk packs two columns of opposite sublattice into
+one, keeps the even-k and odd-k terms in two accumulators and unpacks B X
+from them, bit for bit the unpacked sum.  Only for larger q does the refined
+dense LU solve the complement.
 
 Expanding (H~ - r)^{-1} in powers of 1/r turns r^2 * H_r into a
 boundary-perturbed lattice operator
@@ -27,7 +31,6 @@ tractable coordinate by coordinate.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,9 +41,9 @@ from .lattice import (
     BoxPartition,
     DisorderSample,
     LatticeOperator,
+    SublatticePacking,
     _box_potential,
     box_mask,
-    ghost_grid,
     kronecker_sum,
     laplacian_into,
 )
@@ -177,9 +180,7 @@ def _origin_split(
     return delta00, b, hcc
 
 
-def _jacobi_series(
-    inv_d: np.ndarray, bt: np.ndarray, block: tuple[slice, ...], q: float
-) -> np.ndarray:
+def _jacobi_series(inv_d: np.ndarray, packing: SublatticePacking, q: float) -> np.ndarray:
     """B X with X = sum_k (-D^-1 L_cc)^k D^-1 B^T, the complement solve as a series.
 
     ``inv_d`` is 1/D on the site grid with zeros on box 0, which pins the
@@ -192,52 +193,67 @@ def _jacobi_series(
     (one per sublattice of the bipartite lattice), so no entry the walk has
     yet to reach is still zero.
 
-    The terms live on the flat ghost-padded layout of ``lattice.ghost_grid``,
-    ``(padded sites, columns)``, in two buffers that swap each step.  The
-    step -1/D is broadcast to that full shape once and is zero on box 0 and
-    on the ghosts, so multiplying by it both finishes a term and clears the
-    junk the stencil wrote into the ghosts before the next step reads them.
-    A term costs 2d contiguous shifted adds, one multiply, one add into X
-    and one support count, with no allocation; each value is bit for bit
-    the one the unpadded grid gives.
+    The walk runs on the partition's ``sublattice_packing``: two columns of
+    B^T, one per parity of their box-0 site, share each packed column, since
+    a term flips the sublattice of every column and so the pair never
+    overlaps.  Terms of even k are summed into one accumulator and terms of
+    odd k into another, each ``(padded sites, columns)`` on the flat
+    ghost-padded layout of ``lattice.ghost_grid``; the support of X is the
+    nonzero count of both.  Entry B X[i, j] sums, over box-0 site i's
+    neighbours (``_neighbour_sums``), the even-k accumulator when sites i
+    and j have the same parity and the odd-k one otherwise: there that
+    accumulator holds exactly column j's terms.  So every add, multiply and
+    stencil sum is the one the unpacked walk does, and B X keeps its bits,
+    signed zeros included.
+
+    The step -1/D is broadcast to the packed shape once and is zero on box 0
+    and on the ghosts, so multiplying by it both finishes a term and clears
+    the junk the stencil wrote into the ghosts before the next step reads
+    them.  A term costs 2d contiguous shifted adds, one multiply, one add
+    into an accumulator and one support count of that accumulator, all over
+    ceil(|box 0| / 2) columns, with no allocation.
     """
-    padded, real, strides = ghost_grid(inv_d.shape)
-    flat = (math.prod(padded), bt.shape[-1])
-    step = np.zeros(padded + flat[1:])
+    padded, real, strides = packing.grid
+    step = np.zeros(padded + packing.bt.shape[1:])
     step[real] = inv_d[..., None]
-    term = np.zeros_like(step)
-    term[real] = bt
-    step, term = step.reshape(flat), term.reshape(flat)
-    term *= step
+    step = step.reshape(packing.bt.shape)
+    term = packing.bt * step
     np.negative(step, out=step)
-    x = term.copy()
-    grid = x.reshape(padded + flat[1:])[real]
+    acc = np.zeros((2,) + term.shape)
+    acc[0] = term
     spare = np.empty_like(term)
-    support = [np.count_nonzero(x)]
+    nonzero = np.empty(term.shape, dtype=bool)
+    counts = [np.count_nonzero(np.not_equal(acc[0], 0.0, out=nonzero)), 0]
+    support = [counts[0]]
     floor = np.finfo(np.float64).eps / 16.0
     k = 0
     while True:
         if k >= 2 and support[k] == support[k - 2]:
-            bx = _origin_rows(grid, block)
+            bx = _neighbour_sums(acc, packing.neighbours).take(packing.pick)
             smallest = np.min(np.abs(bx[bx != 0.0]), initial=np.inf)
             if q ** (k + 2) / (1.0 - q) <= floor * smallest:
                 return bx
         term, spare = laplacian_into(spare, term, strides), term
         term *= step
-        x += term
-        support.append(np.count_nonzero(x))
         k += 1
+        acc[k % 2] += term
+        counts[k % 2] = np.count_nonzero(np.not_equal(acc[k % 2], 0.0, out=nonzero))
+        support.append(counts[0] + counts[1])
 
 
-def _origin_rows(x: np.ndarray, block: tuple[slice, ...]) -> np.ndarray:
-    """The box-0 rows of L x as an |box 0| x columns matrix, for x zero on box 0."""
-    rows = np.zeros(x[block].shape)
-    for axis, s in enumerate(block):
-        for step in (-1, 1):
-            shifted = slice(s.start + step, s.stop + step)
-            if 0 <= shifted.start and shifted.stop <= x.shape[axis]:
-                rows += x[block[:axis] + (shifted,) + block[axis + 1 :]]
-    return rows.reshape(-1, x.shape[-1])
+def _neighbour_sums(x: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """Per box-0 site, the sum of x over its neighbours, for x zero on box 0.
+
+    x is on the flat padded layout, ``(..., padded sites, columns)``, and the
+    rows of ``neighbours`` are flat indices, one direction each.  The sum
+    starts from 0 and adds the directions in order, as the stencil does; a
+    single ``np.add.reduce`` may sum them pairwise instead (it does when
+    |box 0| = 1 at d = 4), which changes bits.
+    """
+    rows = np.zeros(x.shape[:-2] + neighbours.shape[1:] + x.shape[-1:])
+    for index in neighbours:
+        rows += x[..., index, :]
+    return rows
 
 
 def schur_reduced(
@@ -252,9 +268,10 @@ def schur_reduced(
     D = diag(V_cc - r).  When q = 2d max|1/D| <= 1/2, D + L_cc is strictly
     diagonally dominant, so r is provably off the complement spectrum, and
     the solve is ``_jacobi_series`` on the lattice stencil, using only the
-    partition's cached ``origin_coupling``; its terms run on the flat
-    ghost-padded layout, 2d contiguous shifted adds and one full-shape
-    multiply per term.  Otherwise the solve is
+    partition's cached ``origin_coupling`` and ``sublattice_packing``; its
+    terms run on the flat ghost-padded layout at ceil(|box 0| / 2) packed
+    columns, 2d contiguous shifted adds, one multiply, one accumulator add
+    and one support count per term.  Otherwise the solve is
     ``_solve_refined``'s dense LU, which raises SpectralProximityError near
     the spectrum.  The eigensolve of r^2 H_r, not the solve, limits the
     accuracy (see ``precision_guard``).
@@ -267,14 +284,14 @@ def schur_reduced(
     bound; a claim about single entries would need a bound that accounts
     for the cancellation.
     """
-    block, delta00, bt = partition.origin_coupling
+    block, delta00, _ = partition.origin_coupling
     potential = _box_potential(partition, disorder, boosts).reshape(partition.axis_sizes)
     with np.errstate(divide="ignore"):
         inv_d = 1.0 / (potential - r)
     inv_d[block] = 0.0
     q = 2 * partition.d * float(np.max(np.abs(inv_d)))
     if q <= 0.5:
-        matrix = delta00 - _jacobi_series(inv_d, bt, block, q)
+        matrix = delta00 - _jacobi_series(inv_d, partition.sublattice_packing, q)
     else:
         _, b, hcc = _origin_split(partition, disorder, boosts)
         m = hcc - r * np.eye(len(hcc))

@@ -16,7 +16,7 @@ from boxham.lattice import (
 )
 from boxham.resolvent import (
     _jacobi_series,
-    _origin_rows,
+    _neighbour_sums,
     _origin_split,
     _solve_refined,
     kronecker_truncation,
@@ -207,10 +207,11 @@ def test_series_route_matches_dense_lu():
 
 
 # A deliberate oracle: the stencil and series as they stood on the unpadded
-# site grid, one shifted slice per neighbour along each axis, before the
-# series moved to the flat ghost-padded layout.  Kept verbatim so the padded
-# kernel is pinned bit for bit, signed zeros included, to the code it
-# replaced; ``_origin_rows`` is shared because it did not change.
+# site grid, one shifted slice per neighbour along each axis and one column
+# per box-0 site, before the series moved to the flat ghost-padded layout and
+# then to sublattice-packed columns.  Kept verbatim, ``_origin_rows``
+# included, so the packed kernel is pinned bit for bit, signed zeros
+# included, to the code it replaced.
 def _grid_apply_laplacian(x: np.ndarray, d: int) -> np.ndarray:
     out = np.zeros_like(x)
     for axis in range(d):
@@ -243,9 +244,31 @@ def _grid_jacobi_series(
         k += 1
 
 
+def _origin_rows(x: np.ndarray, block: tuple[slice, ...]) -> np.ndarray:
+    """The box-0 rows of L x as an |box 0| x columns matrix, for x zero on box 0."""
+    rows = np.zeros(x[block].shape)
+    for axis, s in enumerate(block):
+        for step in (-1, 1):
+            shifted = slice(s.start + step, s.stop + step)
+            if 0 <= shifted.start and shifted.stop <= x.shape[axis]:
+                rows += x[block[:axis] + (shifted,) + block[axis + 1 :]]
+    return rows.reshape(-1, x.shape[-1])
+
+
+# (3, 3) and (1, 3, 3) have one more even-parity box-0 site than odd ones, so
+# one packed column is unpaired; (2, 4) and (2, 2, 2) are the perfbench grids
 @pytest.mark.parametrize(
     "d, lengths",
-    [(1, (3,)), (2, (2, 3)), (3, (1, 2, 2)), (4, (1, 2, 1, 2))],
+    [
+        (1, (3,)),
+        (2, (2, 3)),
+        (3, (1, 2, 2)),
+        (4, (1, 2, 1, 2)),
+        (2, (3, 3)),
+        (3, (1, 3, 3)),
+        (2, (2, 4)),
+        (3, (2, 2, 2)),
+    ],
 )
 @pytest.mark.parametrize("radius", [0, 1, 2])
 def test_padded_series_matches_grid_oracle_bit_for_bit(d, lengths, radius):
@@ -262,7 +285,7 @@ def test_padded_series_matches_grid_oracle_bit_for_bit(d, lengths, radius):
         q = 2 * d * float(np.max(np.abs(inv_d)))
         assert q <= 0.5
         want = _grid_jacobi_series(inv_d, bt, block, q)
-        got = _jacobi_series(inv_d, bt, block, q)
+        got = _jacobi_series(inv_d, part.sublattice_packing, q)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         matrix = schur_reduced(part, sample, boosts, r).matrix
@@ -275,15 +298,21 @@ def test_padded_series_matches_grid_oracle_bit_for_bit(d, lengths, radius):
 )
 @pytest.mark.parametrize("radius", [0, 1, 2])
 def test_origin_rows_are_box0_rows_of_dense_product(d, lengths, radius):
-    # neighbours of box 0 past the grid (radius 0, length-1 axes) are skipped
+    # neighbours of box 0 past the grid (radius 0, length-1 axes) are skipped;
+    # the gather reads x on the flat padded layout, whose ghosts hold zeros
     part = build_partition(d, lengths, radius)
     block = part.origin_coupling[0]
+    packing = part.sublattice_packing
+    padded, real, _ = packing.grid
     rng = np.random.default_rng(radius)
     x = rng.integers(-2**20, 2**20, size=tuple(part.axis_sizes) + (3,)) / 1024.0
     x[block] = 0.0
+    flat = np.zeros(padded + (3,))
+    flat[real] = x
     m0 = box_mask(part, (0,) * d)
     dense = part.laplacian.astype(np.float64) @ x.reshape(part.n_sites, 3)
-    assert np.array_equal(_origin_rows(x, block), dense[m0])
+    got = _neighbour_sums(flat.reshape(-1, 3), packing.neighbours)
+    assert np.array_equal(got, dense[m0])
 
 
 def test_dense_route_when_series_cannot_converge():

@@ -47,11 +47,15 @@ host {"git_sha": "abc123", "nproc": 2}
 """
 
 
-def test_bench_record_parses_run_output():
+def load_bench_record():
     spec = importlib.util.spec_from_file_location("bench_record", ROOT / "scripts" / "bench_record.py")
     bench_record = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_record)
-    parsed = bench_record.parse(RUN_OUTPUT)
+    return bench_record
+
+
+def test_bench_record_parses_run_output():
+    parsed = load_bench_record().parse(RUN_OUTPUT)
     assert parsed["host"] == {"git_sha": "abc123", "nproc": 2}
     assert parsed["summary"] == [
         "== volume3d seed 0: 212 passes x 8 jobs, 8 of 8 jobs have a reference at this seed",
@@ -59,3 +63,30 @@ def test_bench_record_parses_run_output():
     ]
     assert parsed["result"]["correct"] is True
     assert parsed["result"]["metrics"]["wall_s"]["value"] == 0.0612
+
+
+def test_bench_record_medians_per_side_and_metric():
+    def run(name, wall, cpu):
+        metrics = {"wall_s": {"value": wall, "unit": "s"}, "cpu_s": {"value": cpu, "unit": "s"}}
+        return {"name": name, "result": {"metrics": metrics}}
+
+    runs = [
+        run("parent", 0.06, 0.05),
+        run("change", 0.04, 0.03),
+        run("change", 0.05, 0.02),
+        run("parent", 0.08, 0.07),
+        run("parent", 0.07, 0.09),
+        run("change", 0.03, 0.04),
+    ]
+    assert load_bench_record().medians(runs) == {
+        "parent": {"wall_s": 0.07, "cpu_s": 0.07},
+        "change": {"wall_s": 0.04, "cpu_s": 0.03},
+    }
+    assert load_bench_record().medians(runs[1:3]) == {"change": {"wall_s": 0.045, "cpu_s": 0.025}}
+
+
+def test_bench_record_rejects_zero_rounds():
+    proc = run_script("bench_record.py", "unused", "--rounds", "0", "--", "--workload", "volume3d")
+    assert proc.returncode == 2
+    assert "--rounds must be at least 1" in proc.stderr
+    assert not (ROOT / "BENCH_unused.json").exists()
