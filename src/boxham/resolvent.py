@@ -246,9 +246,10 @@ def _neighbour_sums(x: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
 
     x is on the flat padded layout, ``(..., padded sites, columns)``, and the
     rows of ``neighbours`` are flat indices, one direction each.  The sum
-    starts from 0 and adds the directions in order, as the stencil does; a
-    single ``np.add.reduce`` may sum them pairwise instead (it does when
-    |box 0| = 1 at d = 4), which changes bits.
+    starts from 0 and adds the directions in order, as the stencil does.  A
+    single ``np.add.reduce`` promises no order: on a C-contiguous
+    ``(2, 8, 1, 1)`` array, the shape at |box 0| = 1 and d = 4, it adds the
+    eight directions pairwise, which changes bits.
     """
     rows = np.zeros(x.shape[:-2] + neighbours.shape[1:] + x.shape[-1:])
     for index in neighbours:

@@ -256,7 +256,9 @@ def _origin_rows(x: np.ndarray, block: tuple[slice, ...]) -> np.ndarray:
 
 
 # (3, 3) and (1, 3, 3) have one more even-parity box-0 site than odd ones, so
-# one packed column is unpaired; (2, 4) and (2, 2, 2) are the perfbench grids
+# one packed column is unpaired; (2, 4) and (2, 2, 2) are the perfbench grids;
+# (1, 1, 1, 1) sums eight neighbours of a single, unpaired site, a shape in
+# which a numpy reduction can add them pairwise
 @pytest.mark.parametrize(
     "d, lengths",
     [
@@ -268,6 +270,7 @@ def _origin_rows(x: np.ndarray, block: tuple[slice, ...]) -> np.ndarray:
         (3, (1, 3, 3)),
         (2, (2, 4)),
         (3, (2, 2, 2)),
+        (4, (1, 1, 1, 1)),
     ],
 )
 @pytest.mark.parametrize("radius", [0, 1, 2])
