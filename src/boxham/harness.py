@@ -5,8 +5,9 @@ key-value config format, seeded disorder sampling, the multiplicity /
 constancy / rank / gap-growth scans, and fixed-schema CSV + JSON output whose
 bytes depend only on the config (17-significant-digit float formatting,
 ordered rows, sorted JSON keys).  A driver returns its CSV columns, checks
-and verdict extras as one ``Result``.  Every scan is one serial loop over
-seeds (and r values), so rows come out in (seed, r) order.
+and verdict extras as one ``Result``.  Rows come out in (seed, r) order; the
+multiplicity scan first solves each r's cells as stacked series walks and
+then reads them in that order.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .resolvent import (
     PROXIMITY_FLOOR,
     precision_guard,
     restricted_resolvent,
-    schur_reduced,
+    schur_reduced_walks,
 )
 from .separation import (
     design_intervals,
@@ -500,13 +501,25 @@ def multiplicity_scan(config: ExperimentConfig) -> Result:
         raise VolumeError(f"multiplicity scan needs radius >= 2, got {config.radius}")
     part = config.partition()
     adm = admissibility(config.lengths)
-    maxima, censuses, escalated = [], [], []
     mids = lem4_midpoints(config)
+    samples = [sample_disorder(config, seed) for seed in range(config.n_seeds)]
+    cells = [(sample, boosts_for(config, sample, mids)) for sample in samples]
+    # one stacked walk per r and chunk; a dense cell near the spectrum is
+    # raised when the (seed, r) loop below reaches it, as a serial loop would
+    spectra, failed = {}, {}
+    for j, r in enumerate(config.r_values):
+        try:
+            for seeds, matrices in schur_reduced_walks(part, cells, r):
+                eigs = np.linalg.eigvalsh(r**2 * matrices)
+                spectra.update(((seed, j), e) for seed, e in zip(seeds, eigs))
+        except SpectralProximityError as exc:
+            failed[j] = exc
+    maxima, censuses, escalated = [], [], []
     for seed in range(config.n_seeds):
-        sample = sample_disorder(config, seed)
-        boosts = boosts_for(config, sample, mids)
-        for r in config.r_values:
-            eigs = np.linalg.eigvalsh(r**2 * schur_reduced(part, sample, boosts, r).matrix)
+        for j, r in enumerate(config.r_values):
+            if (seed, j) not in spectra:
+                raise failed[j]
+            eigs = spectra[seed, j]
             tau = degeneracy_tolerance(eigs)
             escalated.append(precision_guard(r, tau, context="multiplicity clustering"))
             sizes = sorted(Counter(map(len, cluster_indices(eigs, tau))).items())

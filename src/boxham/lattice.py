@@ -12,12 +12,12 @@ operator is assembled from per-axis factors by Kronecker products instead of
 site by site: the Laplacian is the Kronecker sum of path-graph adjacencies,
 a box mask is the Kronecker product of per-axis interval indicators, and the
 potential is the omega grid repeated l_i times along axis i.  The Laplacian is
-built once per partition and cached on it, read-only.  ``apply_laplacian``
-applies the same Kronecker sum to columns laid out on the site grid without
-forming the n x n matrix; the origin-box coupling (box-0 block, Delta_00 and
-B^T on the grid) is cached per partition too, and so is its sublattice
-packing (B^T at two columns of opposite parity per column, with the tables
-that unpack B X).
+built once per partition and cached on it, read-only.  ``laplacian_into``
+applies the same Kronecker sum to columns on the ghost-padded layout below
+without forming the n x n matrix; the origin-box coupling (box-0 block and
+Delta_00) is cached per partition too, and so is B^T = (I-P0) L P0 in its
+sublattice packing (two columns of opposite parity per column, with the
+tables that unpack B X).
 
 The stencil runs on a flat ghost-padded layout: the site grid gets one ghost
 layer at the end of every axis after the first, and is stored in C order as a
@@ -98,34 +98,29 @@ class BoxPartition:
         return lap
 
     @functools.cached_property
-    def origin_coupling(self) -> tuple[tuple[slice, ...], np.ndarray, np.ndarray]:
-        """(block, Delta_00, B^T) of box 0, built on first use and shared read-only.
+    def origin_coupling(self) -> tuple[tuple[slice, ...], np.ndarray]:
+        """(block, Delta_00) of box 0, built on first use and shared read-only.
 
         ``block`` holds the grid slices of box 0; Delta_00 = P0 L P0 is the
-        float Kronecker sum of the path graphs on box 0; B^T = (I-P0) L P0 is
-        laid out on the site grid, shape ``axis_sizes + (|box 0|,)``, one
-        column per box-0 site in lexicographic order.  None of it needs the
+        float Kronecker sum of the path graphs on box 0.  Neither needs the
         dense Laplacian.
         """
         block = tuple(slice(self.radius * l, (self.radius + 1) * l) for l in self.lengths)
-        size = math.prod(self.lengths)
-        units = np.zeros(tuple(self.axis_sizes) + (size,))
-        units[block] = np.eye(size).reshape(self.lengths + (size,))
-        bt = apply_laplacian(units, self.d)
-        bt[block] = 0.0
         delta00 = kronecker_sum([path_adjacency(l) for l in self.lengths]).astype(np.float64)
-        for a in (delta00, bt):
-            a.setflags(write=False)
-        return block, delta00, bt
+        delta00.setflags(write=False)
+        return block, delta00
 
     @functools.cached_property
     def sublattice_packing(self) -> SublatticePacking:
-        """B^T packed by sublattice with its unpacking tables, built on first use.
+        """B^T = (I-P0) L P0 packed by sublattice with its unpacking tables.
 
-        Derived from ``origin_coupling``'s B^T and shared read-only; see
-        ``SublatticePacking`` for the layout.
+        Built on first use and shared read-only; see ``SublatticePacking``
+        for the layout.  Packed column c is the stencil applied to the unit
+        columns of the c-th even and the c-th odd box-0 site together, with
+        box 0 and the ghosts cleared: no site neighbours both, so every entry
+        is 0 or 1 and equals the sum of the two unpacked columns exactly.
         """
-        block, _, bt = self.origin_coupling
+        block, _ = self.origin_coupling
         grid = padded, real, strides = ghost_grid(self.axis_sizes)
         size = math.prod(self.lengths)
         coords = np.indices(self.lengths).reshape(self.d, size)
@@ -133,13 +128,17 @@ class BoxPartition:
         even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
         column = np.empty(size, dtype=np.intp)
         column[even], column[odd] = np.arange(even.size), np.arange(odd.size)
-        packed = np.zeros(padded + (even.size,))
-        packed[real] = bt[..., even]
-        packed[real + (slice(odd.size),)] += bt[..., odd]
         # flat padded index of every box-0 site; a direction is left out when
         # its neighbours of box 0 fall off the grid, which only radius 0 does
         origin = np.array([s.start for s in block])[:, None]
         sites = np.array(strides) @ (coords + origin)
+        units = np.zeros((math.prod(padded), even.size))
+        units[sites, column] = 1.0
+        packed = laplacian_into(np.empty_like(units), units, strides)
+        cleared = np.ones(padded, dtype=bool)
+        cleared[real] = False
+        cleared[block] = True
+        packed[cleared.ravel()] = 0.0
         neighbours = [
             sites + step * stride
             for s, n, stride in zip(block, self.axis_sizes, strides)
@@ -149,7 +148,6 @@ class BoxPartition:
         neighbours = np.array(neighbours, dtype=np.intp).reshape(-1, size)
         plane = parity[:, None] != parity[None, :]
         pick = (plane * size + np.arange(size)[:, None]) * even.size + column
-        packed = packed.reshape(math.prod(padded), even.size)
         for a in (packed, neighbours, pick):
             a.setflags(write=False)
         return SublatticePacking(grid=grid, bt=packed, neighbours=neighbours, pick=pick)
@@ -272,19 +270,21 @@ def ghost_grid(sizes) -> tuple[tuple[int, ...], tuple[slice, ...], tuple[int, ..
 def laplacian_into(out: np.ndarray, x: np.ndarray, strides: tuple[int, ...]) -> np.ndarray:
     """out = L x on the flat ghost-padded layout; x must be zero on the ghosts.
 
-    Each site sums its neighbours in the order -e_1, +e_1, -e_2, +e_2, ...,
+    x and out are ``(..., padded sites, columns)``: leading axes index
+    independent stacks, and every shift is a slice of axis -2, contiguous
+    within each stack.  Each site sums its neighbours in the order -e_1, +e_1, -e_2, +e_2, ...,
     starting from ``0 + first`` as a zero-filled sum would, so a -0.0 never
     survives into the sum and the zeros read from ghosts add nothing: the
     result is bit for bit the shifted-slice sum on the unpadded grid.  The
     ghost rows of ``out`` receive junk.
     """
     s = strides[0]
-    out[:s] = 0
-    np.add(x[:-s], 0, out=out[s:])
-    out[:-s] += x[s:]
+    out[..., :s, :] = 0
+    np.add(x[..., :-s, :], 0, out=out[..., s:, :])
+    out[..., :-s, :] += x[..., s:, :]
     for s in strides[1:]:
-        out[s:] += x[:-s]
-        out[:-s] += x[s:]
+        out[..., s:, :] += x[..., :-s, :]
+        out[..., :-s, :] += x[..., s:, :]
     return out
 
 
@@ -294,7 +294,9 @@ def apply_laplacian(x: np.ndarray, d: int) -> np.ndarray:
     The Kronecker sum of path adjacencies: along each axis every site adds
     its two neighbours, and Dirichlet truncation drops the neighbours past
     either end.  Trailing axes index columns.  Pads x with ghosts, runs
-    ``laplacian_into`` and returns the real sites, in x's dtype.
+    ``laplacian_into`` and returns the real sites, in x's dtype.  A test
+    oracle: the tests form the unpacked grid-form B^T with it and check the
+    stencil against the dense Laplacian.
     """
     padded, real, strides = ghost_grid(x.shape[:d])
     tail = x.shape[d:]

@@ -6,6 +6,7 @@ import itertools
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxham import cli, harness
+from boxham import cli, harness, resolvent
 from boxham.cluster import all_mode_tuples, classify_pair, mode_resolved_spectrum
-from boxham.errors import ConfigError, VolumeError
+from boxham.errors import ConfigError, SpectralProximityError, VolumeError
 from boxham.harness import (
     ExperimentConfig,
     boosts_for,
@@ -30,6 +31,7 @@ from boxham.harness import (
     write_verdict,
 )
 from boxham.lattice import LatticeOperator, box_mask, build_hamiltonian, build_partition
+from boxham.resolvent import _solve_refined
 from boxham.separation import (
     design_intervals,
     epsilon_delta,
@@ -465,6 +467,62 @@ def test_multiplicity_scan_four_dimensions_on_the_stencil(monkeypatch):
 def test_multiplicity_scan_needs_radius_two():
     cfg = make_config(radius=1)
     with pytest.raises(VolumeError):
+        harness.multiplicity_scan(cfg)
+
+
+_MIXED_ROUTES = """
+geometry.d = 3
+geometry.lengths = 2, 2, 2
+geometry.radius = 2
+disorder.seeds = 4
+run.r = 300, 3000, 3e4
+run.lambda = from_lem4:0.4
+"""
+
+
+def test_multiplicity_mixed_routes_keep_their_digests(tmp_path, monkeypatch):
+    # from_lem4 puts the e_3 box within 2 of r = 3000, so those four cells
+    # take the dense LU one at a time; the r = 300 and 3e4 cells are walked
+    # as stacks.  The digests are those of the serial per-cell loop.
+    dense = []
+
+    def counting(m, rhs, z_scale):
+        dense.append(z_scale)
+        return _solve_refined(m, rhs, z_scale)
+
+    monkeypatch.setattr(resolvent, "_solve_refined", counting)
+    cfg = write_cfg(tmp_path, _MIXED_ROUTES)
+    out = tmp_path / "results"
+    assert cli.main(["multiplicity", "--config", cfg, "--out", str(out)]) == 0
+    assert dense == [3000.0] * 4
+    digests = [
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("multiplicity.csv", "multiplicity_verdict.json")
+    ]
+    assert digests == [
+        "ae568e43bb591a078b2595f7f8f638f84cfce0969a15f825cd059253a2cad6a1",
+        "540906cbbe518b2fa92c9703a4a0a8a486fde1460bb4308cb9da748c969266bb",
+    ]
+
+
+def test_multiplicity_scan_raises_the_first_failing_cell_in_seed_r_order(monkeypatch):
+    # both r values take the dense route; cell (1, 3000) fails and so does
+    # (0, 3001), which a serial loop over seeds, then r, reaches first
+    calls = Counter()
+
+    def failing(m, rhs, z_scale):
+        n = calls[z_scale]
+        calls[z_scale] += 1
+        if (z_scale, n) in ((3000.0, 1), (3001.0, 0)):
+            raise SpectralProximityError(f"cell r={z_scale:g} #{n}", residual=0.5)
+        return _solve_refined(m, rhs, z_scale)
+
+    monkeypatch.setattr(resolvent, "_solve_refined", failing)
+    cfg = make_config(
+        d=3, lengths=(2, 2, 2), n_seeds=2, r_values=(3000.0, 3001.0),
+        lambda_mode="from_lem4", lambda_values=(), lem4_delta=0.4,
+    )
+    with pytest.raises(SpectralProximityError, match="cell r=3001 #0"):
         harness.multiplicity_scan(cfg)
 
 

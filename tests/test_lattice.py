@@ -188,15 +188,27 @@ def test_stencil_and_origin_coupling_match_dense_laplacian():
             flat = apply_laplacian(x, d).reshape(part.n_sites, 2)
             assert np.array_equal(flat, lap @ x.reshape(part.n_sites, 2))
 
-            block, delta00, bt = part.origin_coupling
+            block, delta00 = part.origin_coupling
             m0 = box_mask(part, (0,) * d)
             grid = np.zeros(part.axis_sizes, dtype=bool)
             grid[block] = True
             assert np.array_equal(grid.ravel(), m0)
             assert np.array_equal(delta00, lap[np.ix_(m0, m0)])
-            assert np.array_equal(bt.reshape(part.n_sites, -1), lap[:, m0] * ~m0[:, None])
-            assert not delta00.flags.writeable and not bt.flags.writeable
-            assert part.origin_coupling[2] is bt
+            assert not delta00.flags.writeable
+            assert part.origin_coupling[1] is delta00
+
+            # packed column c holds the c-th even and the c-th odd box-0
+            # site's columns of B^T, zero on the ghosts
+            bt = (lap[:, m0] * ~m0[:, None]).astype(np.float64)
+            parity = np.indices(lengths).reshape(d, -1).sum(axis=0) % 2
+            even, odd = bt[:, parity == 0], bt[:, parity == 1]
+            even[:, : odd.shape[1]] += odd
+            packing = part.sublattice_packing
+            padded, real, _ = packing.grid
+            packed = packing.bt.reshape(padded + (-1,))
+            assert np.array_equal(packed[real].reshape(part.n_sites, -1), even)
+            assert not np.any(np.signbit(packing.bt))
+            assert packing.bt.sum() == bt.sum() and not packing.bt.flags.writeable
 
 
 @pytest.mark.parametrize(

@@ -1,20 +1,29 @@
 """Resolvent blocks, Schur reduction, and the large-r truncation routes."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from boxham.errors import PrecisionWarning, SpectralProximityError, VolumeError
-from boxham.harness import ExperimentConfig, boosts_for, omega_pairs, sample_disorder
+from boxham.harness import (
+    ExperimentConfig,
+    boosts_for,
+    lem4_midpoints,
+    omega_pairs,
+    sample_disorder,
+)
 from boxham.lattice import (
     _box_potential,
+    apply_laplacian,
     box_mask,
     build_hamiltonian,
     build_partition,
     zero_disorder,
 )
 from boxham.resolvent import (
+    WALK_BYTES,
     _jacobi_series,
     _neighbour_sums,
     _origin_split,
@@ -25,6 +34,7 @@ from boxham.resolvent import (
     remainder_closed_form,
     restricted_resolvent,
     schur_reduced,
+    schur_reduced_walks,
     truncation_remainder,
 )
 
@@ -244,6 +254,17 @@ def _grid_jacobi_series(
         k += 1
 
 
+def _grid_bt(part) -> np.ndarray:
+    """B^T = (I-P0) L P0 on the site grid, one column per box-0 site."""
+    block, _ = part.origin_coupling
+    size = math.prod(part.lengths)
+    units = np.zeros(tuple(part.axis_sizes) + (size,))
+    units[block] = np.eye(size).reshape(part.lengths + (size,))
+    bt = apply_laplacian(units, part.d)
+    bt[block] = 0.0
+    return bt
+
+
 def _origin_rows(x: np.ndarray, block: tuple[slice, ...]) -> np.ndarray:
     """The box-0 rows of L x as an |box 0| x columns matrix, for x zero on box 0."""
     rows = np.zeros(x[block].shape)
@@ -280,20 +301,33 @@ def test_padded_series_matches_grid_oracle_bit_for_bit(d, lengths, radius):
     part = cfg.partition()
     sample = sample_disorder(cfg, 0)
     boosts = {1: 0.7} if radius else None
-    block, delta00, bt = part.origin_coupling
+    block, delta00 = part.origin_coupling
+    bt = _grid_bt(part)
     potential = _box_potential(part, sample, boosts).reshape(part.axis_sizes)
+    inv_ds, qs, wants = [], [], []
     for r in (300.0, -300.0, 3e4, 3e6, 40.0, -25.0):
         inv_d = 1.0 / (potential - r)
         inv_d[block] = 0.0
         q = 2 * d * float(np.max(np.abs(inv_d)))
         assert q <= 0.5
         want = _grid_jacobi_series(inv_d, bt, block, q)
-        got = _jacobi_series(inv_d, part.sublattice_packing, q)
+        (got,) = _jacobi_series(inv_d[None], part.sublattice_packing, [q])
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         matrix = schur_reduced(part, sample, boosts, r).matrix
         assert np.array_equal(np.signbit(matrix), np.signbit(delta00 - want))
         assert np.array_equal(matrix, delta00 - want)
+        inv_ds.append(inv_d)
+        qs.append(q)
+        wants.append(want)
+    # the six r values walked as one stack: D takes both signs across the
+    # cells, which stop at different k once radius >= 1 (7 to 41 terms), and
+    # each keeps its lone walk's bits
+    stacked = _jacobi_series(np.array(inv_ds), part.sublattice_packing, qs)
+    assert stacked.shape == (len(wants),) + wants[0].shape
+    for got, want in zip(stacked, wants):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize(
@@ -443,3 +477,27 @@ def test_precision_guard_warns_when_noise_encroaches():
     with pytest.warns(PrecisionWarning):
         flagged = precision_guard(1e7, 1e-3, context="unit test")
     assert flagged is True
+
+
+def test_walks_chunk_the_cells_within_the_buffer_budget():
+    # a d=3, l=(2,2,2), radius-2 cell takes 38 720 bytes a buffer, so 13
+    # fit in WALK_BYTES and 27 cells walk as three stacks of nine, in order;
+    # each matrix is the one its cell gets alone
+    cfg = ExperimentConfig(
+        d=3, lengths=(2, 2, 2), radius=2, base_seed=0,
+        lambda_mode="from_lem4", lambda_values=(), lem4_delta=0.4,
+    )
+    part = cfg.partition()
+    mids = lem4_midpoints(cfg)
+    samples = [sample_disorder(cfg, seed) for seed in range(27)]
+    cells = [(sample, boosts_for(cfg, sample, mids)) for sample in samples]
+    walks = list(schur_reduced_walks(part, cells, 300.0))
+    assert [len(indices) for indices, _ in walks] == [9, 9, 9]
+    assert [i for indices, _ in walks for i in indices] == list(range(27))
+    assert 13 * part.sublattice_packing.bt.nbytes <= WALK_BYTES
+    for indices, matrices in walks:
+        assert matrices.shape == (len(indices), 8, 8)
+        for i, matrix in zip(indices, matrices):
+            alone = schur_reduced(part, *cells[i], 300.0).matrix
+            assert np.array_equal(matrix, alone)
+            assert np.array_equal(np.signbit(matrix), np.signbit(alone))
