@@ -321,7 +321,7 @@ def test_padded_series_matches_grid_oracle_bit_for_bit(d, lengths, radius):
         qs.append(q)
         wants.append(want)
     # the six r values walked as one stack: D takes both signs across the
-    # cells, which stop at different k once radius >= 1 (7 to 41 terms), and
+    # cells, which stop at different k once radius >= 1 (4 to 41 terms), and
     # each keeps its lone walk's bits
     stacked = _jacobi_series(np.array(inv_ds), part.sublattice_packing, qs)
     assert stacked.shape == (len(wants),) + wants[0].shape
