@@ -3,8 +3,9 @@
 
 Each config file is named <subcommand>_<variant>.cfg; output lands in
 results/<variant>/.  Each status line ends with the first 12 hex digits of
-the sha256 of the CSV the run wrote ("-" when it wrote none), so comparing
-two runs' outputs byte for byte is comparing their status lines.  Exits with
+the sha256 of the CSV and of the verdict JSON the run wrote ("-" for a file
+it did not write), so comparing two runs' outputs byte for byte is
+comparing their status lines.  Exits with
 the worst exit code seen, so this doubles as a one-shot smoke run of the
 whole harness.
 
@@ -18,6 +19,13 @@ import time
 from pathlib import Path
 
 from boxham import cli
+
+
+def _digest(path: Path, mtime: int | None) -> str:
+    """First 12 hex digits of the sha256 of ``path``; "-" unless written since ``mtime``."""
+    if not path.exists() or path.stat().st_mtime_ns == mtime:
+        return "-"
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:12]
 
 
 def main() -> int:
@@ -37,14 +45,13 @@ def main() -> int:
     for path in configs:
         subcommand, _, variant = path.stem.partition("_")
         out = Path(args.out) / (variant or subcommand)
-        csv = out / f"{subcommand}.csv"
-        before = csv.stat().st_mtime_ns if csv.exists() else None
+        files = [out / f"{subcommand}.csv", out / f"{subcommand}_verdict.json"]
+        before = [f.stat().st_mtime_ns if f.exists() else None for f in files]
         t0 = time.perf_counter()
         code = cli.main([subcommand, "--config", str(path), "--out", str(out)])
         elapsed = time.perf_counter() - t0
-        written = csv.exists() and csv.stat().st_mtime_ns != before
-        digest = hashlib.sha256(csv.read_bytes()).hexdigest()[:12] if written else "-"
-        print(f"{path.stem:<{width}}  exit {code}  {elapsed:6.2f}s  csv {digest}")
+        csv, verdict = map(_digest, files, before)
+        print(f"{path.stem:<{width}}  exit {code}  {elapsed:6.2f}s  csv {csv}  verdict {verdict}")
         worst = max(worst, code)
     print("overall:", "PASS" if worst == 0 else f"exit {worst}")
     return worst

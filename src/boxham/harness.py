@@ -19,7 +19,7 @@ import json
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +38,10 @@ from .errors import ConfigError, SpectralProximityError, VolumeError
 from .lattice import (
     BoxPartition,
     DisorderSample,
-    LatticeOperator,
+    _box_potential,
+    apply_laplacian,
     box_mask,
     box_sites,
-    build_hamiltonian,
     build_partition,
     face_product,
     neighbor_sum_identity,
@@ -50,7 +50,7 @@ from .lattice import (
 from .resolvent import (
     PROXIMITY_FLOOR,
     precision_guard,
-    restricted_resolvent,
+    schur_reduced,
     schur_reduced_walks,
 )
 from .separation import (
@@ -548,39 +548,39 @@ def constancy_scan(config: ExperimentConfig) -> Result:
 
     Sweeps the (z, lambda) grid, clustering the eigenvalues of the origin
     resolvent block at tolerance tau; checks the value is the same at every
-    usable grid point.  Grid points with z inside (or hugging) the spectrum
-    are skipped with a note and an empty multiplicity rather than failed.
-    Each lambda's Hamiltonian and spectrum are built once and shared by every
-    z.  The extras are box, constant and the common value (None unless
-    exactly one value was seen).
+    usable grid point.  Those are mu = 1/(nu + omega_0 - z) over the box-0
+    reduction's eigenvalues nu at r = z (``SchurReduced.mu_values``), for the
+    seed-0 sample with lambda added to the omega of the box (any box, box 0
+    included).  A point is skipped with a note and an empty multiplicity, not
+    failed, when some |nu + omega_0 - z| < PROXIMITY_FLOOR (z inside or hugging
+    the spectrum) or the complement solve is near-singular.  The extras are
+    box, constant and the common value (None unless exactly one was seen).
     """
     box = config.constancy_box or tuple(1 if k == 0 else 0 for k in range(config.d))
     if config.lambda_mode != "explicit":
         key = _key_of("lambda_mode")
         raise ConfigError(f"constancy scan needs an explicit {key} grid", field=key)
     part = config.partition()
-    base = build_hamiltonian(part, sample_disorder(config, 0))
-    mask = box_mask(part, box)
-    origin = (0,) * config.d
-    boosted = []
-    for lam in config.lambda_values:
-        h = base.entries.copy()
-        h[np.diag_indices_from(h)] += lam * mask
-        boosted.append((LatticeOperator(entries=h, partition=part), np.linalg.eigvalsh(h)))
+    sample = sample_disorder(config, 0)
+    if box not in sample.values:
+        raise VolumeError(f"box {box} outside radius {config.radius}")
+    boosted = [
+        replace(sample, values={**sample.values, box: sample.values[box] + lam})
+        for lam in config.lambda_values
+    ]
     maxima, notes = [], []
     for z in config.z_values:
-        for op, spectrum in boosted:
+        for cell in boosted:
             mx, note = "", ""
-            if np.min(np.abs(spectrum - z)) < PROXIMITY_FLOOR:
-                note = "z inside spectrum; skipped"
+            try:
+                mu = schur_reduced(part, cell, None, z).mu_values()
+            except SpectralProximityError as exc:
+                note = f"solver near-singular (residual {exc.residual:.3g}); skipped"
             else:
-                try:
-                    rr = restricted_resolvent(op, z, origin, origin)
-                except SpectralProximityError as exc:
-                    note = f"solver near-singular (residual {exc.residual:.3g}); skipped"
+                if np.max(np.abs(mu)) * PROXIMITY_FLOOR > 1.0:
+                    note = "z inside spectrum; skipped"
                 else:
-                    eigs = np.linalg.eigvalsh((rr.block + rr.block.T) / 2.0)
-                    mx = max(len(g) for g in cluster_indices(eigs, degeneracy_tolerance(eigs)))
+                    mx = max(len(g) for g in cluster_indices(mu, degeneracy_tolerance(mu)))
             maxima.append(mx)
             notes.append(note)
     columns = {
@@ -627,36 +627,39 @@ def lattice_diameter(partition: BoxPartition) -> int:
 
 
 def cyclic_rank_check(
-    h: LatticeOperator,
+    partition: BoxPartition,
+    potential: np.ndarray,
     n: tuple[int, ...],
     m: tuple[int, ...],
     k: int | None = None,
 ) -> RankCheck:
-    """Rank of the stacked Krylov blocks [P_m H^j P_n], j = 0..k.
+    """Rank of the stacked Krylov blocks [P_m H^j P_n], j = 0..k, of H = L + V.
 
+    ``potential`` is V per site (``lattice._box_potential``); a step is
+    x <- L x + V x on the stencil (``apply_laplacian``), never forming H.
     Full rank (= rank of P_m) means the cyclic subspace seeded in box n
-    already resolves box m after k propagation steps.  k defaults to the
-    lattice diameter.  Blocks are individually normalized before stacking
-    (pure row scaling, rank-neutral) so the 1e-8 relative singular-value
-    threshold is not distorted by ||H||^k growth.
+    already resolves box m after k propagation steps; k defaults to the
+    lattice diameter.  Blocks are normalized one by one before stacking (row
+    scaling, rank-neutral) so ||H||^k growth leaves the 1e-8 relative
+    singular-value threshold undistorted.
     """
-    part = h.partition
     n = tuple(int(v) for v in n)
     m = tuple(int(v) for v in m)
     if k is None:
-        k = lattice_diameter(part)
+        k = lattice_diameter(partition)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    mask_n = box_mask(part, n)
-    mask_m = box_mask(part, m)
-    x = np.zeros((part.n_sites, int(mask_n.sum())))
+    mask_n = box_mask(partition, n)
+    mask_m = box_mask(partition, m)
+    x = np.zeros((partition.n_sites, int(mask_n.sum())))
     x[np.flatnonzero(mask_n), np.arange(x.shape[1])] = 1.0
+    grid, v = (*partition.axis_sizes, x.shape[1]), potential[:, None]
     blocks = []
     for _ in range(k + 1):
         blk = x[mask_m, :]
         scale = np.linalg.norm(blk)
         blocks.append(blk / scale if scale > 0 else blk)
-        x = h.entries @ x
+        x = apply_laplacian(x.reshape(grid), partition.d).reshape(x.shape) + v * x
     stacked = np.vstack(blocks)
     sv = np.linalg.svd(stacked, compute_uv=False)
     rank = int(np.sum(sv > 1e-8 * sv[0])) if sv.size and sv[0] > 0 else 0
@@ -924,8 +927,8 @@ def rank_sweep(config: ExperimentConfig) -> Result:
     results, mids = [], lem4_midpoints(config)
     for seed in range(config.n_seeds):
         sample = sample_disorder(config, seed)
-        h = build_hamiltonian(part, sample, boosts_for(config, sample, mids))
-        results.append(cyclic_rank_check(h, n, m, config.rank_k))
+        potential = _box_potential(part, sample, boosts_for(config, sample, mids))
+        results.append(cyclic_rank_check(part, potential, n, m, config.rank_k))
     columns = {
         "seed": list(range(config.n_seeds)),
         "rank": [res.rank for res in results],

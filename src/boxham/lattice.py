@@ -44,8 +44,8 @@ from .errors import IncompleteSampleError, VolumeError
 from .tridiag import path_adjacency
 
 # Largest site count whose dense float64 matrix fits in 1 GiB: n^2 * 8 <= 2^30.
-# A guard for the dense routes (Laplacian, Hamiltonian, complement LU); the
-# stencil route of the Schur reduction holds only O(n * |box 0|) floats.
+# Guards the dense routes: the q > 1/2 complement LU, the partition survey's
+# identities, the tests' oracles; the stencil routes hold O(n * |box 0|).
 DEFAULT_SITE_CAP = int((2**30 // 8) ** 0.5)
 DEFAULT_RADIUS_CAP = 4
 
@@ -203,7 +203,7 @@ class DisorderSample:
 
 @dataclass(frozen=True)
 class LatticeOperator:
-    """A real symmetric matrix over the lexicographically ordered sites of a partition."""
+    """A real symmetric matrix over a partition's sites; a test oracle and a traced name."""
 
     entries: np.ndarray
     partition: BoxPartition = field(repr=False)
@@ -220,8 +220,8 @@ def build_partition(
     exceeds DEFAULT_SITE_CAP (the error names the offending count and the
     bytes one dense float64 matrix on it would take), or when the radius
     exceeds the desk-scale DEFAULT_RADIUS_CAP.  The site cap guards the dense
-    routes (Laplacian, Hamiltonian, resolvent blocks and the complement LU);
-    the stencil route of ``resolvent.schur_reduced`` holds O(n * |box 0|).
+    routes: the q > 1/2 complement LU, the partition survey's identities and
+    the tests' oracles; the stencil routes hold O(n * |box 0|).
     """
     lengths = tuple(int(l) for l in lengths)
     if d < 1 or len(lengths) != d or any(l < 1 for l in lengths):
@@ -294,9 +294,9 @@ def apply_laplacian(x: np.ndarray, d: int) -> np.ndarray:
     The Kronecker sum of path adjacencies: along each axis every site adds
     its two neighbours, and Dirichlet truncation drops the neighbours past
     either end.  Trailing axes index columns.  Pads x with ghosts, runs
-    ``laplacian_into`` and returns the real sites, in x's dtype.  A test
-    oracle: the tests form the unpacked grid-form B^T with it and check the
-    stencil against the dense Laplacian.
+    ``laplacian_into`` and returns the real sites, in x's dtype.
+    ``harness.cyclic_rank_check`` steps its Krylov block with it, and the
+    tests form the unpacked grid-form B^T with it.
     """
     padded, real, strides = ghost_grid(x.shape[:d])
     tail = x.shape[d:]
@@ -330,14 +330,6 @@ def box_mask(partition: BoxPartition, n: tuple[int, ...]) -> np.ndarray:
     start = [(ni + partition.radius) * l for ni, l in zip(n, partition.lengths)]
     mask[tuple(slice(s, s + l) for s, l in zip(start, partition.lengths))] = True
     return mask.ravel()
-
-
-def projection(partition: BoxPartition, n: tuple[int, ...]) -> np.ndarray:
-    """The box projection P_n as an integer diagonal matrix.
-
-    A test oracle: the tests check each ``box_mask`` against its diagonal.
-    """
-    return np.diag(box_mask(partition, n).astype(np.int64))
 
 
 def build_laplacian(partition: BoxPartition) -> LatticeOperator:
@@ -384,7 +376,8 @@ def build_hamiltonian(
 
     ``boosts`` maps coordinate directions 1..d to an extra coupling added on
     the unit box e_i.  The diagonal at site x is omega_{box(x)} plus the boost
-    when box(x) is a boosted unit box.
+    when box(x) is a boosted unit box.  A test oracle and a traced name; no
+    driver builds H.
     """
     h = partition.laplacian.astype(np.float64)
     h[np.diag_indices_from(h)] += _box_potential(partition, disorder, boosts)

@@ -60,7 +60,7 @@ PROXIMITY_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class RestrictedResolvent:
-    """One block G_pq(z) of the resolvent, rows on box p, columns on box q."""
+    """One block G_pq(z) of the resolvent (rows on box p, columns on box q); a test oracle."""
 
     p: tuple[int, ...]
     q: tuple[int, ...]
@@ -83,8 +83,8 @@ class SchurReduced:
     def mu_values(self) -> np.ndarray:
         """Sorted eigenvalues of G_00(r) implied by the reduction.
 
-        A test oracle: the tests compare it with the eigenvalues of the
-        directly solved resolvent block.
+        ``harness.constancy_scan`` reads G_00's spectrum from it; the tests
+        compare it with the directly solved resolvent block.
         """
         nu = np.linalg.eigvalsh(self.matrix)
         return np.sort(1.0 / (nu + self.omega0 - self.r))
@@ -152,7 +152,11 @@ def _solve_refined(m: np.ndarray, rhs: np.ndarray, z_scale: float):
 def restricted_resolvent(
     h: LatticeOperator, z: float, p: tuple[int, ...], q: tuple[int, ...]
 ) -> RestrictedResolvent:
-    """G_pq(z): solve (H - z) X = columns of P_q and keep the box-p rows."""
+    """G_pq(z): solve (H - z) X = columns of P_q and keep the box-p rows.
+
+    A dense n x n test oracle and a traced name; ``harness.constancy_scan``
+    reduces G_00 through ``schur_reduced`` instead.
+    """
     part = h.partition
     mask_p = box_mask(part, tuple(p))
     mask_q = box_mask(part, tuple(q))

@@ -6,6 +6,7 @@ import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -30,7 +31,13 @@ from boxham.harness import (
     write_csv,
     write_verdict,
 )
-from boxham.lattice import LatticeOperator, box_mask, build_hamiltonian, build_partition
+from boxham.lattice import (
+    LatticeOperator,
+    _box_potential,
+    box_mask,
+    build_hamiltonian,
+    build_partition,
+)
 from boxham.resolvent import _solve_refined
 from boxham.separation import (
     design_intervals,
@@ -568,20 +575,22 @@ def test_constancy_lambda_zero_column_matches_plain_resolvent():
 
 
 def test_constancy_scan_solves_each_lambda_once(monkeypatch):
+    # each (z, lambda) cell eigensolves its |box 0| reduction once, and no
+    # n x n matrix is eigensolved at all
     cfg = make_config(lambda_values=(0.0, 1.0, 2.5), z_values=(30.0, 45.0, 60.0))
     n_sites = cfg.partition().n_sites
     eigvalsh = np.linalg.eigvalsh
-    full_solves = []
+    shapes = []
 
     def counting(a, *args, **kwargs):
-        if a.shape[0] == n_sites:
-            full_solves.append(a)
+        shapes.append(a.shape)
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     rows, failures, extras = _unpack(harness.constancy_scan(cfg))
     assert len(rows) == 9
-    assert len(full_solves) == 3
+    assert shapes == [(4, 4)] * 9
+    assert all(n_sites not in shape for shape in shapes)
 
 
 def test_constancy_one_dimension_is_simple():
@@ -597,13 +606,69 @@ def test_constancy_scan_rejects_lem4_mode():
         harness.constancy_scan(cfg)
 
 
+@pytest.mark.parametrize("box", [(0, 0, 0), (1, 1, 0)])
+def test_constancy_reduction_matches_dense_resolvent_block(box):
+    # the dense route the scan replaced: G_00(z) of H + lambda P_box solved
+    # on the full lattice, for box 0 (which moves omega_0) and a non-unit
+    # box; z = 12 puts the reduction's complement solve on its dense LU
+    from boxham.resolvent import restricted_resolvent
+    from boxham.cluster import cluster_indices, degeneracy_tolerance
+
+    cfg = make_config(
+        d=3, lengths=(2, 2, 2), radius=1, base_seed=3, constancy_box=box,
+        lambda_values=(0.0, 1.0, 2.5), z_values=(12.0, 20.0, 30.0, 45.0),
+    )
+    rows, failures, extras = _unpack(harness.constancy_scan(cfg))
+    part = cfg.partition()
+    base = build_hamiltonian(part, sample_disorder(cfg, 0))
+    mask = box_mask(part, box)
+    origin = (0, 0, 0)
+    for z, lam, max_multiplicity, note in rows:
+        h = base.entries.copy()
+        h[np.diag_indices_from(h)] += lam * mask
+        rr = restricted_resolvent(LatticeOperator(entries=h, partition=part), z, origin, origin)
+        eigs = np.linalg.eigvalsh((rr.block + rr.block.T) / 2.0)
+        assert note == ""
+        assert max_multiplicity == max(
+            len(g) for g in cluster_indices(eigs, degeneracy_tolerance(eigs))
+        )
+    assert extras["box"] == list(box)
+
+
+@pytest.mark.parametrize("box", ["3, 0", "0, 0, 1"])
+def test_constancy_box_outside_the_volume_is_a_config_error(tmp_path, capsys, box):
+    cfg = write_cfg(tmp_path, MINIMAL + f"constancy.box = {box}\n")
+    out = tmp_path / "out"
+    assert cli.main(["constancy", "--config", cfg, "--out", str(out)]) == 2
+    assert "outside radius 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "stem, driver",
+    [("constancy_3d", harness.constancy_scan), ("rankcheck_3d", harness.rank_sweep)],
+)
+def test_d3_constancy_and_rank_hold_no_dense_matrix(stem, driver):
+    # one float64 matrix on the 1000 sites would take 8 MB; the dense route
+    # this replaced peaked at 53.4 MB (constancy) and 22.9 MB (rank)
+    cfg = harness.load_config(CONFIGS / f"{stem}.cfg")
+    n = cfg.partition().n_sites
+    tracemalloc.start()
+    try:
+        driver(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n**2
+
+
 def test_rank_check_defaults_to_diameter():
     cfg = make_config()
     part = cfg.partition()
     assert lattice_diameter(part) == 18  # (5*2 - 1) per axis
     sample = sample_disorder(cfg, 0)
-    h = build_hamiltonian(part, sample, boosts_for(cfg, sample))
-    res = cyclic_rank_check(h, (0, 0), (1, 1))
+    potential = _box_potential(part, sample, boosts_for(cfg, sample))
+    res = cyclic_rank_check(part, potential, (0, 0), (1, 1))
     assert res.k == 18
     assert res.expected == 4
     assert res.full and res.rank == 4
@@ -612,22 +677,20 @@ def test_rank_check_defaults_to_diameter():
 def test_rank_check_k_zero():
     cfg = make_config()
     part = cfg.partition()
-    sample = sample_disorder(cfg, 0)
-    h = build_hamiltonian(part, sample)
-    same = cyclic_rank_check(h, (1, 1), (1, 1), k=0)
+    potential = _box_potential(part, sample_disorder(cfg, 0))
+    same = cyclic_rank_check(part, potential, (1, 1), (1, 1), k=0)
     assert same.rank == same.expected == 4  # P_n alone spans its own box
-    cross = cyclic_rank_check(h, (0, 0), (1, 1), k=0)
+    cross = cyclic_rank_check(part, potential, (0, 0), (1, 1), k=0)
     assert cross.rank == 0  # disjoint boxes: P_m P_n = 0
     with pytest.raises(ValueError):
-        cyclic_rank_check(h, (0, 0), (1, 1), k=-1)
+        cyclic_rank_check(part, potential, (0, 0), (1, 1), k=-1)
 
 
 def test_rank_check_reaches_neighbor_in_one_dimension():
     cfg = make_config(d=1, lengths=(2,), base_seed=5)
     part = cfg.partition()
-    sample = sample_disorder(cfg, 0)
-    h = build_hamiltonian(part, sample)
-    res = cyclic_rank_check(h, (0,), (1,), 6)
+    potential = _box_potential(part, sample_disorder(cfg, 0))
+    res = cyclic_rank_check(part, potential, (0,), (1,), 6)
     assert res.full and res.expected == 2
 
 
@@ -939,7 +1002,9 @@ def test_ragged_driver_table_is_not_a_config_error(tmp_path, monkeypatch, capsys
 
 # sha256 of the CSV and the verdict of every shipped config; a change to
 # their bytes must be deliberate, and shows up here before it reaches
-# scripts/run_all.py
+# scripts/run_all.py.  The constancy_3d and rankcheck_3d pins were recorded
+# on the dense full-lattice route that the box-0 reduction and the stencil
+# replaced.
 _SHIPPED_SHA256 = {
     "cluster_2x4": (
         "a0cba775fff0c6eeaf46067ba43e8989fbd9a50005ab24aee534b08efdc3bc07",
@@ -948,6 +1013,10 @@ _SHIPPED_SHA256 = {
     "constancy_2x2": (
         "3f718a06186764f0ab6e28dba3b49fbdae9fc9efa642d46e375bd77d0881d0a8",
         "c83d09a532105f6fcdc0aa53a2c5a5d741af0fedd8bc08103ee91ca159966c26",
+    ),
+    "constancy_3d": (
+        "1e124f3c912d25d712d9a54c78f9a16e2fa8350dd87e3a8c3d11262888c844db",
+        "7b2c0a12ff47f5327bb5b6a90deeb08783617a3a9cfa12630de5faa45288d8f4",
     ),
     "expansion_grid": (
         "8df338d308f75e1b1d86aa64cbf67cba92226ae28edd4352cb86a4ae765689ad",
@@ -981,6 +1050,10 @@ _SHIPPED_SHA256 = {
         "997d9382590d47f0df3b012f80162c876fa48bd96d2d635f730b21c8b3bc35e2",
         "753267e2ab7d255d43b4dee23cd9800d20386a490efe053ab2b8237ec25e75db",
     ),
+    "rankcheck_3d": (
+        "d9cef823e48b799e2c0e6f60eac2472139a6a9451163ed54eb076495588fb442",
+        "b5d72a04a44a556a531297897de4dd40acf25dca97de0f7ba059cb4c82856986",
+    ),
     "separation_2x4": (
         "0f724d79bf8f5d3a8393b234dc37088f17bf1d2243c214628c3d425b9b4dc8db",
         "50fdde194d6c8a1522d7a53b982d2a92b63c78f9aab0b6935cf2ffe53bafcc14",
@@ -989,7 +1062,7 @@ _SHIPPED_SHA256 = {
 
 
 @pytest.mark.parametrize("stem", sorted(_SHIPPED_SHA256))
-def test_shipped_multiplicity_csv_digest(tmp_path, stem):
+def test_shipped_output_digests(tmp_path, stem):
     command = stem.partition("_")[0]
     out = tmp_path / stem
     cfg = str(CONFIGS / f"{stem}.cfg")

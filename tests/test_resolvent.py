@@ -1,5 +1,6 @@
 """Resolvent blocks, Schur reduction, and the large-r truncation routes."""
 
+import dataclasses
 import math
 import warnings
 
@@ -360,6 +361,66 @@ def test_dense_route_when_series_cannot_converge():
     assert _jacobi_q(part, sample, boosts, r) > 0.5
     got = schur_reduced(part, sample, boosts, r).matrix
     assert np.array_equal(got, _dense_reduction(part, sample, boosts, r))
+
+
+def _chiral_pair(lengths, radius, r, seed):
+    """schur_reduced at (-omega, -lambda, -r) and -U0 H_r U0, U0 = diag((-1)^|x|) on box 0.
+
+    Z^d is bipartite, so U L U = -L with U = diag((-1)^|x|) and
+    H_{-r}(-V, -lambda) = -U0 H_r(V, lambda) U0 on box 0.  The relation
+    follows from the operator, not from either solver.
+    """
+    cfg = ExperimentConfig(
+        d=len(lengths), lengths=lengths, radius=radius, base_seed=seed,
+        lambda_mode="from_lem4", lambda_values=(), lem4_delta=0.4,
+    )
+    part = cfg.partition()
+    sample = sample_disorder(cfg, 0)
+    boosts = boosts_for(cfg, sample)
+    flipped = dataclasses.replace(sample, values={n: -w for n, w in sample.values.items()})
+    got = schur_reduced(part, flipped, {i: -lam for i, lam in boosts.items()}, -r).matrix
+    parity = np.indices(lengths).reshape(len(lengths), -1).sum(axis=0) % 2
+    u = np.where(parity == 0, 1.0, -1.0)
+    want = -(u[:, None] * schur_reduced(part, sample, boosts, r).matrix * u[None, :])
+    return _jacobi_q(part, sample, boosts, r), got, want
+
+
+@pytest.mark.parametrize(
+    "lengths, radius, r, series",
+    [
+        ((2, 2), 2, 300.0, True),
+        ((2, 4), 2, 300.0, True),
+        ((2, 2, 2), 2, 300.0, True),
+        ((1, 2, 1, 2), 1, 300.0, True),
+        # from_lem4 boosts e_i by about 3000, and r = 12 sits within 12 of
+        # every omega: both put q above 1/2, on the dense LU
+        ((2, 2, 2), 2, 3000.0, False),
+        ((2, 2, 2), 2, 12.0, False),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chiral_relation_holds_bit_for_bit(lengths, radius, r, series, seed):
+    # negation is exact: every term of the negated series is -+ the
+    # original, the even-k and odd-k accumulators swap signs and the parity
+    # pick undoes it, so the bits hold, signed zeros included.  It cannot
+    # see a sign error in Delta_00 - B X, which is symmetric under it.
+    q, got, want = _chiral_pair(lengths, radius, r, seed)
+    assert (q <= 0.5) == series
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chiral_relation_at_odd_box0_differs_only_in_signed_zeros(seed):
+    # the centre site of the 3x3 box 0 touches no complement site, so its
+    # row and column of B X are zero and H_r = Delta_00 - B X holds +0.0
+    # where the centre meets the even sites; -U0 H_r U0 turns those into
+    # -0.0, so here the relation keeps the values but not the signed zeros
+    q, got, want = _chiral_pair((3, 3), 2, 300.0, seed)
+    assert q <= 0.5
+    assert np.array_equal(got, want)
+    differs = np.signbit(got) != np.signbit(want)
+    assert differs.any() and np.all(got[differs] == 0.0)
 
 
 def test_schur_without_complement_is_laplacian_block():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,8 @@ def test_scripts_run_clean(tmp_path):
     for cfg in sorted((ROOT / "configs").glob("*.cfg")):
         status = [line for line in lines if line.split()[:3] == [cfg.stem, "exit", "0"]]
         assert len(status) == 1, cfg.stem
+        # the CSV and the verdict each carry their digest
+        assert re.fullmatch(r".* csv [0-9a-f]{12}  verdict [0-9a-f]{12}", status[0]), status[0]
     for name in ("remainder_routes.py", "literal_constants_demo.py"):
         proc = run_script(name)
         assert proc.returncode == 0, (name, proc.stderr)
