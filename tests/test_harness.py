@@ -650,7 +650,7 @@ def test_constancy_box_outside_the_volume_is_a_config_error(tmp_path, capsys, bo
 )
 def test_d3_constancy_and_rank_hold_no_dense_matrix(stem, driver):
     # one float64 matrix on the 1000 sites would take 8 MB; the dense route
-    # this replaced peaked at 53.4 MB (constancy) and 22.9 MB (rank)
+    # this replaced peaked at about 56 MB (constancy) and 24 MB (rank)
     cfg = harness.load_config(CONFIGS / f"{stem}.cfg")
     n = cfg.partition().n_sites
     tracemalloc.start()

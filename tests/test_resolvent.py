@@ -392,8 +392,8 @@ def _chiral_pair(lengths, radius, r, seed):
         ((2, 4), 2, 300.0, True),
         ((2, 2, 2), 2, 300.0, True),
         ((1, 2, 1, 2), 1, 300.0, True),
-        # from_lem4 boosts e_i by about 3000, and r = 12 sits within 12 of
-        # every omega: both put q above 1/2, on the dense LU
+        # from_lem4 boosts e_3 by about 3000 and e_1 by 6 to 8, so at
+        # r = 3000 and r = 12 some box sits near r: q > 1/2, the dense LU
         ((2, 2, 2), 2, 3000.0, False),
         ((2, 2, 2), 2, 12.0, False),
     ],
