@@ -11,7 +11,10 @@ the file keeps the round, the checkout's name, its git SHA, whether ``src/``
 or ``perfbench/`` differ from that SHA, the command, the ``host`` line, the
 summary lines (pass count, wall_s min and max per workload) and the final
 result JSON; ``medians`` holds, per checkout and metric, the median over its
-runs.  The file lands in this repository.
+runs, and ``quartiles`` the first and third quartiles (``statistics.quantiles``,
+inclusive method).  With two checkouts, ``lower_in`` counts, per checkout
+and metric, the rounds in which that checkout read lower than the other;
+a tie counts for neither.  The file lands in this repository.
 """
 
 import argparse
@@ -32,17 +35,52 @@ def parse(text: str) -> dict:
     return {"host": host, "summary": summary, "result": json.loads(lines[-1])}
 
 
-def medians(runs: list[dict]) -> dict[str, dict[str, float]]:
-    """Per checkout name and metric, the median of the metric's values over the runs."""
+def _values(runs: list[dict]) -> dict[str, dict[str, list[float]]]:
+    """Per checkout name and metric, the metric's values over the runs, in run order."""
     values: dict[str, dict[str, list[float]]] = {}
     for run in runs:
         side = values.setdefault(run["name"], {})
         for metric, entry in run["result"]["metrics"].items():
             side.setdefault(metric, []).append(entry["value"])
+    return values
+
+
+def medians(runs: list[dict]) -> dict[str, dict[str, float]]:
+    """Per checkout name and metric, the median of the metric's values over the runs."""
     return {
         name: {metric: statistics.median(v) for metric, v in side.items()}
-        for name, side in values.items()
+        for name, side in _values(runs).items()
     }
+
+
+def quartiles(runs: list[dict]) -> dict[str, dict[str, list[float]]]:
+    """Per checkout name and metric, [first quartile, third quartile] of its values."""
+
+    def q1_q3(v: list[float]) -> list[float]:
+        if len(v) < 2:
+            return [v[0], v[0]]
+        q1, _, q3 = statistics.quantiles(v, n=4, method="inclusive")
+        return [q1, q3]
+
+    return {
+        name: {metric: q1_q3(v) for metric, v in side.items()}
+        for name, side in _values(runs).items()
+    }
+
+
+def lower_in(runs: list[dict]) -> dict[str, dict[str, int]]:
+    """Per checkout of two and metric, the rounds in which it read lower; ties count for neither."""
+    rounds: dict[int, list[dict]] = {}
+    for run in runs:
+        rounds.setdefault(run["round"], []).append(run)
+    counts: dict[str, dict[str, int]] = {}
+    for pair in rounds.values():
+        for run, other in (pair, pair[::-1]):
+            side = counts.setdefault(run["name"], {})
+            theirs = other["result"]["metrics"]
+            for metric, entry in run["result"]["metrics"].items():
+                side[metric] = side.get(metric, 0) + (entry["value"] < theirs[metric]["value"])
+    return counts
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -80,7 +118,15 @@ def main() -> int:
         for name, path in checkouts[:: -1 if round_ % 2 else 1]:
             runs.append({"round": round_, **record(name, Path(path), run_args)})
     out = ROOT / f"BENCH_{args.label}.json"
-    doc = {"label": args.label, "rounds": args.rounds, "runs": runs, "medians": medians(runs)}
+    doc = {
+        "label": args.label,
+        "rounds": args.rounds,
+        "runs": runs,
+        "medians": medians(runs),
+        "quartiles": quartiles(runs),
+    }
+    if len(checkouts) == 2:
+        doc["lower_in"] = lower_in(runs)
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)
     return 0

@@ -39,16 +39,18 @@ from .lattice import (
     BoxPartition,
     DisorderSample,
     _box_potential,
-    apply_laplacian,
     box_mask,
     box_sites,
     build_partition,
     face_product,
+    ghost_grid,
+    laplacian_into,
     neighbor_sum_identity,
     partition_of_unity_holds,
 )
 from .resolvent import (
     PROXIMITY_FLOOR,
+    SchurReduced,
     precision_guard,
     schur_reduced,
     schur_reduced_walks,
@@ -504,22 +506,18 @@ def multiplicity_scan(config: ExperimentConfig) -> Result:
     mids = lem4_midpoints(config)
     samples = [sample_disorder(config, seed) for seed in range(config.n_seeds)]
     cells = [(sample, boosts_for(config, sample, mids)) for sample in samples]
-    # one stacked walk per r and chunk; a dense cell near the spectrum is
-    # raised when the (seed, r) loop below reaches it, as a serial loop would
-    spectra, failed = {}, {}
+    spectra = {}
     for j, r in enumerate(config.r_values):
-        try:
-            for seeds, matrices in schur_reduced_walks(part, cells, r):
-                eigs = np.linalg.eigvalsh(r**2 * matrices)
-                spectra.update(((seed, j), e) for seed, e in zip(seeds, eigs))
-        except SpectralProximityError as exc:
-            failed[j] = exc
+        for seeds, matrices in schur_reduced_walks(part, cells, r):
+            eigs = np.linalg.eigvalsh(r**2 * matrices)
+            spectra.update(((seed, j), e) for seed, e in zip(seeds, eigs))
     maxima, censuses, escalated = [], [], []
     for seed in range(config.n_seeds):
         for j, r in enumerate(config.r_values):
-            if (seed, j) not in spectra:
-                raise failed[j]
-            eigs = spectra[seed, j]
+            eigs = spectra.get((seed, j))
+            if eigs is None:
+                matrix = schur_reduced(part, *cells[seed], r).matrix
+                eigs = np.linalg.eigvalsh(r**2 * matrix)
             tau = degeneracy_tolerance(eigs)
             escalated.append(precision_guard(r, tau, context="multiplicity clustering"))
             sizes = sorted(Counter(map(len, cluster_indices(eigs, tau))).items())
@@ -568,15 +566,22 @@ def constancy_scan(config: ExperimentConfig) -> Result:
         replace(sample, values={**sample.values, box: sample.values[box] + lam})
         for lam in config.lambda_values
     ]
+    cells, origin = [(cell, None) for cell in boosted], (0,) * config.d
     maxima, notes = [], []
     for z in config.z_values:
-        for cell in boosted:
+        # the lambda cells of one z walk as one stack; the others fall back
+        # to schur_reduced one by one, so each keeps its own skip note
+        walked = {}
+        for indices, matrices in schur_reduced_walks(part, cells, z):
+            walked.update(zip(indices, matrices))
+        for i, cell in enumerate(boosted):
             mx, note = "", ""
             try:
-                mu = schur_reduced(part, cell, None, z).mu_values()
+                matrix = walked[i] if i in walked else schur_reduced(part, cell, None, z).matrix
             except SpectralProximityError as exc:
                 note = f"solver near-singular (residual {exc.residual:.3g}); skipped"
             else:
+                mu = SchurReduced(float(z), matrix, float(cell.values[origin])).mu_values()
                 if np.max(np.abs(mu)) * PROXIMITY_FLOOR > 1.0:
                     note = "z inside spectrum; skipped"
                 else:
@@ -635,8 +640,10 @@ def cyclic_rank_check(
 ) -> RankCheck:
     """Rank of the stacked Krylov blocks [P_m H^j P_n], j = 0..k, of H = L + V.
 
-    ``potential`` is V per site (``lattice._box_potential``); a step is
-    x <- L x + V x on the stencil (``apply_laplacian``), never forming H.
+    ``potential`` is V per site (``lattice._box_potential``).  The block
+    stays on the flat ghost-padded layout of ``lattice.ghost_grid``, and a
+    step is x <- L x + V x by ``laplacian_into``, with the ghosts cleared
+    after it, never forming H.
     Full rank (= rank of P_m) means the cyclic subspace seeded in box n
     already resolves box m after k propagation steps; k defaults to the
     lattice diameter.  Blocks are normalized one by one before stacking (row
@@ -649,21 +656,29 @@ def cyclic_rank_check(
         k = lattice_diameter(partition)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    mask_n = box_mask(partition, n)
-    mask_m = box_mask(partition, m)
-    x = np.zeros((partition.n_sites, int(mask_n.sum())))
-    x[np.flatnonzero(mask_n), np.arange(x.shape[1])] = 1.0
-    grid, v = (*partition.axis_sizes, x.shape[1]), potential[:, None]
+    padded, real, strides = ghost_grid(partition.axis_sizes)
+    size = math.prod(padded)
+    sites = np.arange(size).reshape(padded)[real].ravel()
+    ghosts = np.ones(size, dtype=bool)
+    ghosts[sites] = False
+    rows_n, rows_m = sites[box_mask(partition, n)], sites[box_mask(partition, m)]
+    v = np.zeros((size, 1))
+    v[sites, 0] = potential
+    x = np.zeros((size, len(rows_n)))
+    x[rows_n, np.arange(len(rows_n))] = 1.0
+    spare = np.empty_like(x)
     blocks = []
     for _ in range(k + 1):
-        blk = x[mask_m, :]
+        blk = x[rows_m]
         scale = np.linalg.norm(blk)
         blocks.append(blk / scale if scale > 0 else blk)
-        x = apply_laplacian(x.reshape(grid), partition.d).reshape(x.shape) + v * x
+        x, spare = laplacian_into(spare, x, strides), x
+        x += v * spare
+        x[ghosts] = 0.0
     stacked = np.vstack(blocks)
     sv = np.linalg.svd(stacked, compute_uv=False)
     rank = int(np.sum(sv > 1e-8 * sv[0])) if sv.size and sv[0] > 0 else 0
-    return RankCheck(n=n, m=m, k=k, rank=rank, expected=int(mask_m.sum()))
+    return RankCheck(n=n, m=m, k=k, rank=rank, expected=len(rows_m))
 
 
 # ---------------------------------------------------------------- gap growth

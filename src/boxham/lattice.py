@@ -19,8 +19,10 @@ Delta_00) is cached per partition too, and so is B^T = (I-P0) L P0 in its
 sublattice packing (two columns of opposite parity per column, with the
 tables that unpack B X).
 
-The stencil runs on a flat ghost-padded layout: the site grid gets one ghost
-layer at the end of every axis after the first, and is stored in C order as a
+The stencil has one layout, a flat ghost-padded one, and its callers (the
+series walk, the Krylov rank check, the packing of B^T) keep their columns
+on it from the first step to the last.  The site grid gets one ghost layer
+at the end of every axis after the first, and is stored in C order as a
 ``(padded sites, columns)`` array.  The +-e_i neighbours of every site are
 then the whole array shifted by axis i's stride, one contiguous slice per
 shift, so applying L costs 2d contiguous adds over the padded array whatever
@@ -286,25 +288,6 @@ def laplacian_into(out: np.ndarray, x: np.ndarray, strides: tuple[int, ...]) -> 
         out[..., s:, :] += x[..., :-s, :]
         out[..., :-s, :] += x[..., s:, :]
     return out
-
-
-def apply_laplacian(x: np.ndarray, d: int) -> np.ndarray:
-    """L x for x laid out on the site grid: its first d axes are the lattice axes.
-
-    The Kronecker sum of path adjacencies: along each axis every site adds
-    its two neighbours, and Dirichlet truncation drops the neighbours past
-    either end.  Trailing axes index columns.  Pads x with ghosts, runs
-    ``laplacian_into`` and returns the real sites, in x's dtype.
-    ``harness.cyclic_rank_check`` steps its Krylov block with it, and the
-    tests form the unpacked grid-form B^T with it.
-    """
-    padded, real, strides = ghost_grid(x.shape[:d])
-    tail = x.shape[d:]
-    src = np.zeros(padded + tail, dtype=x.dtype)
-    src[real] = x
-    flat = src.reshape(math.prod(padded), math.prod(tail))
-    out = laplacian_into(np.empty_like(flat), flat, strides)
-    return out.reshape(padded + tail)[real].copy()
 
 
 def _check_box(partition: BoxPartition, n: tuple[int, ...]) -> None:

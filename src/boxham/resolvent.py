@@ -16,11 +16,11 @@ Each term moves every column of B^T to the other sublattice of the
 bipartite lattice, so the walk packs two columns of opposite sublattice into
 one, keeps the even-k and odd-k terms in two accumulators and unpacks B X
 from them, bit for bit the unpacked sum.  ``schur_reduced_walks`` reduces
-the cells of many disorder samples at one r together: their series cells
-walk as one stack, every buffer with a leading cell axis, and each cell
-stops at the term its lone walk would stop at, so its bits are those of
-that walk; ``schur_reduced`` is a stack of one.  Only for larger q does the
-refined dense LU solve the complement, one cell at a time.
+the series cells of many disorder samples at one r together, as one stack
+with a leading cell axis on every buffer, and each cell stops at the term
+its lone walk would stop at, so its bits are those of that walk; it leaves
+the other cells out.  ``schur_reduced`` reduces one cell: by the walk on a
+stack of one, or, for larger q, by the refined dense LU of the complement.
 
 Expanding (H~ - r)^{-1} in powers of 1/r turns r^2 * H_r into a
 boundary-perturbed lattice operator
@@ -305,17 +305,16 @@ def schur_reduced_walks(
     cells: Sequence[tuple[DisorderSample, dict[int, float] | None]],
     r: float,
 ) -> Iterator[tuple[list[int], np.ndarray]]:
-    """H_r of every (disorder, boosts) cell at one r, yielded as stacks.
+    """H_r of the series cells among (disorder, boosts) ``cells`` at one r, as stacks.
 
     Each item is (indices into ``cells``, their H_r stacked as
-    ``(len(indices), |box 0|, |box 0|)``), and every cell appears once.  The
-    cells with q = 2d max|1/D| <= 1/2 come first, walked together by
+    ``(len(indices), |box 0|, |box 0|)``).  Only the cells with
+    q = 2d max|1/D| <= 1/2 appear, each once, walked together by
     ``_jacobi_series`` in as few walks as keep one walk buffer within
     ``WALK_BYTES``, in order and in chunks of near-equal size.  The others
-    follow one at a time, in order, on ``_solve_refined``'s dense LU; the
-    first of them that is too near the spectrum raises
-    SpectralProximityError and ends the iteration.  See ``schur_reduced``
-    for the reduction and its accuracy; each matrix is bit for bit the one
+    are left out, so the walks run no dense solve and raise nothing; the
+    caller reduces a left-out cell with ``schur_reduced``, where a cell near
+    the spectrum raises.  Each matrix is bit for bit the one
     ``schur_reduced`` returns for its cell.
     """
     block, delta00 = partition.origin_coupling
@@ -332,10 +331,6 @@ def schur_reduced_walks(
         for chunk in np.array_split(series, -(-len(series) // per_walk)):
             bx = _jacobi_series(inv_d[chunk], packing, [q[i] for i in chunk])
             yield chunk.tolist(), delta00 - bx
-    for i in sorted(set(range(len(cells))) - set(series)):
-        _, b, hcc = _origin_split(partition, *cells[i])
-        m = hcc - r * np.eye(len(hcc))
-        yield [i], (delta00 - b @ _solve_refined(m, b.T, r))[None]
 
 
 def schur_reduced(
@@ -356,8 +351,9 @@ def schur_reduced(
     and one support count per term.  Otherwise the solve is
     ``_solve_refined``'s dense LU, which raises SpectralProximityError near
     the spectrum.  The eigensolve of r^2 H_r, not the solve, limits the
-    accuracy (see ``precision_guard``).  It is ``schur_reduced_walks`` on a
-    stack of one cell.
+    accuracy (see ``precision_guard``).  The series is
+    ``schur_reduced_walks`` on a stack of one cell; this is the one place
+    the dense LU runs.
 
     Entries of r^2 H_r are resolved normwise, not entrywise: a tiny entry
     whose contributions cancel can carry an error of many ulp of itself.  At
@@ -367,11 +363,13 @@ def schur_reduced(
     bound; a claim about single entries would need a bound that accounts
     for the cancellation.
     """
-    ((_, matrix),) = schur_reduced_walks(partition, [(disorder, boosts)], r)
+    walked = schur_reduced_walks(partition, [(disorder, boosts)], r)
+    matrix = next((stack[0] for _, stack in walked), None)
+    if matrix is None:
+        delta00, b, hcc = _origin_split(partition, disorder, boosts)
+        matrix = delta00 - b @ _solve_refined(hcc - r * np.eye(len(hcc)), b.T, r)
     origin = (0,) * partition.d
-    return SchurReduced(
-        r=float(r), matrix=matrix[0], omega0=float(disorder.values[origin])
-    )
+    return SchurReduced(r=float(r), matrix=matrix, omega0=float(disorder.values[origin]))
 
 
 def neumann_truncation(

@@ -533,6 +533,39 @@ def test_multiplicity_scan_raises_the_first_failing_cell_in_seed_r_order(monkeyp
         harness.multiplicity_scan(cfg)
 
 
+def _refuse_dense(m, rhs, z_scale):
+    raise SpectralProximityError(f"dense solve at r={z_scale:g}", residual=0.5)
+
+
+def test_walks_leave_out_the_dense_cells_and_raise_nothing(monkeypatch):
+    # at r = 3000 every _MIXED_ROUTES cell has q > 1/2: the walks yield none
+    # of them and never reach the dense LU, even one that would raise
+    monkeypatch.setattr(resolvent, "_solve_refined", _refuse_dense)
+    cfg = parse_config_text(_MIXED_ROUTES)
+    part = cfg.partition()
+    mids = harness.lem4_midpoints(cfg)
+    samples = [sample_disorder(cfg, seed) for seed in range(cfg.n_seeds)]
+    cells = [(sample, boosts_for(cfg, sample, mids)) for sample in samples]
+    assert list(resolvent.schur_reduced_walks(part, cells, 3000.0)) == []
+    for r in (300.0, 3e4):
+        walks = resolvent.schur_reduced_walks(part, cells, r)
+        assert [i for indices, _ in walks for i in indices] == [0, 1, 2, 3]
+
+
+def test_constancy_dense_failure_leaves_the_walked_cell_its_multiplicity(monkeypatch):
+    # lambda = 29 puts box e_1 within 2 of z = 30, so that cell takes the
+    # dense route, whose solve raises here; lambda = 0 is walked
+    cfg = make_config(lambda_values=(29.0, 0.0), z_values=(30.0,))
+    alone = _unpack(harness.constancy_scan(dataclasses.replace(cfg, lambda_values=(0.0,))))[0]
+    monkeypatch.setattr(resolvent, "_solve_refined", _refuse_dense)
+    rows, failures, extras = _unpack(harness.constancy_scan(cfg))
+    assert rows == [
+        (30.0, 29.0, "", "solver near-singular (residual 0.5); skipped"),
+        (30.0, 0.0, alone[0][2], ""),
+    ]
+    assert alone[0][2] != "" and not failures
+
+
 def test_constancy_scan_skips_spectral_z():
     cfg = make_config(lambda_values=(1.5,), z_values=(45.0,))
     part = cfg.partition()

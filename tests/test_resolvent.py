@@ -1,7 +1,6 @@
 """Resolvent blocks, Schur reduction, and the large-r truncation routes."""
 
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -17,7 +16,6 @@ from boxham.harness import (
 )
 from boxham.lattice import (
     _box_potential,
-    apply_laplacian,
     box_mask,
     build_hamiltonian,
     build_partition,
@@ -257,13 +255,9 @@ def _grid_jacobi_series(
 
 def _grid_bt(part) -> np.ndarray:
     """B^T = (I-P0) L P0 on the site grid, one column per box-0 site."""
-    block, _ = part.origin_coupling
-    size = math.prod(part.lengths)
-    units = np.zeros(tuple(part.axis_sizes) + (size,))
-    units[block] = np.eye(size).reshape(part.lengths + (size,))
-    bt = apply_laplacian(units, part.d)
-    bt[block] = 0.0
-    return bt
+    m0 = box_mask(part, (0,) * part.d)
+    bt = (part.laplacian[:, m0] * ~m0[:, None]).astype(np.float64)
+    return bt.reshape(tuple(part.axis_sizes) + (-1,))
 
 
 def _origin_rows(x: np.ndarray, block: tuple[slice, ...]) -> np.ndarray:
@@ -421,6 +415,91 @@ def test_chiral_relation_at_odd_box0_differs_only_in_signed_zeros(seed):
     assert np.array_equal(got, want)
     differs = np.signbit(got) != np.signbit(want)
     assert differs.any() and np.all(got[differs] == 0.0)
+
+
+def _within_16_ulp(got, want):
+    assert np.all(np.abs(got - want) <= 16 * np.spacing(np.abs(want)))
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# the series route at radius 2 and radius 1, D of both signs (r = -25), and
+# the dense LU at (2, 2, 2), r = 12, where disorder in [-1, 1] puts
+# q = 6 / min|V - 12| above 1/2; measured worst: 1 ulp on the series, 4 on
+# the dense LU, signbits equal everywhere
+@pytest.mark.parametrize(
+    "lengths, radius, r, series",
+    [
+        ((2, 2), 2, 300.0, True),
+        ((2, 4), 2, 300.0, True),
+        ((3, 3), 2, 300.0, True),
+        ((2, 2, 2), 2, 300.0, True),
+        ((2, 3, 4), 1, 300.0, True),
+        ((1, 2, 1, 2), 1, 300.0, True),
+        ((2, 4), 2, 40.0, True),
+        ((2, 3), 2, -25.0, True),
+        ((2, 2, 2), 2, 12.0, False),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reflection_relation_conjugates_by_the_box0_reflection(lengths, radius, r, series, seed):
+    # reflecting axis a, x_a -> l_a + 1 - x_a, maps box n to the box with
+    # n_a -> -n_a and box 0 to itself; with the disorder reflected along,
+    # H_r becomes P H_r P, P the reflection of box 0.  The ghost layer sits
+    # at the high end of each axis only, so the two faces take different
+    # paths through the stencil.
+    d = len(lengths)
+    cfg = ExperimentConfig(d=d, lengths=lengths, radius=radius, base_seed=seed)
+    part = cfg.partition()
+    sample = sample_disorder(cfg, 0)
+    assert (_jacobi_q(part, sample, None, r) <= 0.5) == series
+    base = schur_reduced(part, sample, None, r).matrix.reshape(lengths * 2)
+    for a in range(d):
+        values = {
+            tuple(-k if i == a else k for i, k in enumerate(n)): w
+            for n, w in sample.values.items()
+        }
+        got = schur_reduced(part, dataclasses.replace(sample, values=values), None, r).matrix
+        _within_16_ulp(got, np.flip(base, axis=(a, d + a)).reshape(got.shape))
+
+
+# every pair of equal-length axes, with from_lem4 boosts; at (2, 2, 2),
+# r = 12 the boost of 6 to 8 on e_1 puts q above 1/2, the dense LU;
+# measured worst: 2 ulp on the series, 3 on the dense LU
+@pytest.mark.parametrize(
+    "lengths, radius, r, series",
+    [
+        ((2, 2), 2, 300.0, True),
+        ((3, 3), 2, 300.0, True),
+        ((2, 2, 2), 2, 300.0, True),
+        ((1, 2, 1, 2), 1, 300.0, True),
+        ((2, 2, 2), 2, 12.0, False),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_axis_swap_relation_carries_omega_and_lambda(lengths, radius, r, series, seed):
+    # swapping axes a and b of equal length, with omega and the boosts
+    # carried along, permutes the sites of box 0 the same way; a boost put
+    # on the wrong axis breaks it
+    d = len(lengths)
+    cfg = ExperimentConfig(
+        d=d, lengths=lengths, radius=radius, base_seed=seed,
+        lambda_mode="from_lem4", lambda_values=(), lem4_delta=0.4,
+    )
+    part = cfg.partition()
+    sample = sample_disorder(cfg, 0)
+    boosts = boosts_for(cfg, sample)
+    assert (_jacobi_q(part, sample, boosts, r) <= 0.5) == series
+    base = schur_reduced(part, sample, boosts, r).matrix.reshape(lengths * 2)
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d) if lengths[a] == lengths[b]]
+    assert pairs
+    for a, b in pairs:
+        axes = list(range(d))
+        axes[a], axes[b] = b, a
+        values = {tuple(n[i] for i in axes): w for n, w in sample.values.items()}
+        swapped = {axes[i - 1] + 1: lam for i, lam in boosts.items()}
+        got = schur_reduced(part, dataclasses.replace(sample, values=values), swapped, r).matrix
+        want = np.transpose(base, axes + [d + i for i in axes]).reshape(got.shape)
+        _within_16_ulp(got, want)
 
 
 def test_schur_without_complement_is_laplacian_block():

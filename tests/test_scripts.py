@@ -93,3 +93,35 @@ def test_bench_record_rejects_zero_rounds():
     assert proc.returncode == 2
     assert "--rounds must be at least 1" in proc.stderr
     assert not (ROOT / "BENCH_unused.json").exists()
+
+
+def test_bench_record_quartiles_and_rounds_read_lower():
+    def run(round_, name, wall, cpu):
+        metrics = {"wall_s": {"value": wall, "unit": "s"}, "cpu_s": {"value": cpu, "unit": "s"}}
+        return {"round": round_, "name": name, "result": {"metrics": metrics}}
+
+    # round 2 ties on cpu_s, which counts for neither side
+    runs = [
+        run(0, "parent", 6.0, 5.0),
+        run(0, "change", 4.0, 6.0),
+        run(1, "change", 5.0, 2.0),
+        run(1, "parent", 8.0, 7.0),
+        run(2, "parent", 7.0, 4.0),
+        run(2, "change", 9.0, 4.0),
+        run(3, "parent", 10.0, 8.0),
+        run(3, "change", 3.0, 3.0),
+    ]
+    bench_record = load_bench_record()
+    assert bench_record.quartiles(runs) == {
+        "parent": {"wall_s": [6.75, 8.5], "cpu_s": [4.75, 7.25]},
+        "change": {"wall_s": [3.75, 6.0], "cpu_s": [2.75, 4.5]},
+    }
+    assert bench_record.lower_in(runs) == {
+        "parent": {"wall_s": 1, "cpu_s": 1},
+        "change": {"wall_s": 3, "cpu_s": 2},
+    }
+    # one run per side: both quartiles are that run's value
+    assert bench_record.quartiles(runs[:2]) == {
+        "parent": {"wall_s": [6.0, 6.0], "cpu_s": [5.0, 5.0]},
+        "change": {"wall_s": [4.0, 4.0], "cpu_s": [6.0, 6.0]},
+    }

@@ -38,7 +38,7 @@ def _floor_too_wide(monkeypatch):
 
 def _no_hopping(monkeypatch):
     # the Hamiltonian loses its Laplacian: only the potential stays
-    monkeypatch.setattr(harness, "apply_laplacian", lambda x, d: np.zeros_like(x))
+    monkeypatch.setattr(harness, "laplacian_into", lambda out, x, strides: np.zeros_like(x))
 
 
 def _flipped_cos_id(monkeypatch):
