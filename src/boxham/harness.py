@@ -5,9 +5,11 @@ key-value config format, seeded disorder sampling, the multiplicity /
 constancy / rank / gap-growth scans, and fixed-schema CSV + JSON output whose
 bytes depend only on the config (17-significant-digit float formatting,
 ordered rows, sorted JSON keys).  A driver returns its CSV columns, checks
-and verdict extras as one ``Result``.  Rows come out in (seed, r) order; the
-multiplicity scan first solves each r's cells as stacked series walks and
-then reads them in that order.
+and verdict extras as one ``Result``.  Rows come out in (seed, r) order.  The
+multiplicity and constancy scans walk the series cells of one r (or z) as
+stacks (``schur_reduced_walks``), then reduce each cell the walks left out
+by ``schur_reduced`` as their loop reaches it, so a cell near the spectrum
+raises, or is skipped, where a serial loop would see it.
 """
 
 from __future__ import annotations
@@ -496,6 +498,9 @@ def multiplicity_scan(config: ExperimentConfig) -> Result:
     Checks the cluster-size bound 2^s - s whenever s >= 2, and simplicity at
     the largest r for admissible-simple geometries.  A ``precision_guard``
     trip is recorded on its row as ``escalated``; the cell is not re-solved.
+    Each r's series cells are walked as stacks; a cell the walks leave out
+    is reduced by ``schur_reduced`` in the (seed, r) loop, which raises
+    SpectralProximityError at the first such cell near the spectrum.
     One row per (seed, r) cell, the histogram written ``size:count|...``;
     the extras are the admissibility fields s, bound and simple.
     """
@@ -549,9 +554,11 @@ def constancy_scan(config: ExperimentConfig) -> Result:
     usable grid point.  Those are mu = 1/(nu + omega_0 - z) over the box-0
     reduction's eigenvalues nu at r = z (``SchurReduced.mu_values``), for the
     seed-0 sample with lambda added to the omega of the box (any box, box 0
-    included).  A point is skipped with a note and an empty multiplicity, not
-    failed, when some |nu + omega_0 - z| < PROXIMITY_FLOOR (z inside or hugging
-    the spectrum) or the complement solve is near-singular.  The extras are
+    included).  The lambda cells of one z are walked as one stack, and a
+    cell the walk leaves out is reduced alone by ``schur_reduced``.  A point
+    is skipped with a note and an empty multiplicity, not failed, when some
+    |nu + omega_0 - z| < PROXIMITY_FLOOR (z inside or hugging the spectrum)
+    or its own complement solve is near-singular.  The extras are
     box, constant and the common value (None unless exactly one was seen).
     """
     box = config.constancy_box or tuple(1 if k == 0 else 0 for k in range(config.d))
@@ -569,8 +576,6 @@ def constancy_scan(config: ExperimentConfig) -> Result:
     cells, origin = [(cell, None) for cell in boosted], (0,) * config.d
     maxima, notes = [], []
     for z in config.z_values:
-        # the lambda cells of one z walk as one stack; the others fall back
-        # to schur_reduced one by one, so each keeps its own skip note
         walked = {}
         for indices, matrices in schur_reduced_walks(part, cells, z):
             walked.update(zip(indices, matrices))

@@ -348,12 +348,11 @@ def schur_reduced(
     partition's cached ``origin_coupling`` and ``sublattice_packing``; its
     terms run on the flat ghost-padded layout at ceil(|box 0| / 2) packed
     columns, 2d contiguous shifted adds, one multiply, one accumulator add
-    and one support count per term.  Otherwise the solve is
-    ``_solve_refined``'s dense LU, which raises SpectralProximityError near
-    the spectrum.  The eigensolve of r^2 H_r, not the solve, limits the
-    accuracy (see ``precision_guard``).  The series is
-    ``schur_reduced_walks`` on a stack of one cell; this is the one place
-    the dense LU runs.
+    and one support count per term: ``schur_reduced_walks`` on a stack of
+    one cell.  Otherwise the solve is ``_solve_refined``'s dense LU on
+    ``_origin_split``'s blocks, which raises SpectralProximityError near the
+    spectrum; no other reduction runs it.  The eigensolve of r^2 H_r, not
+    the solve, limits the accuracy (see ``precision_guard``).
 
     Entries of r^2 H_r are resolved normwise, not entrywise: a tiny entry
     whose contributions cancel can carry an error of many ulp of itself.  At
