@@ -14,7 +14,11 @@ result JSON; ``medians`` holds, per checkout and metric, the median over its
 runs, and ``quartiles`` the first and third quartiles (``statistics.quantiles``,
 inclusive method).  With two checkouts, ``lower_in`` counts, per checkout
 and metric, the rounds in which that checkout read lower than the other;
-a tie counts for neither.  The file lands in this repository.
+a tie counts for neither.  ``gain_shown`` then tells, per metric, whether
+the second checkout showed a gain over the first, the parent: it read lower
+in at least nine tenths of the rounds, and its median is below the first's
+by more than the first's interquartile range.  Every perfbench metric is
+better lower.  The file lands in this repository.
 """
 
 import argparse
@@ -83,6 +87,17 @@ def lower_in(runs: list[dict]) -> dict[str, dict[str, int]]:
     return counts
 
 
+def gain_shown(runs: list[dict], first: str, second: str) -> dict[str, bool]:
+    """Per metric, whether ``second`` read lower than ``first`` in 9 of 10 rounds and beyond its IQR."""
+    rounds = len({run["round"] for run in runs})
+    wins, mid, quart = lower_in(runs)[second], medians(runs), quartiles(runs)
+    return {
+        metric: 10 * wins[metric] >= 9 * rounds
+        and mid[first][metric] - mid[second][metric] > quart[first][metric][1] - quart[first][metric][0]
+        for metric in wins
+    }
+
+
 def git(checkout: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True).stdout.strip()
 
@@ -127,6 +142,7 @@ def main() -> int:
     }
     if len(checkouts) == 2:
         doc["lower_in"] = lower_in(runs)
+        doc["gain_shown"] = gain_shown(runs, checkouts[0][0], checkouts[1][0])
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)
     return 0

@@ -334,14 +334,19 @@ def degeneracy_tolerance(values) -> float:
 
 
 def cluster_indices(values, tau: float) -> list[list[int]]:
-    """Group sorted-by-value indices whose adjacent gaps are <= tau."""
-    order = np.argsort(values, kind="stable")
-    groups: list[list[int]] = [[int(order[0])]] if len(order) else []
+    """Group sorted-by-value indices whose adjacent gaps are <= tau.
+
+    The walk reads Python floats (``tolist``), whose differences are the
+    numpy scalars' bit for bit, at a fraction of their per-item cost.
+    """
+    order = np.argsort(values, kind="stable").tolist()
+    floats = np.asarray(values).tolist()
+    groups: list[list[int]] = [[order[0]]] if order else []
     for prev, cur in zip(order, order[1:]):
-        if values[cur] - values[prev] <= tau:
-            groups[-1].append(int(cur))
+        if floats[cur] - floats[prev] <= tau:
+            groups[-1].append(cur)
         else:
-            groups.append([int(cur)])
+            groups.append([cur])
     return groups
 
 

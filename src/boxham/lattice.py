@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,22 +333,46 @@ def _box_potential(
     disorder: DisorderSample,
     boosts: dict[int, float] | None = None,
 ) -> np.ndarray:
-    """Per-site diagonal omega_{box(x)}, plus lambda_i on the unit box e_i."""
+    """Per-site diagonal omega_{box(x)}, plus lambda_i on the unit box e_i.
+
+    ``_box_potentials`` on a stack of one cell.
+    """
+    return _box_potentials(partition, [(disorder, boosts)])[0]
+
+
+def _box_potentials(
+    partition: BoxPartition,
+    cells: Sequence[tuple[DisorderSample, dict[int, float] | None]],
+) -> np.ndarray:
+    """``_box_potential`` of every (disorder, boosts) cell, ``(cells, n_sites)``.
+
+    Reads every cell's box values at once, checks each boost direction once
+    for the stack, adds each cell's boosts on its own row and repeats each
+    axis once for the whole stack, so every row is bit for bit the cell's
+    own.  A cell that lacks a box raises IncompleteSampleError, and a boost
+    direction outside 1..d raises VolumeError.
+    """
     # partition.boxes is lexicographic, the C order of the box grid
+    boxes = partition.boxes
     try:
-        values = [disorder.values[n] for n in partition.boxes]
+        values = [disorder.values[n] for disorder, _ in cells for n in boxes]
     except KeyError as exc:
         raise IncompleteSampleError(f"disorder sample has no value for box {exc.args[0]}") from None
-    grid = np.array(values, dtype=np.float64).reshape((2 * partition.radius + 1,) * partition.d)
-    for direction, lam in (boosts or {}).items():
-        if not 1 <= direction <= partition.d:
-            raise VolumeError(f"boost direction {direction} outside 1..{partition.d}")
-        e = tuple(1 if k == direction - 1 else 0 for k in range(partition.d))
-        _check_box(partition, e)
-        grid[tuple(partition.radius + ek for ek in e)] += lam
-    for axis, l in enumerate(partition.lengths):
+    side = (2 * partition.radius + 1,) * partition.d
+    grid = np.array(values, dtype=np.float64).reshape((len(cells),) + side)
+    units: dict[int, tuple[int, ...]] = {}
+    for c, (_, boosts) in enumerate(cells):
+        for direction, lam in (boosts or {}).items():
+            if direction not in units:
+                if not 1 <= direction <= partition.d:
+                    raise VolumeError(f"boost direction {direction} outside 1..{partition.d}")
+                e = tuple(1 if k == direction - 1 else 0 for k in range(partition.d))
+                _check_box(partition, e)
+                units[direction] = tuple(partition.radius + ek for ek in e)
+            grid[(c,) + units[direction]] += lam
+    for axis, l in enumerate(partition.lengths, start=1):
         grid = np.repeat(grid, l, axis=axis)
-    return grid.ravel()
+    return grid.reshape(len(cells), -1)
 
 
 def build_hamiltonian(

@@ -17,10 +17,11 @@ bipartite lattice, so the walk packs two columns of opposite sublattice into
 one, keeps the even-k and odd-k terms in two accumulators and unpacks B X
 from them, bit for bit the unpacked sum.  ``schur_reduced_walks`` reduces
 the series cells of many disorder samples at one r together, as one stack
-with a leading cell axis on every buffer, and each cell stops at the term
-its lone walk would stop at, so its bits are those of that walk; it leaves
-the other cells out.  ``schur_reduced`` reduces one cell: by the walk on a
-stack of one, or, for larger q, by the refined dense LU of the complement.
+laid out site-major, every cell's packed columns side by side; each cell
+stops at the term its lone walk would stop at, so its bits are those of
+that walk, and then leaves the walk.  It leaves the other cells out.
+``schur_reduced`` reduces one cell: by the walk on a stack of one, or, for
+larger q, by the refined dense LU of the complement.
 
 Expanding (H~ - r)^{-1} in powers of 1/r turns r^2 * H_r into a
 boundary-perturbed lattice operator
@@ -48,6 +49,7 @@ from .lattice import (
     LatticeOperator,
     SublatticePacking,
     _box_potential,
+    _box_potentials,
     box_mask,
     kronecker_sum,
     laplacian_into,
@@ -205,14 +207,17 @@ def _jacobi_series(
     support has not grown over two steps (one per sublattice of the
     bipartite lattice), so no entry the walk has yet to reach is still
     zero.  Each cell keeps B X from the step at which its own rule stops
-    it, the k its lone walk would stop at, while the others walk on.
+    it, the k its lone walk would stop at, and then leaves the walk: its
+    columns are dropped from every buffer, so the walk steps only the cells
+    still running.
 
     The walk runs on the partition's ``sublattice_packing``: two columns of
     B^T, one per parity of their box-0 site, share each packed column, since
     a term flips the sublattice of every column and so the pair never
     overlaps.  Terms of even k are summed into one accumulator and terms of
-    odd k into another, each ``(cells, padded sites, columns)`` on the flat
-    ghost-padded layout of ``lattice.ghost_grid``; a cell's support is the
+    odd k into another, each laid out site-major on the flat ghost-padded
+    layout of ``lattice.ghost_grid``, ``(padded sites, cells * columns)``,
+    one cell's packed columns after another; a cell's support is the
     nonzero count of both.  Entry B X[i, j] sums, over box-0 site i's
     neighbours (``_neighbour_sums``), the even-k accumulator when sites i
     and j have the same parity and the odd-k one otherwise: there that
@@ -223,53 +228,80 @@ def _jacobi_series(
     The step -1/D is broadcast to the packed shape once and is zero on box 0
     and on the ghosts, so multiplying by it both finishes a term and clears
     the junk the stencil wrote into the ghosts before the next step reads
-    them.  A term costs 2d contiguous shifted adds per cell, one multiply,
-    one add into an accumulator and one support count of that accumulator,
-    all over ceil(|box 0| / 2) columns, with no allocation.
+    them.  A term costs 2d shifted adds, each one contiguous pass over the
+    columns of every running cell, one multiply, one add into an accumulator
+    and one support count of that accumulator, with no allocation but when
+    a cell leaves.
     """
     padded, real, strides = packing.grid
+    sites, columns = packing.bt.shape
     cells = len(inv_d)
-    step = np.zeros((cells,) + padded + packing.bt.shape[1:])
-    step[(slice(None),) + real] = inv_d[..., None]
-    step = step.reshape((cells,) + packing.bt.shape)
-    term = packing.bt * step
+    step = np.zeros(padded + (cells, columns))
+    step[real] = np.moveaxis(inv_d, 0, -1)[..., None]
+    step = step.reshape(sites, -1)
+    term = (packing.bt[:, None] * _by_cell(step, columns)).reshape(step.shape)
     np.negative(step, out=step)
     acc = np.zeros((2,) + term.shape)
     acc[0] = term
-    spare = np.empty_like(term)
-    nonzero = np.empty(term.shape, dtype=bool)
+    spare, flags = np.empty_like(term), np.empty(term.shape, dtype=np.float32)
+    ones = np.ones(sites, dtype=np.float32)
     counts = np.zeros((2, cells), dtype=np.intp)
-    counts[0] = _support(acc[0], nonzero)
+    counts[0] = _support(acc[0], flags, ones, columns)
     support = [counts[0].copy()]
+    live = np.arange(cells)
     bx = np.empty((cells,) + packing.pick.shape)
-    walking = np.ones(cells, dtype=bool)
     floor = np.finfo(np.float64).eps / 16.0
     k = 0
     while True:
         if k >= 2:
-            ready = np.flatnonzero(walking & (support[k] == support[k - 2]))
+            ready = np.flatnonzero(support[-1] == support[-3])
             if ready.size:
-                sums = _neighbour_sums(acc, packing.neighbours)[:, ready]
-                got = np.moveaxis(sums, 0, 1).reshape(ready.size, -1)[:, packing.pick]
+                sums = _by_cell(_neighbour_sums(acc, packing.neighbours), columns)[:, :, ready]
+                got = np.moveaxis(sums, 2, 0).reshape(ready.size, -1)[:, packing.pick]
                 smallest = np.min(np.abs(got), axis=(1, 2), where=got != 0.0, initial=np.inf)
-                for c, cell_bx, least in zip(ready, got, smallest):
+                running = np.ones(live.size, dtype=bool)
+                for at, cell_bx, least in zip(ready, got, smallest):
+                    c = live[at]
                     if q[c] ** (k + 2) / (1.0 - q[c]) <= floor * least:
                         bx[c] = cell_bx
-                        walking[c] = False
-                if not walking.any():
+                        running[at] = False
+                if not running.any():
                     return bx
+                if not running.all():
+                    live = live[running]
+                    term, step, acc = (
+                        _by_cell(x, columns)[..., running, :].reshape(x.shape[:-1] + (-1,))
+                        for x in (term, step, acc)
+                    )
+                    spare, flags = np.empty_like(term), np.empty(term.shape, dtype=np.float32)
+                    counts = counts[:, running]
+                    support = [s[running] for s in support[-2:]]
         term, spare = laplacian_into(spare, term, strides), term
         term *= step
         k += 1
         acc[k % 2] += term
-        counts[k % 2] = _support(acc[k % 2], nonzero)
-        support.append(counts[0] + counts[1])
+        counts[k % 2] = _support(acc[k % 2], flags, ones, columns)
+        support = support[-2:] + [counts[0] + counts[1]]
 
 
-def _support(x: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
-    """Per cell, the nonzero count of x, ``(cells, ...)``; ``nonzero`` is scratch."""
-    np.not_equal(x, 0.0, out=nonzero)
-    return np.count_nonzero(nonzero.reshape(len(x), -1), axis=1)
+def _by_cell(x: np.ndarray, columns: int) -> np.ndarray:
+    """Site-major x, ``(..., cells * columns)``, as ``(..., cells, columns)``."""
+    return x.reshape(x.shape[:-1] + (-1, columns))
+
+
+def _support(x: np.ndarray, flags: np.ndarray, ones: np.ndarray, columns: int) -> np.ndarray:
+    """Per cell, the nonzero count of site-major x, ``(sites, cells * columns)``.
+
+    ``flags`` (float32 scratch of x's shape) takes x != 0 as 0 and 1, and
+    ``ones`` (``sites`` float32 ones) times it counts each column's nonzeros
+    in one matrix-vector product, exact in any order of summation while a
+    column has fewer than 2^24 sites; the ``columns`` columns of each cell
+    are then summed.  A reduction of a bool buffer over the site axis steps
+    through one short row at a time, and on a lone d=3, l=(2,2,2), radius-2
+    cell it took about four times as long.
+    """
+    np.not_equal(x, 0.0, out=flags, casting="unsafe")
+    return _by_cell((ones @ flags).astype(np.intp), columns).sum(axis=1)
 
 
 def _neighbour_sums(x: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
@@ -290,13 +322,14 @@ def _neighbour_sums(x: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
 
 WALK_BYTES = 2**19
 """Bytes one buffer of a stacked series walk may hold: the step, the term,
-the spare or one accumulator, at ``cells * padded sites * packed columns``
-floats.  Measured, not a knob.  On a 2-vCPU Xeon host, the series cost
-per cell of the d=3, l=(2,2,2), radius-2 grid (38 720 bytes a cell) was
-1.07 ms walked alone, 0.54-0.55 ms at 4 to 16 cells a walk, 0.59 ms at 25
-and 0.72 ms at 32; on l=(2,4) (6 720 bytes a cell) it fell from 0.65 ms
-alone to 0.14-0.17 ms at 13 to 64 cells.  The bits of every cell do not
-depend on it.
+the spare or one accumulator, at ``padded sites * cells * packed columns``
+floats.  Measured, not a knob.  On a 2-vCPU Xeon host, with the site-major
+walk, the series cost per cell (median of 15 timings) of the d=3,
+l=(2,2,2), radius-2 grid (38 720 bytes a cell) was 0.95 ms walked alone,
+0.46-0.52 ms at 4 to 20 cells a walk, 0.64 ms at 25 and 0.74 ms at 32; on
+l=(2,4) (6 720 bytes a cell) it fell from 0.57 ms alone to 0.074-0.083 ms
+at 13 to 78 cells (the budget) and 0.087 ms at 100.  The bits of every
+cell do not depend on it.
 """
 
 
@@ -308,7 +341,9 @@ def schur_reduced_walks(
     """H_r of the series cells among (disorder, boosts) ``cells`` at one r, as stacks.
 
     Each item is (indices into ``cells``, their H_r stacked as
-    ``(len(indices), |box 0|, |box 0|)``).  Only the cells with
+    ``(len(indices), |box 0|, |box 0|)``).  The potentials of all cells are
+    built as one stack (``lattice._box_potentials``) and their q taken in
+    one reduction.  Only the cells with
     q = 2d max|1/D| <= 1/2 appear, each once, walked together by
     ``_jacobi_series`` in as few walks as keep one walk buffer within
     ``WALK_BYTES``, in order and in chunks of near-equal size.  The others
@@ -318,12 +353,11 @@ def schur_reduced_walks(
     ``schur_reduced`` returns for its cell.
     """
     block, delta00 = partition.origin_coupling
-    shape = (len(cells), *partition.axis_sizes)
-    potential = np.array([_box_potential(partition, *cell) for cell in cells]).reshape(shape)
+    potential = _box_potentials(partition, cells).reshape(len(cells), *partition.axis_sizes)
     with np.errstate(divide="ignore"):
         inv_d = 1.0 / (potential - r)
     inv_d[(slice(None),) + block] = 0.0
-    q = [2 * partition.d * float(np.max(np.abs(cell))) for cell in inv_d]
+    q = (2 * partition.d * np.abs(inv_d).reshape(len(cells), -1).max(axis=1)).tolist()
     series = [i for i, qi in enumerate(q) if qi <= 0.5]
     if series:
         packing = partition.sublattice_packing
@@ -345,14 +379,13 @@ def schur_reduced(
     D = diag(V_cc - r).  When q = 2d max|1/D| <= 1/2, D + L_cc is strictly
     diagonally dominant, so r is provably off the complement spectrum, and
     the solve is ``_jacobi_series`` on the lattice stencil, using only the
-    partition's cached ``origin_coupling`` and ``sublattice_packing``; its
-    terms run on the flat ghost-padded layout at ceil(|box 0| / 2) packed
-    columns, 2d contiguous shifted adds, one multiply, one accumulator add
-    and one support count per term: ``schur_reduced_walks`` on a stack of
-    one cell.  Otherwise the solve is ``_solve_refined``'s dense LU on
-    ``_origin_split``'s blocks, which raises SpectralProximityError near the
-    spectrum; no other reduction runs it.  The eigensolve of r^2 H_r, not
-    the solve, limits the accuracy (see ``precision_guard``).
+    partition's cached ``origin_coupling`` and ``sublattice_packing``, at
+    ceil(|box 0| / 2) packed columns on the flat ghost-padded layout:
+    ``schur_reduced_walks`` on a stack of one cell.  Otherwise the solve is
+    ``_solve_refined``'s dense LU on ``_origin_split``'s blocks, which
+    raises SpectralProximityError near the spectrum; no other reduction
+    runs it.  The eigensolve of r^2 H_r, not the solve, limits the accuracy
+    (see ``precision_guard``).
 
     Entries of r^2 H_r are resolved normwise, not entrywise: a tiny entry
     whose contributions cancel can carry an error of many ulp of itself.  At

@@ -335,6 +335,24 @@ def test_cluster_indices_groups_near_ties():
     assert sorted(merged) == [0, 2]
 
 
+@pytest.mark.parametrize(
+    "values, tau, groups",
+    [
+        # unsorted: groups follow the sorted order, each in ascending value
+        ([3.0, 1.0, 2.5, 1.2], 0.5, [[1, 3], [2, 0]]),
+        # equal values keep their input order (stable sort)
+        ([2.0, 1.0, 2.0, 2.0], 0.0, [[1], [0, 2, 3]]),
+        # a gap exactly equal to tau joins, one just above it splits
+        ([0.0, 0.5, 1.0 + 2**-52], 0.5, [[0, 1], [2]]),
+        ([7.0], 1e-6, [[0]]),
+        ([], 1e-6, []),
+    ],
+)
+def test_cluster_indices_keeps_its_groups(values, tau, groups):
+    assert cluster_indices(values, tau) == groups
+    assert cluster_indices(np.array(values, dtype=np.float64), tau) == groups
+
+
 def test_verify_gaps_on_kronecker_spectrum():
     lengths = (2, 3)
     pairs = [(0.31, -0.12), (0.44, 0.08)]

@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxham.errors import IncompleteSampleError, VolumeError
+from boxham.harness import ExperimentConfig, boosts_for, sample_disorder
 from boxham.lattice import (
     DisorderSample,
+    _box_potential,
+    _box_potentials,
     box_mask,
     box_sites,
     build_hamiltonian,
@@ -162,6 +165,47 @@ def test_hamiltonian_rejects_sample_missing_one_box():
     sample = DisorderSample(values=values, distribution=(-1.0, 1.0), seed=0)
     with pytest.raises(IncompleteSampleError, match=r"\(1, -1\)"):
         build_hamiltonian(part, sample)
+
+
+def _potential_stack():
+    """Five (2, 3), radius-2 cells: explicit, from_lem4 and no boosts, mixed."""
+    cfg = ExperimentConfig(
+        d=2, lengths=(2, 3), radius=2, base_seed=5,
+        lambda_mode="from_lem4", lambda_values=(), lem4_delta=0.4,
+    )
+    samples = [sample_disorder(cfg, i) for i in range(5)]
+    boosts = [{2: 0.7, 1: -1.25}, boosts_for(cfg, samples[1]), None, {1: 3.5}]
+    boosts.append(boosts_for(cfg, samples[4]))
+    return cfg.partition(), list(zip(samples, boosts))
+
+
+def test_stacked_potential_is_each_cells_own_bit_for_bit():
+    part, cells = _potential_stack()
+    stacked = _box_potentials(part, cells)
+    assert stacked.shape == (len(cells), part.n_sites)
+    for row, (sample, boosts) in zip(stacked, cells):
+        assert np.array_equal(row, _box_potential(part, sample, boosts))
+        # the site-by-site oracle: omega of the site's box, plus its boost
+        units = {
+            tuple(1 if k == i - 1 else 0 for k in range(part.d)): lam
+            for i, lam in (boosts or {}).items()
+        }
+        for value, site in zip(row, part.sites):
+            n = part.box_of(site)
+            assert value == sample.values[n] + units.get(n, 0.0)
+
+
+def test_stacked_potential_raises_for_the_failing_cell():
+    part, cells = _potential_stack()
+    sample, boosts = cells[2]
+    values = dict(sample.values)
+    del values[(2, -1)]
+    lacking = cells[:2] + [(DisorderSample(values, sample.distribution, sample.seed), boosts)]
+    with pytest.raises(IncompleteSampleError, match=r"\(2, -1\)"):
+        _box_potentials(part, lacking + cells[3:])
+    beyond = cells[:1] + [(cells[1][0], {part.d + 1: 0.5})] + cells[2:]
+    with pytest.raises(VolumeError, match="boost direction 3 outside 1..2"):
+        _box_potentials(part, beyond)
 
 
 def test_cached_laplacian_is_read_only():

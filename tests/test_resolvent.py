@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from boxham import resolvent
 from boxham.errors import PrecisionWarning, SpectralProximityError, VolumeError
 from boxham.harness import (
     ExperimentConfig,
@@ -19,6 +20,7 @@ from boxham.lattice import (
     box_mask,
     build_hamiltonian,
     build_partition,
+    laplacian_into,
     zero_disorder,
 )
 from boxham.resolvent import (
@@ -323,6 +325,51 @@ def test_padded_series_matches_grid_oracle_bit_for_bit(d, lengths, radius):
     for got, want in zip(stacked, wants):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize(
+    "d, lengths",
+    [
+        (1, (3,)),
+        (2, (2, 3)),
+        (3, (1, 2, 2)),
+        (4, (1, 2, 1, 2)),
+        (2, (3, 3)),
+        (3, (1, 3, 3)),
+        (2, (2, 4)),
+        (3, (2, 2, 2)),
+        (4, (1, 1, 1, 1)),
+    ],
+)
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_stacked_walk_steps_only_the_running_cells(d, lengths, radius, monkeypatch):
+    # the six-r stack of the grid oracle: a cell that has stopped leaves the
+    # walk, so the stack takes as many cell-steps as the six lone walks
+    cfg = ExperimentConfig(d=d, lengths=lengths, radius=radius, base_seed=d + radius)
+    part = cfg.partition()
+    packing = part.sublattice_packing
+    block, _ = part.origin_coupling
+    boosts = {1: 0.7} if radius else None
+    potential = _box_potential(part, sample_disorder(cfg, 0), boosts).reshape(part.axis_sizes)
+    inv_ds = np.array([1.0 / (potential - r) for r in (300.0, -300.0, 3e4, 3e6, 40.0, -25.0)])
+    inv_ds[(slice(None),) + block] = 0.0
+    qs = [2 * d * float(np.max(np.abs(inv_d))) for inv_d in inv_ds]
+    stepped = []
+
+    def counting(out, x, strides):
+        stepped.append(x.size // packing.bt.size)
+        return laplacian_into(out, x, strides)
+
+    monkeypatch.setattr(resolvent, "laplacian_into", counting)
+    lone = []
+    for inv_d, q in zip(inv_ds, qs):
+        stepped.clear()
+        _jacobi_series(inv_d[None], packing, [q])
+        lone.append(len(stepped))
+    stepped.clear()
+    _jacobi_series(inv_ds, packing, qs)
+    assert sum(stepped) == sum(lone)
+    assert stepped == sorted(stepped, reverse=True) and stepped[0] == len(lone)
 
 
 @pytest.mark.parametrize(

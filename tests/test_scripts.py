@@ -125,3 +125,29 @@ def test_bench_record_quartiles_and_rounds_read_lower():
         "parent": {"wall_s": [6.0, 6.0], "cpu_s": [5.0, 5.0]},
         "change": {"wall_s": [4.0, 4.0], "cpu_s": [6.0, 6.0]},
     }
+
+
+def test_bench_record_gain_shown_needs_nine_tenths_and_a_gap_beyond_the_iqr():
+    # parent reads 10..19 over ten rounds: median 14.5, quartiles 12.25 and
+    # 16.75, so a gain needs the change's median below 10.0
+    parent = [10.0 + i for i in range(10)]
+    change = {
+        "nine_of_ten": [5.0] * 9 + [25.0],
+        "eight_of_ten": [5.0] * 8 + [parent[8], 25.0],  # the tie counts for neither
+        "within_iqr": [p - 1.0 for p in parent],  # lower in all ten, by 1.0
+    }
+    runs = []
+    for i, value in enumerate(parent):
+        metrics = {name: {"value": value} for name in change}
+        runs.append({"round": i, "name": "parent", "result": {"metrics": metrics}})
+        metrics = {name: {"value": v[i]} for name, v in change.items()}
+        runs.append({"round": i, "name": "change", "result": {"metrics": metrics}})
+    bench_record = load_bench_record()
+    assert bench_record.lower_in(runs)["change"] == {
+        "nine_of_ten": 9, "eight_of_ten": 8, "within_iqr": 10,
+    }
+    assert bench_record.gain_shown(runs, "parent", "change") == {
+        "nine_of_ten": True, "eight_of_ten": False, "within_iqr": False,
+    }
+    # the parent shows no gain over the change
+    assert not any(bench_record.gain_shown(runs, "change", "parent").values())
