@@ -172,6 +172,11 @@ class ExperimentConfig:
     constancy_box: tuple[int, ...] | None = _key("constancy.box", _INTS, None)
 
     def partition(self) -> BoxPartition:
+        """The geometry's partition from ``build_partition``.
+
+        Configs of one geometry, whatever their disorder, seeds or r, share
+        one partition and its cached, read-only coupling and packing.
+        """
         return build_partition(self.d, self.lengths, self.radius)
 
     def config_hash(self) -> str:

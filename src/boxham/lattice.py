@@ -153,7 +153,20 @@ class BoxPartition:
         pick = (plane * size + np.arange(size)[:, None]) * even.size + column
         for a in (packed, neighbours, pick):
             a.setflags(write=False)
-        return SublatticePacking(grid=grid, bt=packed, neighbours=neighbours, pick=pick)
+        # the series walk on booleans: a term reaches the open neighbours of
+        # the last one, and terms of even and odd k gather apart
+        opened = ~cleared.ravel()[:, None]
+        term = packed != 0
+        reached = [term, np.zeros_like(term)]
+        support = [np.count_nonzero(term)]
+        while len(support) < 3 or support[-1] != support[-3]:
+            spread = laplacian_into(np.empty_like(units), term.astype(np.float64), strides)
+            term = (spread != 0) & opened
+            reached[len(support) % 2] |= term
+            support.append(np.count_nonzero(reached[0]) + np.count_nonzero(reached[1]))
+        return SublatticePacking(
+            grid=grid, bt=packed, neighbours=neighbours, pick=pick, reach=len(support) - 1
+        )
 
     def box_of(self, site: tuple[int, ...]) -> tuple[int, ...]:
         """Box index of a site: n_i = floor((x_i - 1) / l_i).
@@ -183,12 +196,23 @@ class SublatticePacking:
     of B X[i, j] in neighbour sums of shape ``(2, |box 0|, columns)``: plane
     0, the even-k terms of the series, when sites i and j have the same
     parity and plane 1, the odd-k terms, otherwise; row i; site j's column.
+
+    ``reach`` is the first k >= 2 at which the support of the series walk,
+    the sites where its even-k or its odd-k partial sum is nonzero, is no
+    larger than at k - 2.  It is found by the walk's own recurrence on
+    booleans from ``bt != 0``, with box 0 and the ghosts kept closed, so
+    it is a fact of the geometry, the same for every cell of the partition:
+    1/D is nonzero off box 0, and only an entry that cancels to exactly 0
+    could make one cell's measured support differ.  From that step on the
+    support grows no more, and every site the walk can reach has been
+    reached (18 at d=3, l=(2,2,2) and 19 at l=(2,4), radius 2).
     """
 
     grid: tuple[tuple[int, ...], tuple[slice, ...], tuple[int, ...]]
     bt: np.ndarray
     neighbours: np.ndarray
     pick: np.ndarray
+    reach: int
 
 
 @dataclass(frozen=True)
@@ -212,6 +236,9 @@ class LatticeOperator:
     partition: BoxPartition = field(repr=False)
 
 
+_last_partition: BoxPartition | None = None
+
+
 def build_partition(
     d: int,
     lengths: list[int] | tuple[int, ...],
@@ -225,7 +252,15 @@ def build_partition(
     exceeds the desk-scale DEFAULT_RADIUS_CAP.  The site cap guards the dense
     routes: the q > 1/2 complement LU, the partition survey's identities and
     the tests' oracles; the stencil routes hold O(n * |box 0|).
+
+    Asked for the geometry of its last call again, it returns the same
+    partition, so a process builds a geometry's cached origin coupling,
+    sublattice packing and dense Laplacian once, not once per job.  Only
+    the last geometry is kept: a call for another one releases it.  What a
+    partition caches depends on (d, lengths, radius) alone and is
+    read-only, so callers cannot see each other through it.
     """
+    global _last_partition
     lengths = tuple(int(l) for l in lengths)
     if d < 1 or len(lengths) != d or any(l < 1 for l in lengths):
         raise VolumeError(f"need d >= 1 and {d} lengths >= 1, got lengths={lengths}")
@@ -240,7 +275,9 @@ def build_partition(
             f"volume of {count} sites exceeds cap {DEFAULT_SITE_CAP}: one dense float64 "
             f"matrix on it needs {8 * count**2} bytes"
         )
-    return partition
+    if partition != _last_partition:
+        _last_partition = partition
+    return _last_partition
 
 
 def kronecker_sum(factors: list[np.ndarray]) -> np.ndarray:

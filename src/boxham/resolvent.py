@@ -19,7 +19,10 @@ from them, bit for bit the unpacked sum.  ``schur_reduced_walks`` reduces
 the series cells of many disorder samples at one r together, as one stack
 laid out site-major, every cell's packed columns side by side; each cell
 stops at the term its lone walk would stop at, so its bits are those of
-that walk, and then leaves the walk.  It leaves the other cells out.
+that walk, and then leaves the walk.  No cell stops before the geometry's
+reach step, the term at which the walk's support stops growing, which the
+packing computes once; from it on, each cell's stop is its own a-priori
+tail bound.  It leaves the other cells out.
 ``schur_reduced`` reduces one cell: by the walk on a stack of one, or, for
 larger q, by the refined dense LU of the complement.
 
@@ -202,14 +205,18 @@ def _jacobi_series(
     holds each cell's q = 2d max|1/D|, which must be below 1.  Every term
     after the k-th is bounded entrywise by max|1/D| q^(k+1), and a row of B
     has at most 2d ones, so the tail of B X is at most q^(k+2) / (1-q).  A
-    cell stops when that is within eps/16 of its smallest nonzero entry of
-    B X, so every entry is resolved and not only the largest, and its
-    support has not grown over two steps (one per sublattice of the
-    bipartite lattice), so no entry the walk has yet to reach is still
-    zero.  Each cell keeps B X from the step at which its own rule stops
-    it, the k its lone walk would stop at, and then leaves the walk: its
-    columns are dropped from every buffer, so the walk steps only the cells
-    still running.
+    cell stops at the first k >= ``packing.reach`` at which that is within
+    eps/16 of its smallest nonzero entry of B X, so every entry is resolved
+    and not only the largest.  The reach step is the first k >= 2 at which
+    the walk's support has stopped growing, one step per sublattice of the
+    bipartite lattice, so no entry the walk has yet to reach is still zero.
+    It is found once per geometry from the support alone, on booleans, so
+    it cannot be fooled: a rule that counted each cell's nonzero entries
+    would read a shrunken support where an entry cancels to exactly 0, and
+    could stop that cell before every entry had been reached.  Each cell
+    keeps B X from the step at which its own rule stops it, the k its lone
+    walk would stop at, and then leaves the walk: its columns are dropped
+    from every buffer, so the walk steps only the cells still running.
 
     The walk runs on the partition's ``sublattice_packing``: two columns of
     B^T, one per parity of their box-0 site, share each packed column, since
@@ -217,21 +224,19 @@ def _jacobi_series(
     overlaps.  Terms of even k are summed into one accumulator and terms of
     odd k into another, each laid out site-major on the flat ghost-padded
     layout of ``lattice.ghost_grid``, ``(padded sites, cells * columns)``,
-    one cell's packed columns after another; a cell's support is the
-    nonzero count of both.  Entry B X[i, j] sums, over box-0 site i's
-    neighbours (``_neighbour_sums``), the even-k accumulator when sites i
-    and j have the same parity and the odd-k one otherwise: there that
-    accumulator holds exactly column j's terms.  Every add and multiply is
-    per column and per cell, so every one is the one the lone unpacked walk
-    does, and B X keeps its bits, signed zeros included.
+    one cell's packed columns after another.  Entry B X[i, j] sums, over
+    box-0 site i's neighbours (``_neighbour_sums``), the even-k accumulator
+    when sites i and j have the same parity and the odd-k one otherwise:
+    there that accumulator holds exactly column j's terms.  Every add and
+    multiply is per column and per cell, so every one is the one the lone
+    unpacked walk does, and B X keeps its bits, signed zeros included.
 
     The step -1/D is broadcast to the packed shape once and is zero on box 0
     and on the ghosts, so multiplying by it both finishes a term and clears
     the junk the stencil wrote into the ghosts before the next step reads
     them.  A term costs 2d shifted adds, each one contiguous pass over the
-    columns of every running cell, one multiply, one add into an accumulator
-    and one support count of that accumulator, with no allocation but when
-    a cell leaves.
+    columns of every running cell, one multiply and one add into an
+    accumulator, with no allocation but when a cell leaves.
     """
     padded, real, strides = packing.grid
     sites, columns = packing.bt.shape
@@ -243,65 +248,39 @@ def _jacobi_series(
     np.negative(step, out=step)
     acc = np.zeros((2,) + term.shape)
     acc[0] = term
-    spare, flags = np.empty_like(term), np.empty(term.shape, dtype=np.float32)
-    ones = np.ones(sites, dtype=np.float32)
-    counts = np.zeros((2, cells), dtype=np.intp)
-    counts[0] = _support(acc[0], flags, ones, columns)
-    support = [counts[0].copy()]
+    spare = np.empty_like(term)
     live = np.arange(cells)
     bx = np.empty((cells,) + packing.pick.shape)
     floor = np.finfo(np.float64).eps / 16.0
     k = 0
     while True:
-        if k >= 2:
-            ready = np.flatnonzero(support[-1] == support[-3])
-            if ready.size:
-                sums = _by_cell(_neighbour_sums(acc, packing.neighbours), columns)[:, :, ready]
-                got = np.moveaxis(sums, 2, 0).reshape(ready.size, -1)[:, packing.pick]
-                smallest = np.min(np.abs(got), axis=(1, 2), where=got != 0.0, initial=np.inf)
-                running = np.ones(live.size, dtype=bool)
-                for at, cell_bx, least in zip(ready, got, smallest):
-                    c = live[at]
-                    if q[c] ** (k + 2) / (1.0 - q[c]) <= floor * least:
-                        bx[c] = cell_bx
-                        running[at] = False
-                if not running.any():
-                    return bx
-                if not running.all():
-                    live = live[running]
-                    term, step, acc = (
-                        _by_cell(x, columns)[..., running, :].reshape(x.shape[:-1] + (-1,))
-                        for x in (term, step, acc)
-                    )
-                    spare, flags = np.empty_like(term), np.empty(term.shape, dtype=np.float32)
-                    counts = counts[:, running]
-                    support = [s[running] for s in support[-2:]]
+        if k >= packing.reach:
+            sums = _by_cell(_neighbour_sums(acc, packing.neighbours), columns)
+            got = np.moveaxis(sums, 2, 0).reshape(live.size, -1)[:, packing.pick]
+            smallest = np.min(np.abs(got), axis=(1, 2), where=got != 0.0, initial=np.inf)
+            running = np.ones(live.size, dtype=bool)
+            for at, (c, cell_bx, least) in enumerate(zip(live, got, smallest)):
+                if q[c] ** (k + 2) / (1.0 - q[c]) <= floor * least:
+                    bx[c] = cell_bx
+                    running[at] = False
+            if not running.any():
+                return bx
+            if not running.all():
+                live = live[running]
+                term, step, acc = (
+                    _by_cell(x, columns)[..., running, :].reshape(x.shape[:-1] + (-1,))
+                    for x in (term, step, acc)
+                )
+                spare = np.empty_like(term)
         term, spare = laplacian_into(spare, term, strides), term
         term *= step
         k += 1
         acc[k % 2] += term
-        counts[k % 2] = _support(acc[k % 2], flags, ones, columns)
-        support = support[-2:] + [counts[0] + counts[1]]
 
 
 def _by_cell(x: np.ndarray, columns: int) -> np.ndarray:
     """Site-major x, ``(..., cells * columns)``, as ``(..., cells, columns)``."""
     return x.reshape(x.shape[:-1] + (-1, columns))
-
-
-def _support(x: np.ndarray, flags: np.ndarray, ones: np.ndarray, columns: int) -> np.ndarray:
-    """Per cell, the nonzero count of site-major x, ``(sites, cells * columns)``.
-
-    ``flags`` (float32 scratch of x's shape) takes x != 0 as 0 and 1, and
-    ``ones`` (``sites`` float32 ones) times it counts each column's nonzeros
-    in one matrix-vector product, exact in any order of summation while a
-    column has fewer than 2^24 sites; the ``columns`` columns of each cell
-    are then summed.  A reduction of a bool buffer over the site axis steps
-    through one short row at a time, and on a lone d=3, l=(2,2,2), radius-2
-    cell it took about four times as long.
-    """
-    np.not_equal(x, 0.0, out=flags, casting="unsafe")
-    return _by_cell((ones @ flags).astype(np.intp), columns).sum(axis=1)
 
 
 def _neighbour_sums(x: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
@@ -324,12 +303,13 @@ WALK_BYTES = 2**19
 """Bytes one buffer of a stacked series walk may hold: the step, the term,
 the spare or one accumulator, at ``padded sites * cells * packed columns``
 floats.  Measured, not a knob.  On a 2-vCPU Xeon host, with the site-major
-walk, the series cost per cell (median of 15 timings) of the d=3,
-l=(2,2,2), radius-2 grid (38 720 bytes a cell) was 0.95 ms walked alone,
-0.46-0.52 ms at 4 to 20 cells a walk, 0.64 ms at 25 and 0.74 ms at 32; on
-l=(2,4) (6 720 bytes a cell) it fell from 0.57 ms alone to 0.074-0.083 ms
-at 13 to 78 cells (the budget) and 0.087 ms at 100.  The bits of every
-cell do not depend on it.
+walk stopping at the reach step, the series cost per cell (median of 15
+timings, range over three runs) of the d=3, l=(2,2,2), radius-2 grid
+(38 720 bytes a cell) was 0.74-0.99 ms walked alone, 0.42-0.56 ms at 4 to
+20 cells a walk (one reading of 0.69), 0.57-0.62 ms at 25 and 0.67-0.75 ms
+at 32; on l=(2,4) (6 720 bytes a cell) it fell from 0.43-0.50 ms alone to
+0.047-0.086 ms at 13 to 78 cells (the budget) and 0.060-0.066 ms at 100.
+The bits of every cell do not depend on it.
 """
 
 
