@@ -258,11 +258,9 @@ def _jacobi_series(
             sums = _by_cell(_neighbour_sums(acc, packing.neighbours), columns)
             got = np.moveaxis(sums, 2, 0).reshape(live.size, -1)[:, packing.pick]
             smallest = np.min(np.abs(got), axis=(1, 2), where=got != 0.0, initial=np.inf)
-            running = np.ones(live.size, dtype=bool)
-            for at, (c, cell_bx, least) in enumerate(zip(live, got, smallest)):
-                if q[c] ** (k + 2) / (1.0 - q[c]) <= floor * least:
-                    bx[c] = cell_bx
-                    running[at] = False
+            tails = np.array([q[c] ** (k + 2) / (1.0 - q[c]) for c in live])
+            running = tails > floor * smallest
+            bx[live[~running]] = got[~running]
             if not running.any():
                 return bx
             if not running.all():

@@ -1,12 +1,14 @@
 """Config parsing, experiment drivers, output files, and the CLI."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -903,6 +905,26 @@ def test_partition_survey_census():
     assert sum(row[1] for row in rows) == 100
     by_box = {row[0]: row for row in rows}
     assert by_box[(0, 0)][1] == 4
+
+
+def test_configs_of_one_geometry_share_one_partition():
+    # the survey caches a dense Laplacian on the shared partition; the next
+    # geometry's partition takes its place and releases it
+    cfg = make_config(lengths=(2, 3), radius=1)
+    part = cfg.partition()
+    assert make_config(lengths=(2, 3), radius=1, base_seed=7, n_seeds=3).partition() is part
+    harness.partition_survey(cfg)
+    packing = part.sublattice_packing
+    for table in (packing.bt, packing.neighbours, packing.pick):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
+    assert cfg.partition().sublattice_packing is packing
+    released, laplacian = weakref.ref(part), weakref.ref(part.__dict__["laplacian"])
+    del part
+    other = make_config(lengths=(3, 2), radius=1).partition()
+    gc.collect()
+    assert other.lengths == (3, 2)
+    assert released() is None and laplacian() is None
 
 
 def test_nonvanishing_survey_control_vs_admissible():

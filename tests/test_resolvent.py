@@ -327,6 +327,59 @@ def test_padded_series_matches_grid_oracle_bit_for_bit(d, lengths, radius):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _grid_reach(inv_d: np.ndarray, bt: np.ndarray, d: int) -> int:
+    """First k >= 2 at which the grid walk's nonzero count equals that at k - 2.
+
+    The support is counted as ``_grid_jacobi_series`` counts it, over the
+    sum of every term so far, and the walk runs until that step whatever q.
+    """
+    step = -inv_d[..., None]
+    term = inv_d[..., None] * bt
+    x = term.copy()
+    support = [np.count_nonzero(x)]
+    while len(support) < 3 or support[-1] != support[-3]:
+        term = _grid_apply_laplacian(term, d)
+        term *= step
+        x += term
+        support.append(np.count_nonzero(x))
+    return len(support) - 1
+
+
+@pytest.mark.parametrize(
+    "d, lengths",
+    [
+        (1, (3,)),
+        (2, (2, 3)),
+        (3, (1, 2, 2)),
+        (4, (1, 2, 1, 2)),
+        (2, (3, 3)),
+        (3, (1, 3, 3)),
+        (2, (2, 4)),
+        (3, (2, 2, 2)),
+        (4, (1, 1, 1, 1)),
+    ],
+)
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_reach_step_is_where_the_grid_walks_support_stops_growing(d, lengths, radius):
+    # zero disorder and a from_lem4 cell at r = 300 (boosted where the unit
+    # boxes exist) reach their whole support at one step, the packing's
+    cfg = ExperimentConfig(
+        d=d, lengths=lengths, radius=radius, base_seed=d + radius,
+        lambda_mode="from_lem4", lambda_values=(), lem4_delta=0.4,
+    )
+    part = cfg.partition()
+    block, _ = part.origin_coupling
+    bt = _grid_bt(part)
+    sample = sample_disorder(cfg, 0)
+    cells = [(zero_disorder(part), None), (sample, boosts_for(cfg, sample) if radius else None)]
+    reaches = []
+    for cell in cells:
+        inv_d = 1.0 / (_box_potential(part, *cell).reshape(part.axis_sizes) - 300.0)
+        inv_d[block] = 0.0
+        reaches.append(_grid_reach(inv_d, bt, d))
+    assert reaches == [part.sublattice_packing.reach] * len(cells)
+
+
 @pytest.mark.parametrize(
     "d, lengths",
     [

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from boxham import cli, cyclotomic, harness
+from test_harness import _SHIPPED_SHA256
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -172,3 +173,36 @@ def test_planted_fault_fails_with_pinned_verdict(tmp_path, monkeypatch, capsys, 
     assert b'"pass": false' in verdict
     assert f"{command}: FAIL" in capsys.readouterr().out
     assert hashlib.sha256(verdict).hexdigest() == _VERDICT_SHA256[case]
+
+
+@pytest.mark.parametrize("fault_first", [True, False])
+@pytest.mark.parametrize(
+    "case", ["constancy_absolute_tau", "partition_every_identity", "rankcheck_no_hopping"]
+)
+def test_shared_partition_carries_nothing_between_jobs(tmp_path, case, fault_first):
+    # a planted-fault job and a clean job of one shipped config run in one
+    # process on one shared partition; in either order each keeps its digest
+    command, stem, fault = _CASES[case]
+    cfg = CONFIGS / f"{stem}.cfg"
+    shared = harness.load_config(cfg).partition()
+
+    def faulty():
+        out = tmp_path / "fault"
+        with pytest.MonkeyPatch.context() as patch:
+            fault(patch)
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        verdict = (out / f"{command}_verdict.json").read_bytes()
+        assert hashlib.sha256(verdict).hexdigest() == _VERDICT_SHA256[case]
+
+    def clean():
+        out = tmp_path / "clean"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        digests = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in (f"{command}.csv", f"{command}_verdict.json")
+        )
+        assert digests == _SHIPPED_SHA256[stem]
+
+    for job in (faulty, clean) if fault_first else (clean, faulty):
+        job()
+    assert harness.load_config(cfg).partition() is shared
