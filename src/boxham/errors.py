@@ -11,7 +11,7 @@ class VolumeError(BoxhamError):
 
 
 class IncompleteSampleError(BoxhamError):
-    """A disorder sample is missing a value for a materialized box."""
+    """An omega grid whose shape is not the partition's box grid."""
 
 
 class SpectralProximityError(BoxhamError):

@@ -21,7 +21,7 @@ import json
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +39,8 @@ from .cyclotomic import verify_nonvanishing
 from .errors import ConfigError, SpectralProximityError, VolumeError
 from .lattice import (
     BoxPartition,
-    DisorderSample,
     _box_potential,
+    _check_box,
     box_mask,
     box_sites,
     build_partition,
@@ -261,6 +261,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         (math.isfinite(cfg.upper - cfg.lower), "upper", "upper - lower must be finite"),
         (cfg.n_seeds >= 1, "n_seeds", "need at least one seed"),
         (all(r > 0 for r in cfg.r_values), "r_values", "r values must be positive"),
+        (all(math.isfinite(r * r) for r in cfg.r_values), "r_values", "r^2 must be finite"),
     ]
     for ok, name, message in checks:
         if not ok:
@@ -275,27 +276,30 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config_text(text)
 
 
-def sample_disorder(config: ExperimentConfig, index: int) -> DisorderSample:
-    """Uniform[lower, upper] per box, seeded by base_seed + index; bit-exact."""
+def sample_disorder(config: ExperimentConfig, index: int) -> np.ndarray:
+    """Uniform[lower, upper] omega on the box grid, seeded by base_seed + index; bit-exact.
+
+    A read-only float64 array of shape ``(2*radius + 1,) * d`` with box n at
+    index n + radius, so its C order is the lexicographic order of
+    ``BoxPartition.boxes``: the draws of ``size=len(boxes)``, in place.
+    """
     rng = np.random.default_rng(config.base_seed + index)
-    span = range(-config.radius, config.radius + 1)
-    boxes = list(itertools.product(span, repeat=config.d))
-    draws = rng.uniform(config.lower, config.upper, size=len(boxes))
-    return DisorderSample(
-        values=dict(zip(boxes, draws.tolist())),
-        distribution=(config.lower, config.upper),
-        seed=config.base_seed + index,
-    )
+    omega = rng.uniform(config.lower, config.upper, size=(2 * config.radius + 1,) * config.d)
+    omega.setflags(write=False)
+    return omega
 
 
-def omega_pairs(sample: DisorderSample, d: int) -> list[tuple[float, float]]:
-    """(omega on -e_i, omega on +e_i) for each coordinate."""
-    out = []
-    for axis in range(d):
-        plus = tuple(1 if k == axis else 0 for k in range(d))
-        minus = tuple(-1 if k == axis else 0 for k in range(d))
-        out.append((sample.values[minus], sample.values[plus]))
-    return out
+def omega_pairs(omega: np.ndarray) -> list[tuple[float, float]]:
+    """(omega on -e_i, omega on +e_i) for each coordinate, read off the box grid.
+
+    Raises VolumeError at radius 0, where the grid holds no unit box.
+    """
+    radius = omega.shape[0] // 2
+    if radius < 1:
+        raise VolumeError(f"omega pairs need radius >= 1 for boxes +-e_i, got radius {radius}")
+    # row k of the identity is axis k's index offset over the d unit boxes
+    unit = np.eye(omega.ndim, dtype=np.intp)
+    return list(zip(omega[tuple(radius - unit)].tolist(), omega[tuple(radius + unit)].tolist()))
 
 
 def lem4_midpoints(config: ExperimentConfig) -> list[float] | None:
@@ -312,9 +316,9 @@ def lem4_midpoints(config: ExperimentConfig) -> list[float] | None:
 
 
 def boosts_for(
-    config: ExperimentConfig, sample: DisorderSample, mids: list[float] | None = None
-) -> dict[int, float]:
-    """The boost vector: explicit values, or derived from the separation design.
+    config: ExperimentConfig, omega: np.ndarray, mids: list[float] | None = None
+) -> tuple[float, ...]:
+    """The boost vector: lambda_i of box +e_i in entry i - 1, explicit or designed.
 
     In from_lem4 mode the boost on +e_i is chosen so that the full potential
     coefficient 2*(omega_-i + omega_+i + lambda_i) sits at the midpoint of the
@@ -333,13 +337,10 @@ def boosts_for(
                 line=None,
                 field=key,
             )
-        return {i + 1: float(v) for i, v in enumerate(vals)}
+        return tuple(map(float, vals))
     if mids is None:
         mids = lem4_midpoints(config)
-    pairs = omega_pairs(sample, config.d)
-    return {
-        i + 1: mids[i] / 2.0 - lo - hi for i, (lo, hi) in enumerate(pairs)
-    }
+    return tuple(mid / 2.0 - lo - hi for mid, (lo, hi) in zip(mids, omega_pairs(omega)))
 
 
 def _checked_table(config: ExperimentConfig) -> ClassTable:
@@ -364,14 +365,9 @@ def _checked_table(config: ExperimentConfig) -> ClassTable:
 
 
 def _factor_inputs(config: ExperimentConfig):
-    """The seed-0 sample with its per-coordinate omega pairs and boosts.
-
-    Returns (sample, omega_pairs, lams), the inputs of ``tridiag.factor_specs``.
-    """
-    sample = sample_disorder(config, 0)
-    boosts = boosts_for(config, sample)
-    lams = tuple(boosts.get(i + 1, 0.0) for i in range(config.d))
-    return sample, omega_pairs(sample, config.d), lams
+    """(omega_pairs, lams) of the seed-0 sample, the inputs of ``tridiag.factor_specs``."""
+    omega = sample_disorder(config, 0)
+    return omega_pairs(omega), boosts_for(config, omega)
 
 
 # ------------------------------------------------------------ check table
@@ -514,8 +510,8 @@ def multiplicity_scan(config: ExperimentConfig) -> Result:
     part = config.partition()
     adm = admissibility(config.lengths)
     mids = lem4_midpoints(config)
-    samples = [sample_disorder(config, seed) for seed in range(config.n_seeds)]
-    cells = [(sample, boosts_for(config, sample, mids)) for sample in samples]
+    omegas = [sample_disorder(config, seed) for seed in range(config.n_seeds)]
+    cells = [(omega, boosts_for(config, omega, mids)) for omega in omegas]
     spectra = {}
     for j, r in enumerate(config.r_values):
         for seeds, matrices in schur_reduced_walks(part, cells, r):
@@ -571,14 +567,11 @@ def constancy_scan(config: ExperimentConfig) -> Result:
         key = _key_of("lambda_mode")
         raise ConfigError(f"constancy scan needs an explicit {key} grid", field=key)
     part = config.partition()
-    sample = sample_disorder(config, 0)
-    if box not in sample.values:
-        raise VolumeError(f"box {box} outside radius {config.radius}")
-    boosted = [
-        replace(sample, values={**sample.values, box: sample.values[box] + lam})
-        for lam in config.lambda_values
-    ]
-    cells, origin = [(cell, None) for cell in boosted], (0,) * config.d
+    _check_box(part, box)
+    at, origin = tuple(n + config.radius for n in box), (config.radius,) * config.d
+    boosted = np.array([sample_disorder(config, 0)] * len(config.lambda_values))
+    boosted[(slice(None),) + at] += config.lambda_values
+    cells = [(omega, None) for omega in boosted]
     maxima, notes = [], []
     for z in config.z_values:
         walked = {}
@@ -591,7 +584,7 @@ def constancy_scan(config: ExperimentConfig) -> Result:
             except SpectralProximityError as exc:
                 note = f"solver near-singular (residual {exc.residual:.3g}); skipped"
             else:
-                mu = SchurReduced(float(z), matrix, float(cell.values[origin])).mu_values()
+                mu = SchurReduced(float(z), matrix, float(cell[origin])).mu_values()
                 if np.max(np.abs(mu)) * PROXIMITY_FLOOR > 1.0:
                     note = "z inside spectrum; skipped"
                 else:
@@ -753,7 +746,7 @@ def gap_growth_probe(config: ExperimentConfig) -> Result:
         message = "gap growth needs >= 3 r values spanning a factor >= 8"
         raise ConfigError(message, field=_key_of("r_values"))
     table = _checked_table(config)
-    sample, opairs, lams = _factor_inputs(config)
+    opairs, lams = _factor_inputs(config)
 
     # spectra[k, t]: the eigenvalue of mode tuple t at r_values[k]
     by_r = [mode_resolved_spectrum(config.lengths, opairs, lams, r) for r in r_values]
@@ -791,7 +784,7 @@ def gap_growth_probe(config: ExperimentConfig) -> Result:
         "gap_growth_slope",
         holds,
         {"pair": pairs, "class": classes, "slope": slopes},
-        {"lengths": list(config.lengths), "seed": sample.seed},
+        {"lengths": list(config.lengths), "seed": config.base_seed},
     )
     labels = ["|".join(map(str, a)) + ":" + "|".join(map(str, b)) for a, b in pairs]
     extras = {"slopes": dict(zip(labels, slopes)), "min_pair_slope": min_pair_slope}
@@ -855,7 +848,7 @@ def cluster_sweep(config: ExperimentConfig) -> Result:
     One row per r and pair; required is empty for same_cluster pairs.
     """
     _checked_table(config)
-    sample, opairs, lams = _factor_inputs(config)
+    opairs, lams = _factor_inputs(config)
     rs, reports = [], []
     for r in config.r_values:
         spectrum = mode_resolved_spectrum(config.lengths, opairs, lams, r)
@@ -880,7 +873,7 @@ def cluster_sweep(config: ExperimentConfig) -> Result:
         "gap": columns["gap"],
         "required": required,
     }
-    shared = {"lengths": list(config.lengths), "seed": sample.seed}
+    shared = {"lengths": list(config.lengths), "seed": config.base_seed}
     return Result(columns, [Check("cluster_gap", columns["satisfied"], per_case, shared)])
 
 
@@ -951,8 +944,8 @@ def rank_sweep(config: ExperimentConfig) -> Result:
     m = config.rank_m if config.rank_m is not None else (1,) * config.d
     results, mids = [], lem4_midpoints(config)
     for seed in range(config.n_seeds):
-        sample = sample_disorder(config, seed)
-        potential = _box_potential(part, sample, boosts_for(config, sample, mids))
+        omega = sample_disorder(config, seed)
+        potential = _box_potential(part, omega, boosts_for(config, omega, mids))
         results.append(cyclic_rank_check(part, potential, n, m, config.rank_k))
     columns = {
         "seed": list(range(config.n_seeds)),

@@ -216,19 +216,6 @@ class SublatticePacking:
 
 
 @dataclass(frozen=True)
-class DisorderSample:
-    """One realization of the box potential.
-
-    ``values`` maps every materialized box index to its omega; ``distribution``
-    records the (lower, upper) bounds of the uniform law it was drawn from.
-    """
-
-    values: dict[tuple[int, ...], float]
-    distribution: tuple[float, float]
-    seed: int
-
-
-@dataclass(frozen=True)
 class LatticeOperator:
     """A real symmetric matrix over a partition's sites; a test oracle and a traced name."""
 
@@ -367,46 +354,48 @@ def build_laplacian(partition: BoxPartition) -> LatticeOperator:
 
 def _box_potential(
     partition: BoxPartition,
-    disorder: DisorderSample,
-    boosts: dict[int, float] | None = None,
+    omega: np.ndarray,
+    boosts: Sequence[float] | None = None,
 ) -> np.ndarray:
     """Per-site diagonal omega_{box(x)}, plus lambda_i on the unit box e_i.
 
     ``_box_potentials`` on a stack of one cell.
     """
-    return _box_potentials(partition, [(disorder, boosts)])[0]
+    return _box_potentials(partition, [(omega, boosts)])[0]
 
 
 def _box_potentials(
     partition: BoxPartition,
-    cells: Sequence[tuple[DisorderSample, dict[int, float] | None]],
+    cells: Sequence[tuple[np.ndarray, Sequence[float] | None]],
 ) -> np.ndarray:
-    """``_box_potential`` of every (disorder, boosts) cell, ``(cells, n_sites)``.
+    """``_box_potential`` of every (omega, boosts) cell, ``(cells, n_sites)``.
 
-    Reads every cell's box values at once, checks each boost direction once
-    for the stack, adds each cell's boosts on its own row and repeats each
-    axis once for the whole stack, so every row is bit for bit the cell's
-    own.  A cell that lacks a box raises IncompleteSampleError, and a boost
-    direction outside 1..d raises VolumeError.
+    ``omega`` is the box grid, shape ``(2*radius + 1,) * d`` with box n at
+    index n + radius, and ``boosts`` holds lambda_i of the unit box +e_i in
+    entry i - 1, or is None.  Stacks the grids, adds every boost vector at
+    the d unit boxes in one indexed add and repeats each axis once for the
+    whole stack, so every row is bit for bit the cell's own.  A grid of
+    another shape raises IncompleteSampleError; a boost vector whose length
+    is not d, or boosts at radius 0, where no unit box exists, raise
+    VolumeError.
     """
-    # partition.boxes is lexicographic, the C order of the box grid
-    boxes = partition.boxes
-    try:
-        values = [disorder.values[n] for disorder, _ in cells for n in boxes]
-    except KeyError as exc:
-        raise IncompleteSampleError(f"disorder sample has no value for box {exc.args[0]}") from None
     side = (2 * partition.radius + 1,) * partition.d
-    grid = np.array(values, dtype=np.float64).reshape((len(cells),) + side)
-    units: dict[int, tuple[int, ...]] = {}
-    for c, (_, boosts) in enumerate(cells):
-        for direction, lam in (boosts or {}).items():
-            if direction not in units:
-                if not 1 <= direction <= partition.d:
-                    raise VolumeError(f"boost direction {direction} outside 1..{partition.d}")
-                e = tuple(1 if k == direction - 1 else 0 for k in range(partition.d))
-                _check_box(partition, e)
-                units[direction] = tuple(partition.radius + ek for ek in e)
-            grid[(c,) + units[direction]] += lam
+    for omega, boosts in cells:
+        if np.shape(omega) != side:
+            raise IncompleteSampleError(
+                f"omega grid of shape {np.shape(omega)} for the box grid {side}"
+            )
+        if boosts is not None and (len(boosts) != partition.d or partition.radius < 1):
+            raise VolumeError(
+                f"{len(boosts)} boosts for d={partition.d} at radius {partition.radius}; "
+                "need d boosts and radius >= 1"
+            )
+    grid = np.array([omega for omega, _ in cells], dtype=np.float64)
+    boosted = [c for c, (_, boosts) in enumerate(cells) if boosts is not None]
+    if boosted:
+        # unit box +e_i sits at radius + e_i: row k of the identity is axis k's index
+        units = tuple(partition.radius + np.eye(partition.d, dtype=np.intp))
+        grid[(np.array(boosted)[:, None],) + units] += [cells[c][1] for c in boosted]
     for axis, l in enumerate(partition.lengths, start=1):
         grid = np.repeat(grid, l, axis=axis)
     return grid.reshape(len(cells), -1)
@@ -414,30 +403,28 @@ def _box_potentials(
 
 def build_hamiltonian(
     partition: BoxPartition,
-    disorder: DisorderSample,
-    boosts: dict[int, float] | None = None,
+    omega: np.ndarray,
+    boosts: Sequence[float] | None = None,
 ) -> LatticeOperator:
     """H = Laplacian + sum_n omega_n P_n + sum_i lambda_i P_{e_i}.
 
-    ``boosts`` maps coordinate directions 1..d to an extra coupling added on
-    the unit box e_i.  The diagonal at site x is omega_{box(x)} plus the boost
-    when box(x) is a boosted unit box.  A test oracle and a traced name; no
-    driver builds H.
+    ``omega`` is the box grid and ``boosts`` the lambda_i of the unit boxes
+    e_1..e_d, as ``_box_potentials`` takes them.  The diagonal at site x is
+    omega_{box(x)} plus the boost when box(x) is a boosted unit box.  A test
+    oracle and a traced name; no driver builds H.
     """
     h = partition.laplacian.astype(np.float64)
-    h[np.diag_indices_from(h)] += _box_potential(partition, disorder, boosts)
+    h[np.diag_indices_from(h)] += _box_potential(partition, omega, boosts)
     return LatticeOperator(entries=h, partition=partition)
 
 
-def zero_disorder(partition: BoxPartition) -> DisorderSample:
-    """The omega == 0 sample.
+def zero_disorder(partition: BoxPartition) -> np.ndarray:
+    """The omega == 0 box grid.
 
     A test oracle: with no disorder the Hamiltonian is the bare Laplacian, so
     the tests know its truncations in closed form.
     """
-    return DisorderSample(
-        values={n: 0.0 for n in partition.boxes}, distribution=(0.0, 0.0), seed=0
-    )
+    return np.zeros((2 * partition.radius + 1,) * partition.d)
 
 
 def face_product(

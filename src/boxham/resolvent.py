@@ -48,7 +48,6 @@ import numpy as np
 from .errors import PrecisionWarning, SpectralProximityError, VolumeError
 from .lattice import (
     BoxPartition,
-    DisorderSample,
     LatticeOperator,
     SublatticePacking,
     _box_potential,
@@ -174,21 +173,21 @@ def restricted_resolvent(
 
 def _origin_split(
     partition: BoxPartition,
-    disorder: DisorderSample | None = None,
-    boosts: dict[int, float] | None = None,
+    omega: np.ndarray | None = None,
+    boosts: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float blocks (Delta_00, B, H~_cc) of the operator split at the origin box.
 
     Delta_00 = P0 L P0 and B = P0 L (I-P0).  H~_cc is the complement block of
-    the decoupled Hamiltonian H~, equal to H[comp, comp]; without a disorder
-    sample it is the bare Laplacian block L[comp, comp].
+    the decoupled Hamiltonian H~, equal to H[comp, comp]; without an omega
+    grid it is the bare Laplacian block L[comp, comp].
     """
     m0 = box_mask(partition, (0,) * partition.d)
     comp = ~m0
     lap = partition.laplacian
     hcc = lap[np.ix_(comp, comp)].astype(np.float64)
-    if disorder is not None:
-        hcc[np.diag_indices_from(hcc)] += _box_potential(partition, disorder, boosts)[comp]
+    if omega is not None:
+        hcc[np.diag_indices_from(hcc)] += _box_potential(partition, omega, boosts)[comp]
     delta00 = lap[np.ix_(m0, m0)].astype(np.float64)
     b = lap[np.ix_(m0, comp)].astype(np.float64)
     return delta00, b, hcc
@@ -313,11 +312,13 @@ The bits of every cell do not depend on it.
 
 def schur_reduced_walks(
     partition: BoxPartition,
-    cells: Sequence[tuple[DisorderSample, dict[int, float] | None]],
+    cells: Sequence[tuple[np.ndarray, Sequence[float] | None]],
     r: float,
 ) -> Iterator[tuple[list[int], np.ndarray]]:
-    """H_r of the series cells among (disorder, boosts) ``cells`` at one r, as stacks.
+    """H_r of the series cells among (omega, boosts) ``cells`` at one r, as stacks.
 
+    A cell is an omega box grid and a boost vector (or None), as
+    ``lattice._box_potentials`` takes them.
     Each item is (indices into ``cells``, their H_r stacked as
     ``(len(indices), |box 0|, |box 0|)``).  The potentials of all cells are
     built as one stack (``lattice._box_potentials``) and their q taken in
@@ -347,12 +348,14 @@ def schur_reduced_walks(
 
 def schur_reduced(
     partition: BoxPartition,
-    disorder: DisorderSample,
-    boosts: dict[int, float] | None,
+    omega: np.ndarray,
+    boosts: Sequence[float] | None,
     r: float,
 ) -> SchurReduced:
     """The reduced operator H_r = P0 L P0 - P0 L (H~ - r)^{-1} L P0 on box 0.
 
+    ``omega`` is the cell's box grid and ``boosts`` its boost vector or None,
+    as ``lattice._box_potentials`` takes them; omega_0 is the grid's centre.
     The complement block splits as H~_cc - r = D + L_cc with
     D = diag(V_cc - r).  When q = 2d max|1/D| <= 1/2, D + L_cc is strictly
     diagonally dominant, so r is provably off the complement spectrum, and
@@ -373,19 +376,19 @@ def schur_reduced(
     bound; a claim about single entries would need a bound that accounts
     for the cancellation.
     """
-    walked = schur_reduced_walks(partition, [(disorder, boosts)], r)
+    walked = schur_reduced_walks(partition, [(omega, boosts)], r)
     matrix = next((stack[0] for _, stack in walked), None)
     if matrix is None:
-        delta00, b, hcc = _origin_split(partition, disorder, boosts)
+        delta00, b, hcc = _origin_split(partition, omega, boosts)
         matrix = delta00 - b @ _solve_refined(hcc - r * np.eye(len(hcc)), b.T, r)
-    origin = (0,) * partition.d
-    return SchurReduced(r=float(r), matrix=matrix, omega0=float(disorder.values[origin]))
+    origin = (partition.radius,) * partition.d
+    return SchurReduced(r=float(r), matrix=matrix, omega0=float(omega[origin]))
 
 
 def neumann_truncation(
     partition: BoxPartition,
-    disorder: DisorderSample,
-    boosts: dict[int, float] | None,
+    omega: np.ndarray,
+    boosts: Sequence[float] | None,
     r: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The order-(r^2, r, 1) truncation A_r and the third-order face product.
@@ -400,7 +403,7 @@ def neumann_truncation(
         raise VolumeError(
             f"radius {partition.radius} < 2: the third-order term needs two shells"
         )
-    delta00, b, hcc = _origin_split(partition, disorder, boosts)
+    delta00, b, hcc = _origin_split(partition, omega, boosts)
     # L has a zero diagonal, so the diagonal of H~_cc is V_cc and the rest L_cc
     v_cc = hcc.diagonal().copy()
     np.fill_diagonal(hcc, 0.0)
@@ -444,8 +447,8 @@ def precision_guard(r: float, quantity: float, context: str = "") -> bool:
 
 def truncation_remainder(
     partition: BoxPartition,
-    disorder: DisorderSample,
-    boosts: dict[int, float] | None,
+    omega: np.ndarray,
+    boosts: Sequence[float] | None,
     r: float,
     precision: str = "standard",
 ) -> float:
@@ -460,15 +463,15 @@ def truncation_remainder(
     """
     if precision not in ("standard", "extended"):
         raise ValueError(f"precision must be standard|extended, got {precision!r}")
-    a_r, third = neumann_truncation(partition, disorder, boosts, r)
+    a_r, third = neumann_truncation(partition, omega, boosts, r)
     if precision == "standard":
-        sr = schur_reduced(partition, disorder, boosts, r)
+        sr = schur_reduced(partition, omega, boosts, r)
         diff = r**2 * sr.matrix - a_r - third
         return float(np.linalg.norm(diff, 2))
 
     from .compensated import dd_add, dd_matmul, dd_scale, refined_solve
 
-    delta00, b, hcc = _origin_split(partition, disorder, boosts)
+    delta00, b, hcc = _origin_split(partition, omega, boosts)
     m = hcc - r * np.eye(len(hcc))
     y_hi, y_lo = refined_solve(m, b.T)
     by_hi, by_lo = dd_matmul(b, np.zeros_like(b), y_hi, y_lo)
@@ -481,8 +484,8 @@ def truncation_remainder(
 
 def remainder_closed_form(
     partition: BoxPartition,
-    disorder: DisorderSample,
-    boosts: dict[int, float] | None,
+    omega: np.ndarray,
+    boosts: Sequence[float] | None,
     r: float,
 ) -> np.ndarray:
     """The remainder as -B H~ (H~ - r)^{-1} H~ B^T, with no large-term cancellation.
@@ -492,7 +495,7 @@ def remainder_closed_form(
     out); every entry is O(1/r) from the start, so double precision resolves
     it at any r.  Used as an independent cross-check of the literal route.
     """
-    _, b, hcc = _origin_split(partition, disorder, boosts)
+    _, b, hcc = _origin_split(partition, omega, boosts)
     m = hcc - r * np.eye(len(hcc))
     x = _solve_refined(m, hcc @ b.T, r)
     return -(b @ hcc) @ x

@@ -118,7 +118,7 @@ def test_criterion_05_truncation_two_routes_and_remainder_decay():
     cfg = ExperimentConfig(d=2, lengths=(2, 3), radius=2, base_seed=7)
     part = cfg.partition()
     sample = sample_disorder(cfg, 0)
-    pairs = omega_pairs(sample, 2)
+    pairs = omega_pairs(sample)
     norms = []
     for r in R_LADDER:
         a_r, _ = neumann_truncation(part, sample, None, r)

@@ -213,16 +213,47 @@ def test_sample_disorder_is_bit_exact():
     rng = np.random.default_rng(8)
     boxes = list(itertools.product(range(-2, 3), repeat=2))
     draws = rng.uniform(-0.25, 0.75, size=len(boxes))
-    assert sample.seed == 8
     for box, want in zip(boxes, draws):
-        assert sample.values[box] == want  # bitwise
-    assert len(sample.values) == 25
+        assert sample[box[0] + 2, box[1] + 2] == want  # bitwise
+    assert sample.size == 25
+
+
+def test_sample_disorder_is_the_flat_draw_on_the_box_grid():
+    # box n sits at index n + radius, so the grid's C order is the order of
+    # partition.boxes and it holds the draws of size=len(boxes) bit for bit
+    cfg = make_config(d=3, lengths=(2, 2, 2), base_seed=4, lower=-0.5, upper=2.0)
+    boxes = cfg.partition().boxes
+    for index in range(3):
+        omega = sample_disorder(cfg, index)
+        flat = np.random.default_rng(4 + index).uniform(-0.5, 2.0, size=len(boxes))
+        assert omega.shape == (5, 5, 5) and omega.dtype == np.float64
+        assert np.array_equal(omega.ravel().view(np.int64), flat.view(np.int64))
+        assert [omega[tuple(k + 2 for k in n)] for n in boxes] == flat.tolist()
+        assert not omega.flags.writeable
+        with pytest.raises(ValueError):
+            omega[2, 2, 2] = 0.0
+
+
+@pytest.mark.parametrize("box", [(1, 0), (0, 0)])
+def test_constancy_scan_leaves_the_seed_zero_grid_unchanged(monkeypatch, box):
+    # lambda is added to copies of the grid, box 0 (omega_0) included
+    drawn = []
+
+    def keep(config, index):
+        drawn.append(sample_disorder(config, index))
+        return drawn[-1]
+
+    monkeypatch.setattr(harness, "sample_disorder", keep)
+    cfg = make_config(lambda_values=(0.0, 1.0, 2.5), z_values=(30.0, 45.0), constancy_box=box)
+    rows, failures, _ = _unpack(harness.constancy_scan(cfg))
+    assert len(drawn) == 1 and len(rows) == 6 and not failures
+    assert np.array_equal(drawn[0].view(np.int64), sample_disorder(cfg, 0).view(np.int64))
 
 
 def test_sample_disorder_statistics():
     cfg = make_config(radius=4)
     draws = [
-        v for i in range(100) for v in sample_disorder(cfg, i).values.values()
+        v for i in range(100) for v in sample_disorder(cfg, i).ravel()
     ]
     draws = np.array(draws)
     assert draws.min() >= -1.0 and draws.max() <= 1.0
@@ -233,17 +264,17 @@ def test_sample_disorder_statistics():
 def test_omega_pairs_reads_unit_boxes():
     cfg = make_config()
     sample = sample_disorder(cfg, 0)
-    pairs = omega_pairs(sample, 2)
-    assert pairs[0] == (sample.values[(-1, 0)], sample.values[(1, 0)])
-    assert pairs[1] == (sample.values[(0, -1)], sample.values[(0, 1)])
+    pairs = omega_pairs(sample)
+    assert pairs[0] == (sample[1, 2], sample[3, 2])
+    assert pairs[1] == (sample[2, 1], sample[2, 3])
 
 
 def test_boosts_explicit_broadcast():
     cfg = make_config(lambda_values=(2.5,))
     sample = sample_disorder(cfg, 0)
-    assert boosts_for(cfg, sample) == {1: 2.5, 2: 2.5}
+    assert boosts_for(cfg, sample) == (2.5, 2.5)
     cfg = make_config(lambda_values=(1.0, 2.0))
-    assert boosts_for(cfg, sample) == {1: 1.0, 2: 2.0}
+    assert boosts_for(cfg, sample) == (1.0, 2.0)
 
 
 def test_boosts_length_mismatch():
@@ -262,10 +293,10 @@ def test_boosts_from_separation_design_hit_midpoints():
     boosts = boosts_for(cfg, sample)
     eps, delta = epsilon_delta(sine_system((2, 4)))
     mids = midpoint_coefficients(design_intervals(eps, delta, 2))
-    pairs = omega_pairs(sample, 2)
+    pairs = omega_pairs(sample)
     for i, (lo, hi) in enumerate(pairs):
         # the designed full coefficient 2(omega_- + omega_+ + lambda)
-        assert 2.0 * (lo + hi + boosts[i + 1]) == pytest.approx(mids[i], rel=1e-12)
+        assert 2.0 * (lo + hi + boosts[i]) == pytest.approx(mids[i], rel=1e-12)
 
 
 # ------------------------------------------------------------ output files
@@ -860,7 +891,7 @@ def test_cluster_sweep_rows_and_gaps():
 
 def test_cluster_sweep_gaps_are_labelled_spectrum_differences():
     cfg = harness.load_config(Path(__file__).parent.parent / "configs" / "cluster_2x4.cfg")
-    _, opairs, lams = harness._factor_inputs(cfg)
+    opairs, lams = harness._factor_inputs(cfg)
     spectra = {r: mode_resolved_spectrum(cfg.lengths, opairs, lams, r) for r in cfg.r_values}
     rows, failures, _ = _unpack(harness.cluster_sweep(cfg))
     assert rows and not failures
@@ -870,7 +901,7 @@ def test_cluster_sweep_gaps_are_labelled_spectrum_differences():
 
 def test_gap_growth_gaps_are_labelled_spectrum_differences():
     cfg = harness.load_config(CONFIGS / "gapgrowth_2x4.cfg")
-    _, opairs, lams = harness._factor_inputs(cfg)
+    opairs, lams = harness._factor_inputs(cfg)
     r_values = sorted(cfg.r_values)
     spectra = {r: mode_resolved_spectrum(cfg.lengths, opairs, lams, r) for r in r_values}
     eps = np.finfo(float).eps
@@ -1040,6 +1071,32 @@ def test_cli_non_finite_config_number_exit_two(tmp_path, capsys):
     assert cli.main(["multiplicity", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "not a finite number" in err and "disorder.upper" in err and "line 5" in err
+
+
+def test_cli_r_whose_square_overflows_exit_two(tmp_path, capsys):
+    # r * r must stay finite: sqrt(float max) is about 1.3408e154
+    assert parse_config_text(MINIMAL + "run.r = 1.34e154\n").r_values == (1.34e154,)
+    cfg = write_cfg(tmp_path, MINIMAL + "run.r = 300, 1.35e154\n")
+    for command in ("multiplicity", "expansion", "cluster", "gapgrowth"):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error [field run.r]" in err and "r^2 must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gapgrowth", "cluster", "rankcheck"])
+def test_cli_radius_zero_has_no_omega_pairs_exit_two(tmp_path, capsys, command):
+    # radius 0 holds box 0 alone, so no omega on +-e_i can be read for the
+    # factor specs or the from_lem4 boosts
+    body = (
+        "geometry.d = 2\ngeometry.lengths = 2, 2\ngeometry.radius = 0\n"
+        "run.r = 100, 200, 400, 800\nrun.lambda = from_lem4:0.4\nrank.m = 0, 0\n"
+    )
+    out = tmp_path / "results"
+    assert cli.main([command, "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: omega pairs need radius >= 1" in err and "got radius 0" in err
+    assert not out.exists()
 
 
 def test_ragged_driver_table_is_not_a_config_error(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from boxham.errors import IncompleteSampleError, VolumeError
 from boxham.harness import ExperimentConfig, boosts_for, sample_disorder
 from boxham.lattice import (
-    DisorderSample,
     _box_potential,
     _box_potentials,
     box_mask,
@@ -142,8 +141,8 @@ def test_face_product_rejects_bad_direction():
 def test_hamiltonian_diagonal_carries_box_potential_and_boost():
     part = build_partition(2, (2, 2), radius=1)
     values = {n: 0.1 * (i + 1) for i, n in enumerate(part.boxes)}
-    sample = DisorderSample(values=values, distribution=(-1.0, 1.0), seed=0)
-    boosts = {1: 2.0, 2: 5.0}
+    sample = np.array(list(values.values())).reshape(3, 3)
+    boosts = (2.0, 5.0)
     h = build_hamiltonian(part, sample, boosts).entries
     lap = build_laplacian(part).entries
     off = h - np.diag(np.diag(h))
@@ -160,10 +159,8 @@ def test_hamiltonian_diagonal_carries_box_potential_and_boost():
 
 def test_hamiltonian_rejects_sample_missing_one_box():
     part = build_partition(2, (2, 3), radius=1)
-    values = {n: 0.5 for n in part.boxes}
-    del values[(1, -1)]
-    sample = DisorderSample(values=values, distribution=(-1.0, 1.0), seed=0)
-    with pytest.raises(IncompleteSampleError, match=r"\(1, -1\)"):
+    sample = np.full((3, 2), 0.5)  # the boxes n_2 = 1 left out
+    with pytest.raises(IncompleteSampleError, match=r"\(3, 2\) for the box grid \(3, 3\)"):
         build_hamiltonian(part, sample)
 
 
@@ -174,7 +171,7 @@ def _potential_stack():
         lambda_mode="from_lem4", lambda_values=(), lem4_delta=0.4,
     )
     samples = [sample_disorder(cfg, i) for i in range(5)]
-    boosts = [{2: 0.7, 1: -1.25}, boosts_for(cfg, samples[1]), None, {1: 3.5}]
+    boosts = [(-1.25, 0.7), boosts_for(cfg, samples[1]), None, (3.5, 0.0)]
     boosts.append(boosts_for(cfg, samples[4]))
     return cfg.partition(), list(zip(samples, boosts))
 
@@ -187,36 +184,56 @@ def test_stacked_potential_is_each_cells_own_bit_for_bit():
         assert np.array_equal(row, _box_potential(part, sample, boosts))
         # the site-by-site oracle: omega of the site's box, plus its boost
         units = {
-            tuple(1 if k == i - 1 else 0 for k in range(part.d)): lam
-            for i, lam in (boosts or {}).items()
+            tuple(1 if k == i else 0 for k in range(part.d)): lam
+            for i, lam in enumerate(boosts or ())
         }
         for value, site in zip(row, part.sites):
             n = part.box_of(site)
-            assert value == sample.values[n] + units.get(n, 0.0)
+            assert value == sample[tuple(k + part.radius for k in n)] + units.get(n, 0.0)
 
 
 def test_stacked_potential_raises_for_the_failing_cell():
     part, cells = _potential_stack()
     sample, boosts = cells[2]
-    values = dict(sample.values)
-    del values[(2, -1)]
-    lacking = cells[:2] + [(DisorderSample(values, sample.distribution, sample.seed), boosts)]
-    with pytest.raises(IncompleteSampleError, match=r"\(2, -1\)"):
+    lacking = cells[:2] + [(sample[:, 1:], boosts)]  # the boxes n_2 = -2 left out
+    with pytest.raises(IncompleteSampleError, match=r"\(5, 4\) for the box grid \(5, 5\)"):
         _box_potentials(part, lacking + cells[3:])
-    beyond = cells[:1] + [(cells[1][0], {part.d + 1: 0.5})] + cells[2:]
-    with pytest.raises(VolumeError, match="boost direction 3 outside 1..2"):
+    beyond = cells[:1] + [(cells[1][0], (0.0, 0.0, 0.5))] + cells[2:]
+    with pytest.raises(VolumeError, match="3 boosts for d=2 at radius 2"):
         _box_potentials(part, beyond)
+
+
+def test_box_potentials_take_only_the_partitions_grid_and_d_boosts():
+    # omega is the (2R+1,)*d box grid and boosts a length-d vector; radius 0
+    # holds no unit box, so only a cell without boosts is accepted there
+    part = build_partition(2, (2, 3), radius=1)
+    grid = np.arange(9.0).reshape(3, 3)
+    for foreign in (np.zeros((5, 5)), np.zeros((3, 3, 3)), np.zeros(9)):
+        with pytest.raises(IncompleteSampleError, match=rf"{foreign.shape}.*\(3, 3\)"):
+            _box_potentials(part, [(grid, None), (foreign, None)])
+    for boosts in ((0.5,), (0.5, 0.5, 0.5)):
+        with pytest.raises(VolumeError, match=f"{len(boosts)} boosts for d=2 at radius 1"):
+            _box_potentials(part, [(grid, (0.5, 0.5)), (grid, boosts)])
+    flat = build_partition(2, (2, 3), radius=0)
+    alone = _box_potentials(flat, [(np.full((1, 1), 0.25), None)])
+    assert np.array_equal(alone, np.full((1, 6), 0.25))
+    with pytest.raises(VolumeError, match="2 boosts for d=2 at radius 0"):
+        _box_potentials(flat, [(zero_disorder(flat), None), (zero_disorder(flat), (0.5, 0.5))])
+    # the unit boxes +e_1, +e_2 take lambda_1, lambda_2; every other box keeps omega
+    boosted = _box_potentials(part, [(grid, (10.0, 20.0))])[0].reshape(part.axis_sizes)
+    want = grid + np.array([[0, 0, 0], [0, 0, 20.0], [0, 10.0, 0]])
+    assert np.array_equal(boosted[::2, ::3], want)
 
 
 def test_cached_laplacian_is_read_only():
     part = build_partition(2, (2, 3), radius=1)
     sample = zero_disorder(part)
-    before = build_hamiltonian(part, sample, {1: 0.5}).entries
+    before = build_hamiltonian(part, sample, (0.5, 0.0)).entries
     with pytest.raises(ValueError):
         part.laplacian[0, 1] = 7
     assert part.laplacian is part.laplacian
     assert np.array_equal(part.laplacian, build_laplacian(part).entries)
-    assert np.array_equal(build_hamiltonian(part, sample, {1: 0.5}).entries, before)
+    assert np.array_equal(build_hamiltonian(part, sample, (0.5, 0.0)).entries, before)
 
 
 def test_stencil_and_origin_coupling_match_dense_laplacian():
@@ -288,8 +305,8 @@ def test_flat_stencil_matches_dense_laplacian_on_float_columns(d, lengths, radiu
 def test_zero_disorder_covers_all_boxes():
     part = build_partition(2, (2, 2), radius=2)
     sample = zero_disorder(part)
-    assert set(sample.values) == set(part.boxes)
-    assert all(v == 0.0 for v in sample.values.values())
+    assert sample.shape == (5, 5) and sample.size == len(part.boxes)
+    assert np.all(sample == 0.0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,6 +1,5 @@
 """Resolvent blocks, Schur reduction, and the large-r truncation routes."""
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -113,7 +112,7 @@ def test_rank_one_perturbation_identity():
     gn0 = restricted_resolvent(h, z, n, (0, 0)).block
     predicted = g00 - lam * g0n @ np.linalg.inv(np.eye(gnn.shape[0]) + lam * gnn) @ gn0
 
-    h_lam = build_hamiltonian(part, sample, {1: lam})
+    h_lam = build_hamiltonian(part, sample, (lam, 0.0))
     direct = restricted_resolvent(h_lam, z, (0, 0), (0, 0)).block
     assert np.max(np.abs(predicted - direct)) < 1e-8
 
@@ -122,8 +121,8 @@ def test_rank_one_perturbation_identity():
 
 
 def test_origin_split_blocks_match_hamiltonian():
-    part, sample, h = _small_system(seed=4, d=2, lengths=(2, 2), lam={1: 0.7})
-    delta00, b, hcc = _origin_split(part, sample, {1: 0.7})
+    part, sample, h = _small_system(seed=4, d=2, lengths=(2, 2), lam=(0.7, 0.0))
+    delta00, b, hcc = _origin_split(part, sample, (0.7, 0.0))
     m0 = box_mask(part, (0, 0))
     comp = ~m0
     lap = part.laplacian
@@ -163,7 +162,7 @@ def test_schur_matches_50_digit_reduction():
     cfg = ExperimentConfig(d=2, lengths=(2, 2), radius=1, base_seed=0)
     part = cfg.partition()
     sample = sample_disorder(cfg, 0)
-    boosts = {1: 0.7}
+    boosts = (0.7, 0.0)
     delta00, b, hcc = _origin_split(part, sample, boosts)
     eps = np.finfo(np.float64).eps
     with mp.workdps(50):
@@ -297,7 +296,7 @@ def test_padded_series_matches_grid_oracle_bit_for_bit(d, lengths, radius):
     cfg = ExperimentConfig(d=d, lengths=lengths, radius=radius, base_seed=d + radius)
     part = cfg.partition()
     sample = sample_disorder(cfg, 0)
-    boosts = {1: 0.7} if radius else None
+    boosts = (0.7,) + (0.0,) * (d - 1) if radius else None
     block, delta00 = part.origin_coupling
     bt = _grid_bt(part)
     potential = _box_potential(part, sample, boosts).reshape(part.axis_sizes)
@@ -402,7 +401,7 @@ def test_stacked_walk_steps_only_the_running_cells(d, lengths, radius, monkeypat
     part = cfg.partition()
     packing = part.sublattice_packing
     block, _ = part.origin_coupling
-    boosts = {1: 0.7} if radius else None
+    boosts = (0.7,) + (0.0,) * (d - 1) if radius else None
     potential = _box_potential(part, sample_disorder(cfg, 0), boosts).reshape(part.axis_sizes)
     inv_ds = np.array([1.0 / (potential - r) for r in (300.0, -300.0, 3e4, 3e6, 40.0, -25.0)])
     inv_ds[(slice(None),) + block] = 0.0
@@ -471,8 +470,7 @@ def _chiral_pair(lengths, radius, r, seed):
     part = cfg.partition()
     sample = sample_disorder(cfg, 0)
     boosts = boosts_for(cfg, sample)
-    flipped = dataclasses.replace(sample, values={n: -w for n, w in sample.values.items()})
-    got = schur_reduced(part, flipped, {i: -lam for i, lam in boosts.items()}, -r).matrix
+    got = schur_reduced(part, -sample, tuple(-lam for lam in boosts), -r).matrix
     parity = np.indices(lengths).reshape(len(lengths), -1).sum(axis=0) % 2
     u = np.where(parity == 0, 1.0, -1.0)
     want = -(u[:, None] * schur_reduced(part, sample, boosts, r).matrix * u[None, :])
@@ -554,11 +552,7 @@ def test_reflection_relation_conjugates_by_the_box0_reflection(lengths, radius, 
     assert (_jacobi_q(part, sample, None, r) <= 0.5) == series
     base = schur_reduced(part, sample, None, r).matrix.reshape(lengths * 2)
     for a in range(d):
-        values = {
-            tuple(-k if i == a else k for i, k in enumerate(n)): w
-            for n, w in sample.values.items()
-        }
-        got = schur_reduced(part, dataclasses.replace(sample, values=values), None, r).matrix
+        got = schur_reduced(part, np.flip(sample, axis=a), None, r).matrix
         _within_16_ulp(got, np.flip(base, axis=(a, d + a)).reshape(got.shape))
 
 
@@ -595,9 +589,8 @@ def test_axis_swap_relation_carries_omega_and_lambda(lengths, radius, r, series,
     for a, b in pairs:
         axes = list(range(d))
         axes[a], axes[b] = b, a
-        values = {tuple(n[i] for i in axes): w for n, w in sample.values.items()}
-        swapped = {axes[i - 1] + 1: lam for i, lam in boosts.items()}
-        got = schur_reduced(part, dataclasses.replace(sample, values=values), swapped, r).matrix
+        swapped = tuple(boosts[i] for i in axes)
+        got = schur_reduced(part, np.transpose(sample, axes), swapped, r).matrix
         want = np.transpose(base, axes + [d + i for i in axes]).reshape(got.shape)
         _within_16_ulp(got, want)
 
@@ -623,13 +616,8 @@ def test_neumann_truncation_smallest_example():
 
 def test_neumann_truncation_carries_face_weights():
     part = build_partition(1, (2,), radius=2)
-    values = {n: 0.0 for n in part.boxes}
-    values[(1,)] = 0.25
-    values[(-1,)] = -0.5
-    from boxham.lattice import DisorderSample
-
-    sample = DisorderSample(values=values, distribution=(-1.0, 1.0), seed=0)
-    a_r, _ = neumann_truncation(part, sample, {1: 2.0}, 10.0)
+    sample = np.array([0.0, -0.5, 0.0, 0.25, 0.0])  # boxes -2..2
+    a_r, _ = neumann_truncation(part, sample, (2.0,), 10.0)
     # diag = r*BB^T + omega_- on left face + (omega_+ + lambda) on right face
     assert a_r[0, 0] == pytest.approx(10.0 - 0.5)
     assert a_r[1, 1] == pytest.approx(10.0 + 0.25 + 2.0)
@@ -646,7 +634,7 @@ def test_neumann_truncation_guards():
     with pytest.raises(ValueError):
         neumann_truncation(part, sample, None, -1.0)
     with pytest.raises(VolumeError):
-        neumann_truncation(part, sample, {2: 1.0}, 10.0)
+        neumann_truncation(part, sample, (0.0, 1.0), 10.0)
 
 
 def test_third_order_norm_bound():
@@ -659,10 +647,10 @@ def test_kronecker_assembly_matches_neumann():
     cfg = ExperimentConfig(d=2, lengths=(2, 2), radius=2, base_seed=1)
     part = cfg.partition()
     sample = sample_disorder(cfg, 0)
-    pairs = omega_pairs(sample, 2)
+    pairs = omega_pairs(sample)
     lams = (0.3, -0.1)
     for r in (5.0, 300.0):
-        a_r, _ = neumann_truncation(part, sample, {1: 0.3, 2: -0.1}, r)
+        a_r, _ = neumann_truncation(part, sample, (0.3, -0.1), r)
         kron = kronecker_truncation((2, 2), pairs, lams, r)
         scale = np.max(np.abs(a_r))
         assert np.max(np.abs(a_r - kron)) <= 1e-12 * scale
