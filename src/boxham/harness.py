@@ -421,24 +421,57 @@ def _fmt(value) -> str:
 # call costs more than the repeated formatting it would save.
 _DEDUP_ROWS = 64
 
+_BOOL_TEXTS = ("false", "true")
+
+
+def _bulk(fmt: str, values: list) -> list[str]:
+    """``fmt % value`` of every value, from one ``%`` call over all of them."""
+    return ((fmt + "\n") * len(values) % tuple(values)).split("\n")[:-1]
+
+
+def _numeric_texts(column: np.ndarray) -> list[str]:
+    """``_fmt`` of every field of a 1-D float (at most 64-bit) or int array.
+
+    Floats are widened to float64, which is exact, keyed by their bits and
+    written ``%.17g``; ints are keyed by value in their own dtype (a uint64
+    cast to int64 would wrap) and written ``%d``.  The distinct values are
+    formatted in one bulk call and gathered back through the inverse.
+    """
+    floating = column.dtype.kind == "f"
+    values = column.astype(np.float64, copy=False) if floating else column
+    fmt = "%.17g" if floating else "%d"
+    if values.size < _DEDUP_ROWS:
+        return _bulk(fmt, values.tolist())
+    keys, inverse = np.unique(values.view(np.uint64) if floating else values, return_inverse=True)
+    texts = _bulk(fmt, (keys.view(np.float64) if floating else keys).tolist())
+    return np.array(texts, dtype=object)[inverse].tolist()
+
 
 def _column_texts(column: Sequence) -> list[str]:
-    """``_fmt`` of every field of one CSV column, each distinct value formatted once.
+    """``_fmt`` of every field of one CSV column, by the column's type.
 
-    A column of exact floats is keyed by bit pattern, any other column by
-    object identity; a column of one type uses that type's formatter.  An
-    array column is formatted as its ``tolist()``.
+    A 1-D float (at most 64-bit) or int array, or a list of exact floats,
+    formats its distinct values in one ``%`` call (``_numeric_texts``).  Bools,
+    in an array or a list, read a two-entry table; a list of exact strings is
+    its own text.  Any other column (labels, ``""``/float mixes, numpy scalars
+    in a list, other arrays as their ``tolist()``) is keyed by object
+    identity, and a column of one type uses that type's formatter.
     """
     if isinstance(column, np.ndarray):
+        if column.ndim == 1 and column.dtype.kind in "fiu" and column.dtype.itemsize <= 8:
+            return _numeric_texts(column)
         column = column.tolist()
     kinds = set(map(type, column))
+    if kinds == {str}:
+        return list(column)
+    if kinds == {bool}:
+        return list(map(_BOOL_TEXTS.__getitem__, column))
+    if kinds == {float}:
+        return _numeric_texts(np.array(column, dtype=np.float64))
     fmt = _formatter(next(iter(kinds))) if len(kinds) == 1 else _fmt
     if len(column) < _DEDUP_ROWS:
         return list(map(fmt, column))
-    if kinds == {float}:
-        keys = np.array(column).view(np.int64)
-    else:
-        keys = np.fromiter(map(id, column), np.uint64, len(column))
+    keys = np.fromiter(map(id, column), np.uint64, len(column))
     distinct, inverse = np.unique(keys, return_inverse=True)
     # any field with a key stands for all of them; the scatter keeps the last
     index_of = np.empty(distinct.size, dtype=np.intp)
@@ -452,9 +485,11 @@ def write_csv(path: str | Path, columns: dict[str, Sequence]) -> Path:
 
     The bytes are those of ``",".join(map(_fmt, row))`` for every row: floats
     as ``%.17g``, bools as ``true``/``false``, tuples and lists ``|``-joined.
-    Each column's distinct values are formatted once, and "distinct" cannot
-    mean equal: 0.0 == -0.0 and (1, 2) == (True, 2), yet their texts differ.
-    So floats are told apart by bits and other values by object identity; the
+    Each column is formatted by its type (``_column_texts``): a numeric array
+    or float list formats its distinct values in one ``%`` call, bools read
+    a table and strings pass through.  "Distinct" cannot mean equal: 0.0 ==
+    -0.0 and (1, 2) == (True, 2), yet their texts differ.  So floats are told
+    apart by bits, ints by value and other values by object identity; the
     drivers share their label, class and ``r`` objects across rows.  Ragged
     columns are a driver fault, not a config error, so they raise
     RuntimeError rather than the ValueError the CLI reports as one.
@@ -762,7 +797,8 @@ def gap_growth_probe(config: ExperimentConfig) -> Result:
     floored = gaps <= floors[:, None]
     classes = table.classes(first, second)
     slopes = _fit_slopes(r_values, gaps, floored)
-    pairs = [(table.tuples[i], table.tuples[j]) for i, j in zip(first.tolist(), second.tolist())]
+    first, second = first.tolist(), second.tolist()
+    pairs = [(table.tuples[i], table.tuples[j]) for i, j in zip(first, second)]
     columns = {
         "pair_a": [a for a, _ in pairs for _ in r_values],
         "pair_b": [b for _, b in pairs for _ in r_values],
@@ -786,7 +822,8 @@ def gap_growth_probe(config: ExperimentConfig) -> Result:
         {"pair": pairs, "class": classes, "slope": slopes},
         {"lengths": list(config.lengths), "seed": config.base_seed},
     )
-    labels = ["|".join(map(str, a)) + ":" + "|".join(map(str, b)) for a, b in pairs]
+    text = ["|".join(map(str, t)) for t in table.tuples]
+    labels = [text[i] + ":" + text[j] for i, j in zip(first, second)]
     extras = {"slopes": dict(zip(labels, slopes)), "min_pair_slope": min_pair_slope}
     return Result(columns, [check], extras)
 

@@ -376,8 +376,8 @@ def _box_potentials(
     the d unit boxes in one indexed add and repeats each axis once for the
     whole stack, so every row is bit for bit the cell's own.  A grid of
     another shape raises IncompleteSampleError; a boost vector whose length
-    is not d, or boosts at radius 0, where no unit box exists, raise
-    VolumeError.
+    is not d, or a nonzero one at radius 0, where no unit box exists, raises
+    VolumeError.  An all-zero vector at radius 0 adds nothing.
     """
     side = (2 * partition.radius + 1,) * partition.d
     for omega, boosts in cells:
@@ -385,14 +385,16 @@ def _box_potentials(
             raise IncompleteSampleError(
                 f"omega grid of shape {np.shape(omega)} for the box grid {side}"
             )
-        if boosts is not None and (len(boosts) != partition.d or partition.radius < 1):
+        if boosts is not None and (
+            len(boosts) != partition.d or (partition.radius < 1 and any(boosts))
+        ):
             raise VolumeError(
                 f"{len(boosts)} boosts for d={partition.d} at radius {partition.radius}; "
-                "need d boosts and radius >= 1"
+                "need d boosts, all zero at radius 0"
             )
     grid = np.array([omega for omega, _ in cells], dtype=np.float64)
     boosted = [c for c, (_, boosts) in enumerate(cells) if boosts is not None]
-    if boosted:
+    if boosted and partition.radius:
         # unit box +e_i sits at radius + e_i: row k of the identity is axis k's index
         units = tuple(partition.radius + np.eye(partition.d, dtype=np.intp))
         grid[(np.array(boosted)[:, None],) + units] += [cells[c][1] for c in boosted]

@@ -387,6 +387,42 @@ def test_write_csv_tells_values_apart_by_bits_and_identity(tmp_path):
         write_csv(tmp_path / "c.csv", {"x": [1, 3], "y": [2]})
 
 
+def _typed_columns(n_rows: int) -> dict:
+    """Array, bool-list and str-list columns of ``n_rows`` rows, cycling small pools."""
+    pools = {
+        "f64": np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, 0.1]),
+        "f32": np.array([0.1, -0.0, np.nan, 3.4e38, 1e-45, 1.0], dtype=np.float32),
+        "f16": np.array([0.1, -0.0, np.inf, 6e-8], dtype=np.float16),
+        "f64_be": np.array([0.3, -0.0, 1e300], dtype=">f8"),
+        "i32": np.array([-(2**31), 2**31 - 1, 0, -1, 7], dtype=np.int32),
+        "i64": np.array([2**63 - 1, -(2**63 - 1), 0, -5], dtype=np.int64),
+        "u64": np.array([2**63, 2**64 - 1, 2**63 + 1, 0, 1], dtype=np.uint64),
+        "bool": np.array([True, False, False]),
+    }
+    columns = {name: np.resize(pool, n_rows) for name, pool in pools.items()}
+    columns["f64_strided"] = np.resize(pools["f64"], 2 * n_rows)[::2]
+    columns["bools"] = [bool(k % 3) for k in range(n_rows)]
+    columns["strs"] = [("a", "", "b|c")[k % 3] for k in range(n_rows)]
+    return columns
+
+
+@pytest.mark.parametrize("n_rows", [harness._DEDUP_ROWS - 1, 3 * harness._DEDUP_ROWS])
+def test_write_csv_typed_columns_match_per_field_formatting(tmp_path, n_rows):
+    # the array rows are numpy scalars, so the oracle formats each through
+    # its own scalar type: float32 and float16 widen to float64, uint64 stays
+    # above 2**63
+    columns = _typed_columns(n_rows)
+    rows = list(zip(*columns.values()))
+    path = write_csv(tmp_path / "typed.csv", columns)
+    assert path.read_text() == _per_field_csv(list(columns), rows)
+    lines = path.read_text().splitlines()
+    assert lines[1].split(",")[:8] == ["0", "0.10000000149011612", "0.0999755859375", "0.29999999999999999",
+                                       "-2147483648", "9223372036854775807", "9223372036854775808", "true"]
+    assert lines[6].split(",")[0] == "4.9406564584124654e-324"
+    empty = {name: column[:0] for name, column in columns.items()}
+    assert write_csv(tmp_path / "empty.csv", empty).read_text() == ",".join(columns) + "\n"
+
+
 # values that are equal (or bit-different) while their texts differ (or agree)
 _COLLIDING = [0.0, -0.0, np.float64(-0.0), 0, False, 1, True, 1.0, np.int64(1), (1, 2), (True, 2)]
 _FLOATS = st.one_of(st.sampled_from([0.0, -0.0, float("nan"), float("inf")]), st.floats())
@@ -1097,6 +1133,21 @@ def test_cli_radius_zero_has_no_omega_pairs_exit_two(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "config error: omega pairs need radius >= 1" in err and "got radius 0" in err
     assert not out.exists()
+
+
+def test_cli_rankcheck_at_radius_zero_takes_zero_boosts(tmp_path, capsys):
+    # radius 0 holds no unit box: the default zero boosts add nothing there,
+    # so the Krylov rank check runs; a nonzero boost has no box to sit on
+    body = "geometry.d = 2\ngeometry.lengths = 2, 2\ngeometry.radius = 0\nrank.m = 0, 0\n"
+    out = tmp_path / "results"
+    assert cli.main(["rankcheck", "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 0
+    assert (out / "rankcheck.csv").read_text().splitlines()[0] == "seed,rank,expected,full"
+    capsys.readouterr()
+    boosted = tmp_path / "boosted"
+    cfg = write_cfg(tmp_path, body + "run.lambda = 1\n", name="boosted.cfg")
+    assert cli.main(["rankcheck", "--config", cfg, "--out", str(boosted)]) == 2
+    assert "config error: 2 boosts for d=2 at radius 0" in capsys.readouterr().err
+    assert not boosted.exists()
 
 
 def test_ragged_driver_table_is_not_a_config_error(tmp_path, monkeypatch, capsys):

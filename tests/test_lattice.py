@@ -225,6 +225,19 @@ def test_box_potentials_take_only_the_partitions_grid_and_d_boosts():
     assert np.array_equal(boosted[::2, ::3], want)
 
 
+def test_box_potentials_take_zero_boosts_at_radius_zero():
+    # no unit box exists at radius 0, so an all-zero vector is the only one
+    # that fits, and it leaves the potential as it was
+    flat = build_partition(2, (2, 3), radius=0)
+    omega = np.full((1, 1), -0.0)
+    plain = _box_potentials(flat, [(omega, None)])
+    zeroed = _box_potentials(flat, [(omega, (0.0, -0.0)), (omega, None)])
+    assert np.array_equal(zeroed.view(np.uint64), np.vstack([plain, plain]).view(np.uint64))
+    for boosts in ((0.0, 1e-300), (0.0, 0.0, 0.0)):
+        with pytest.raises(VolumeError, match=f"{len(boosts)} boosts for d=2 at radius 0"):
+            _box_potentials(flat, [(omega, boosts)])
+
+
 def test_cached_laplacian_is_read_only():
     part = build_partition(2, (2, 3), radius=1)
     sample = zero_disorder(part)
